@@ -23,7 +23,6 @@ from .energies import (
 )
 from .fem import (
     LinPerField,
-    SolverFailure,
     compatibility_residual,
     div_adjoint,
     is_equilibrated,

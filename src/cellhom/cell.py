@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+import math
 
 import numpy as np
 
@@ -33,7 +34,7 @@ class Lattice:
 
     def __post_init__(self):
         for name in ("g1", "g2", "g3"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=float)))
         if not self.volume > 0.0:
             raise ValueError("lattice generators must be linearly independent")
 
@@ -51,14 +52,22 @@ class Lattice:
         return cls(np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), np.array([0, 0, 1.0]))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def wrap_index(idx, dims):
     """Map a signed integer triple onto the canonical grid, componentwise mod n."""
     return tuple(int(i) % int(n) for i, n in zip(idx, dims))
 
 
-@dataclass
+@dataclass(frozen=True)
 class VoxelCell:
     """Periodic voxel cell: phase grid plus per-phase stiffness table.
+
+    The cell is immutable: its arrays are read-only copies of the inputs, so
+    the cached material fields and operator core never go stale.
 
     Attributes
     ----------
@@ -66,7 +75,7 @@ class VoxelCell:
         Voxel counts per lattice direction.
     phase_of : numpy.ndarray
         Integer array of shape ``dims`` with 0-based phase ids.
-    phases : list[numpy.ndarray]
+    phases : tuple[numpy.ndarray, ...]
         SPD 6x6 Mandel stiffness matrix per phase.
     lattice : Lattice
         Cell geometry; defaults to the unit cube.
@@ -74,28 +83,34 @@ class VoxelCell:
 
     dims: tuple
     phase_of: np.ndarray
-    phases: list
+    phases: tuple
     lattice: Lattice = field(default_factory=Lattice.unit_cube)
 
     def __post_init__(self):
-        self.dims = tuple(int(n) for n in self.dims)
-        if any(n < 1 for n in self.dims):
-            raise ValueError(f"voxel counts must be positive, got {self.dims}")
-        self.phase_of = np.ascontiguousarray(self.phase_of, dtype=np.int64)
-        if self.phase_of.shape != self.dims:
+        dims = tuple(int(n) for n in self.dims)
+        if any(n < 1 for n in dims):
+            raise ValueError(f"voxel counts must be positive, got {dims}")
+        phase_of = _read_only(np.array(self.phase_of, dtype=np.int64, order="C"))
+        if phase_of.shape != dims:
             raise ValueError(
-                f"phase grid shape {self.phase_of.shape} does not match dims {self.dims}"
+                f"phase grid shape {phase_of.shape} does not match dims {dims}"
             )
-        self.phases = [np.asarray(p, dtype=float) for p in self.phases]
-        if self.phase_of.min() < 0 or self.phase_of.max() >= len(self.phases):
+        phases = tuple(_read_only(np.array(p, dtype=float)) for p in self.phases)
+        if phase_of.min() < 0 or phase_of.max() >= len(phases):
             raise ValueError("phase id out of range of the phase table")
-        for k, p in enumerate(self.phases):
+        for k, p in enumerate(phases):
             if p.shape != (6, 6):
                 raise ValueError(f"phase {k} is not a 6x6 Mandel matrix")
-            if not np.allclose(p, p.T, rtol=0.0, atol=1e-12 * max(1.0, abs(p).max())):
+            scale = abs(p).max()
+            if not math.isfinite(scale):
+                raise ValueError(f"phase {k} stiffness has non-finite entries")
+            if not np.allclose(p, p.T, rtol=0.0, atol=1e-12 * max(1.0, scale)):
                 raise ValueError(f"phase {k} stiffness is not symmetric")
             if not mandel.is_spd(p):
                 raise ValueError(f"phase {k} stiffness is not positive definite")
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "phase_of", phase_of)
+        object.__setattr__(self, "phases", phases)
 
     # -- derived geometry ---------------------------------------------------
 
@@ -112,27 +127,27 @@ class VoxelCell:
     def voxel_volume(self) -> float:
         return self.lattice.volume / self.n_voxels
 
-    # -- derived material fields (cached, cell treated as immutable) ---------
+    # -- derived material fields (cached, read-only) -------------------------
 
     @cached_property
     def stiffness_field(self) -> np.ndarray:
         """Per-voxel 6x6 stiffness, shape ``dims + (6, 6)``."""
-        return np.stack(self.phases)[self.phase_of]
+        return _read_only(np.stack(self.phases)[self.phase_of])
 
     @cached_property
     def compliance_field(self) -> np.ndarray:
         """Per-voxel 6x6 compliance, shape ``dims + (6, 6)``."""
-        return np.stack([mandel.invert(p) for p in self.phases])[self.phase_of]
+        return _read_only(np.stack([mandel.invert(p) for p in self.phases])[self.phase_of])
 
     @cached_property
     def mean_stiffness(self) -> np.ndarray:
         """Volume average of the stiffness field (the arithmetic bound)."""
-        return self.stiffness_field.mean(axis=(0, 1, 2))
+        return _read_only(self.stiffness_field.mean(axis=(0, 1, 2)))
 
     @cached_property
     def mean_compliance(self) -> np.ndarray:
         """Volume average of the compliance field (the harmonic-bound source)."""
-        return self.compliance_field.mean(axis=(0, 1, 2))
+        return _read_only(self.compliance_field.mean(axis=(0, 1, 2)))
 
 
 def cell_average(cell: VoxelCell, f: np.ndarray) -> np.ndarray:
@@ -178,7 +193,10 @@ def parse_voxel_text(text: str, lattice: Lattice | None = None) -> VoxelCell:
         if tok and tok[0] == "ISO":
             if len(tok) != 3:
                 raise ValueError(f"phase {k}: ISO takes exactly two moduli")
-            phases.append(mandel.iso_tensor(float(tok[1]), float(tok[2])))
+            try:
+                phases.append(mandel.iso_tensor(float(tok[1]), float(tok[2])))
+            except mandel.DomainError as exc:
+                raise ValueError(f"phase {k}: {exc}") from exc
         elif tok and tok[0] == "FULL":
             if len(tok) != 22:
                 raise ValueError(f"phase {k}: FULL takes 21 upper-triangle entries")

@@ -29,11 +29,11 @@ from .fem import (
     project_zero_mean,
     quad_inner,
     quad_norm,
+    stencil_of,
     sym_gradient,
 )
 from .solvers import (
     SolveParams,
-    Stencil,
     solve_strain_driven,
     solve_strain_route,
     solve_stress_driven,
@@ -105,8 +105,7 @@ def random_equilibrated_stress(cell: VoxelCell, macro_stress, rng,
     params = params or SolveParams()
     t = rng.standard_normal(6)
     w, _ = solve_stress_driven(cell, t, params)
-    st = Stencil(cell)
-    sig = st.stress(sym_gradient(cell, w, st.tables))
+    sig = stencil_of(cell).stress(sym_gradient(cell, w))
     return sig + (np.asarray(macro_stress, dtype=float) - t)
 
 
@@ -252,18 +251,18 @@ def equivalence_matrix(cell: VoxelCell, params: SolveParams | None = None,
     """
     params = params or SolveParams()
     rng = np.random.default_rng(seed)
-    st = Stencil(cell, params.precond)
+    st = stencil_of(cell)
     checks: list = []
 
     a = PROBE_STRAIN
     u_a, _ = solve_strain_driven(cell, a, params)
-    e_a = sym_gradient(cell, u_a, st.tables)
+    e_a = sym_gradient(cell, u_a)
     sig_a = st.stress(e_a)
     s = cell_average(cell, sig_a)
     e_scale = quad_norm(cell, e_a)
 
     # zero-mean normalization leaves the strain untouched
-    e_proj = sym_gradient(cell, project_zero_mean(cell, u_a), st.tables)
+    e_proj = sym_gradient(cell, project_zero_mean(cell, u_a))
     checks.append(ArrowCheck(
         "displacement vs zero-mean displacement",
         quad_norm(cell, e_proj - e_a) / e_scale, tol))
@@ -289,7 +288,7 @@ def equivalence_matrix(cell: VoxelCell, params: SolveParams | None = None,
 
     # stress-driven displacement reproduces the strain-driven one
     w_s, _ = solve_stress_driven(cell, s, params)
-    e_w = sym_gradient(cell, w_s, st.tables)
+    e_w = sym_gradient(cell, w_s)
     checks.append(ArrowCheck(
         "stress-driven vs strain-driven strain",
         quad_norm(cell, e_w - e_a) / e_scale, tol))

@@ -33,12 +33,11 @@ from .checks import (
 )
 from .config import RunConfig, load_config
 from .energies import MacroLoad, complementary_energy
-from .fem import is_equilibrated, sym_gradient
+from .fem import is_equilibrated, stencil_of, sym_gradient
 from .homogenize import dual_consistency, homogenize
 from .solvers import (
     NotConverged,
     SolveParams,
-    Stencil,
     StepTooLarge,
     solve_strain_driven,
     solve_strain_route,
@@ -91,14 +90,14 @@ def _probe_checks(cell, params, ch, solve_rows, checks):
     a_probe = PROBE_STRAIN
     u, rep_u = solve_strain_driven(cell, a_probe, params)
     solve_rows.append(("probe_strain", rep_u))
-    st = Stencil(cell, params.precond)
-    sig_u = st.stress(sym_gradient(cell, u, st.tables))
+    st = stencil_of(cell)
+    sig_u = st.stress(sym_gradient(cell, u))
     checks["hill_mandel"] = hill_mandel_residual(cell, u, sig_u)
 
     s_probe = ch @ a_probe
     w, rep_w = solve_stress_driven(cell, s_probe, params)
     solve_rows.append(("probe_stress", rep_w))
-    sig_w = st.stress(sym_gradient(cell, w, st.tables))
+    sig_w = st.stress(sym_gradient(cell, w))
     scale = abs(complementary_energy(cell, sig_w))
     e_route, rep_e = solve_strain_route(cell, MacroLoad.stress_driven(s_probe), params)
     solve_rows.append(("probe_strain_route", rep_e))
@@ -183,7 +182,7 @@ def run(config: RunConfig, threads: int = 1, quiet: bool = False) -> int:
                         failures.append(f"arrow: {a.name}")
 
         else:  # task == "solve"
-            st = Stencil(cell, params.precond)
+            st = stencil_of(cell)
             value = np.asarray(config.macro_value, dtype=float)
             if config.formulation == "stress-uzawa":
                 sig, v, rep = solve_stress_uzawa(cell, value, params)
@@ -209,7 +208,7 @@ def run(config: RunConfig, threads: int = 1, quiet: bool = False) -> int:
             elif config.macro_kind == "strain":
                 u, rep = solve_strain_driven(cell, value, params)
                 solve_rows.append(("strain_driven", rep))
-                sig = st.stress(sym_gradient(cell, u, st.tables))
+                sig = st.stress(sym_gradient(cell, u))
                 report["mean_stress"] = np.asarray(
                     np.mean(sig, axis=(0, 1, 2, 3))).tolist()
                 hm = hill_mandel_residual(cell, u, sig)
@@ -217,9 +216,10 @@ def run(config: RunConfig, threads: int = 1, quiet: bool = False) -> int:
             else:
                 w, rep = solve_stress_driven(cell, value, params)
                 solve_rows.append(("stress_driven", rep))
-                sig = st.stress(sym_gradient(cell, w, st.tables))
+                e_w = sym_gradient(cell, w)
+                sig = st.stress(e_w)
                 report["mean_strain"] = np.asarray(
-                    np.mean(sym_gradient(cell, w, st.tables), axis=(0, 1, 2, 3))).tolist()
+                    np.mean(e_w, axis=(0, 1, 2, 3))).tolist()
                 hm = hill_mandel_residual(cell, w, sig)
                 check("hill_mandel", hm, hm <= HILL_MANDEL_FACTOR * params.tol)
                 gap = abs(duality_gap_displacement(cell, sig, w, value, 10 * params.tol))

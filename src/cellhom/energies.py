@@ -20,6 +20,7 @@ from .fem import (
     is_equilibrated,
     node_mean,
     quad_inner,
+    stencil_of,
     sym_gradient,
 )
 
@@ -58,20 +59,15 @@ class EnergyReport:
         return math.isfinite(self.value)
 
 
-def _stress_of(cell: VoxelCell, e: np.ndarray) -> np.ndarray:
-    return np.einsum("ijkcd,ijkqd->ijkqc", cell.stiffness_field, e)
-
-
 def elastic_energy(cell: VoxelCell, e: np.ndarray) -> float:
     """``1/2 integral <C e, e>`` of a strain field; also the convex conjugate
     of the complementary energy."""
-    return 0.5 * quad_inner(cell, _stress_of(cell, e), e)
+    return 0.5 * quad_inner(cell, stencil_of(cell).stress(e), e)
 
 
 def complementary_energy(cell: VoxelCell, s: np.ndarray) -> float:
     """``1/2 integral <D s, s>`` of a stress field."""
-    ds = np.einsum("ijkcd,ijkqd->ijkqc", cell.compliance_field, s)
-    return 0.5 * quad_inner(cell, ds, s)
+    return 0.5 * quad_inner(cell, stencil_of(cell).compliance_stress(s), s)
 
 
 def strain_energy(cell: VoxelCell, u: LinPerField) -> float:
@@ -82,7 +78,7 @@ def strain_energy(cell: VoxelCell, u: LinPerField) -> float:
 def strain_potential(cell: VoxelCell, e: np.ndarray, macro_strain: np.ndarray) -> float:
     """Strain-space objective for a prescribed mean strain:
     ``1/2 integral <C e, e> + <A, integral C e>``."""
-    s = _stress_of(cell, e)
+    s = stencil_of(cell).stress(e)
     lin = float(np.dot(np.asarray(macro_strain, dtype=float),
                        cell.volume * cell_average(cell, s)))
     return 0.5 * quad_inner(cell, s, e) + lin
@@ -91,7 +87,7 @@ def strain_potential(cell: VoxelCell, e: np.ndarray, macro_strain: np.ndarray) -
 def stress_potential(cell: VoxelCell, e: np.ndarray, macro_stress: np.ndarray) -> float:
     """Strain-space objective for a prescribed mean stress:
     ``1/2 integral <C e, e> - <S, integral e>``."""
-    s = _stress_of(cell, e)
+    s = stencil_of(cell).stress(e)
     lin = float(np.dot(np.asarray(macro_stress, dtype=float),
                        cell.volume * cell_average(cell, e)))
     return 0.5 * quad_inner(cell, s, e) - lin
@@ -143,7 +139,7 @@ def energy_report(cell: VoxelCell, u: LinPerField, load: MacroLoad) -> EnergyRep
     ``u`` (zero-mean projected), the same quantity the solvers drive down.
     """
     e = sym_gradient(cell, u)
-    s = _stress_of(cell, e)
+    s = stencil_of(cell).stress(e)
     elastic = 0.5 * quad_inner(cell, s, e)
     if load.kind == "strain":
         value, comps = elastic, {"elastic": elastic}

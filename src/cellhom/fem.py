@@ -18,15 +18,23 @@ so the discrete Green identity
 
 holds to rounding by construction; the continuous minus-divergence sign is
 absorbed into this dual pairing.
+
+Every operator application (strain B, stiffness C, compliance D, adjoint
+B^T and the DFT block inverses of constant-material operators) is a method
+of one ``Stencil`` per cell, built on first use by ``stencil_of(cell)`` and
+cached on the cell; the module functions below go through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 import itertools
+import weakref
 
 import numpy as np
 
+from . import mandel
 from .cell import VoxelCell, cell_average
 from .mandel import SQRT2, mandel_to_sym
 
@@ -36,10 +44,6 @@ CORNERS = tuple(itertools.product((0, 1), repeat=3))
 _GAUSS_1D = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
 #: Gauss points on the reference unit cube, fixed ordering
 GAUSS_POINTS = tuple(itertools.product(_GAUSS_1D, repeat=3))
-
-
-class SolverFailure(RuntimeError):
-    """Raised when an auxiliary inner solve stalls."""
 
 
 @dataclass
@@ -111,28 +115,176 @@ def gather_corners(values: np.ndarray) -> np.ndarray:
     )
 
 
-def sym_gradient(cell: VoxelCell, u: LinPerField, tables: np.ndarray | None = None) -> np.ndarray:
+def _const_stress(c: np.ndarray, e: np.ndarray) -> np.ndarray:
+    return np.einsum("cd,ijkqd->ijkqc", c, e)
+
+
+def _dft_block_solve(pinv: np.ndarray, r: np.ndarray) -> np.ndarray:
+    rhat = np.fft.fftn(r, axes=(0, 1, 2))
+    zhat = np.einsum("ijkab,ijkb->ijka", pinv, rhat)
+    return np.real(np.fft.ifftn(zhat, axes=(0, 1, 2)))
+
+
+class Stencil:
+    """Operator core of one cell: strain tables, material fields, DFT inverses.
+
+    Obtain it through ``stencil_of(cell)``, which builds one per cell.
+    """
+
+    def __init__(self, cell: VoxelCell):
+        # weak, because the cell caches its core: a strong reference would be
+        # a cycle that keeps both alive until the cyclic garbage collector runs
+        self._cell = weakref.ref(cell)
+        self.tables = strain_tables(cell)
+        self.w = cell.voxel_volume / 8.0
+        self.cvox = cell.stiffness_field
+        self.dvox = cell.compliance_field
+        self.cmean = cell.mean_stiffness
+        self.cmean_inv = mandel.invert(self.cmean)
+        self.volume = cell.volume
+        self.dims = cell.dims
+        self._ref_pinv = None
+
+    @property
+    def cell(self) -> VoxelCell:
+        return self._cell()
+
+    # field operations ------------------------------------------------------
+
+    def strain_periodic(self, phi: np.ndarray) -> np.ndarray:
+        return np.einsum("qacd,ijkad->ijkqc", self.tables, gather_corners(phi))
+
+    def strain(self, macro: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        e = self.strain_periodic(phi)
+        e += macro
+        return e
+
+    def stress(self, e: np.ndarray) -> np.ndarray:
+        return np.einsum("ijkcd,ijkqd->ijkqc", self.cvox, e)
+
+    def stress_ref(self, e: np.ndarray) -> np.ndarray:
+        return _const_stress(self.cmean, e)
+
+    def compliance_stress(self, s: np.ndarray) -> np.ndarray:
+        return np.einsum("ijkcd,ijkqd->ijkqc", self.dvox, s)
+
+    def divadj(self, s: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.dims + (3,))
+        for ai, a in enumerate(CORNERS):
+            contrib = self.w * np.einsum("qcd,ijkqc->ijkd", self.tables[:, ai], s)
+            out += np.roll(contrib, shift=a, axis=(0, 1, 2))
+        return out
+
+    def project(self, phi: np.ndarray) -> np.ndarray:
+        return phi - node_mean(phi)
+
+    @cached_property
+    def dual_scale(self) -> float:
+        """Operator-norm bound of ``divadj``: sqrt(8 * lambda_max) of one
+        element Gram matrix (a node touches at most 8 elements)."""
+        bm = self.tables.transpose(0, 2, 1, 3).reshape(8, 6, 24)
+        gram = self.w * np.einsum("qci,qcj->ij", bm, bm)
+        lam = np.linalg.eigvalsh(gram)[-1]
+        return float(np.sqrt(8.0 * max(lam, 0.0)))
+
+    # periodic-fluctuation operator ------------------------------------------
+
+    def k_phi(self, phi: np.ndarray) -> np.ndarray:
+        out = self.divadj(self.stress(self.strain_periodic(phi)))
+        return self.project(out)
+
+    def k_ref_phi(self, phi: np.ndarray) -> np.ndarray:
+        out = self.divadj(self.stress_ref(self.strain_periodic(phi)))
+        return self.project(out)
+
+    # extended operator on (mean strain, fluctuation) -------------------------
+
+    def unpack(self, x: np.ndarray):
+        return x[:6], x[6:].reshape(self.dims + (3,))
+
+    def pack(self, macro: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        return np.concatenate([np.asarray(macro, dtype=float).ravel(), phi.ravel()])
+
+    def strain_ext(self, x: np.ndarray) -> np.ndarray:
+        return self.strain(*self.unpack(x))
+
+    def k_ext(self, x: np.ndarray) -> np.ndarray:
+        s = self.stress(self.strain_ext(x))
+        return self.pack(self.volume * cell_average(self.cell, s),
+                         self.project(self.divadj(s)))
+
+    def m_ext(self, x: np.ndarray) -> np.ndarray:
+        """Apply the block preconditioner operator itself (not its inverse)."""
+        macro, phi = self.unpack(x)
+        return self.pack(self.volume * (self.cmean @ macro), self.k_ref_phi(phi))
+
+    # constant-material inverses -----------------------------------------------
+
+    def circulant_pinv(self, c: np.ndarray) -> np.ndarray:
+        """DFT-diagonalized pseudo-inverse blocks of the periodic operator of
+        the constant material ``c``.
+
+        That operator is block-circulant on the periodic grid, so one
+        impulse response gives its 3x3 Hermitian block per frequency; the
+        zero frequency, which carries the constant nullspace, is annihilated.
+        """
+        kernel = np.zeros(self.dims + (3, 3))
+        for d in range(3):
+            imp = np.zeros(self.dims + (3,))
+            imp[0, 0, 0, d] = 1.0
+            kernel[..., :, d] = self.divadj(_const_stress(c, self.strain_periodic(imp)))
+        khat = np.fft.fftn(kernel, axes=(0, 1, 2))
+        khat = 0.5 * (khat + np.conj(khat.transpose(0, 1, 2, 4, 3)))
+        pinv = np.linalg.pinv(khat, rcond=1e-12, hermitian=True)
+        pinv[0, 0, 0] = 0.0
+        return pinv
+
+    @property
+    def ref_pinv(self) -> np.ndarray:
+        """Inverse blocks of the mean-stiffness (reference) operator."""
+        if self._ref_pinv is None:
+            self._ref_pinv = self.circulant_pinv(self.cmean)
+        return self._ref_pinv
+
+    @cached_property
+    def unit_pinv(self) -> np.ndarray:
+        """Inverse blocks of the unit-material operator (the normal equations
+        of the least-squares fit by symmetric gradients)."""
+        return self.circulant_pinv(np.eye(6))
+
+    def ref_solve(self, r: np.ndarray) -> np.ndarray:
+        return _dft_block_solve(self.ref_pinv, r)
+
+    def precond_ext(self, x: np.ndarray) -> np.ndarray:
+        macro, phi = self.unpack(x)
+        return self.pack(self.cmean_inv @ macro / self.volume, self.ref_solve(phi))
+
+
+def stencil_of(cell: VoxelCell) -> Stencil:
+    """The operator core of ``cell``, built on first use and cached on it.
+
+    Cells are immutable, so the core never goes stale. Code that shares a
+    cell between threads fetches the core, and the inverse it will use,
+    before starting them.
+    """
+    st = vars(cell).get("_stencil")
+    if st is None:
+        st = vars(cell)["_stencil"] = Stencil(cell)
+    return st
+
+
+def sym_gradient(cell: VoxelCell, u: LinPerField) -> np.ndarray:
     """Symmetric gradient of ``u`` at every Gauss point, Mandel components."""
-    b = strain_tables(cell) if tables is None else tables
-    gath = gather_corners(u.periodic)
-    e = np.einsum("qacd,ijkad->ijkqc", b, gath)
-    e += u.macro
-    return e
+    return stencil_of(cell).strain(u.macro, u.periodic)
 
 
-def div_adjoint(cell: VoxelCell, s: np.ndarray, tables: np.ndarray | None = None) -> np.ndarray:
+def div_adjoint(cell: VoxelCell, s: np.ndarray) -> np.ndarray:
     """Nodal functional dual to the quadrature pairing with ``sym_gradient``.
 
     Returns the array ``F`` with ``<F, v>_nodes = integral <s, sym_grad v>``
     for every periodic nodal field ``v``.
     """
-    b = strain_tables(cell) if tables is None else tables
-    w = cell.voxel_volume / 8.0
-    out = np.zeros(cell.dims + (3,))
-    for ai, a in enumerate(CORNERS):
-        contrib = w * np.einsum("qcd,ijkqc->ijkd", b[:, ai], s)
-        out += np.roll(contrib, shift=a, axis=(0, 1, 2))
-    return out
+    return stencil_of(cell).divadj(s)
 
 
 def quad_inner(cell: VoxelCell, f: np.ndarray, g: np.ndarray) -> float:
@@ -169,16 +321,9 @@ def project_zero_mean(cell: VoxelCell, u: LinPerField) -> LinPerField:
 def dual_norm_scale(cell: VoxelCell) -> float:
     """Operator-norm bound converting L2 field size to nodal-functional size.
 
-    ``|div_adjoint(s)|_2 <= dual_norm_scale * |s|_L2`` for every field s;
-    the bound is sqrt(8 * lambda_max) of one element Gram matrix (a node
-    touches at most 8 elements).
+    ``|div_adjoint(s)|_2 <= dual_norm_scale * |s|_L2`` for every field s.
     """
-    b = strain_tables(cell)
-    w = cell.voxel_volume / 8.0
-    bm = b.transpose(0, 2, 1, 3).reshape(8, 6, 24)
-    gram = w * np.einsum("qci,qcj->ij", bm, bm)
-    lam = np.linalg.eigvalsh(gram)[-1]
-    return float(np.sqrt(8.0 * max(lam, 0.0)))
+    return stencil_of(cell).dual_scale
 
 
 def is_equilibrated(cell: VoxelCell, s: np.ndarray, mean: np.ndarray, tol: float):
@@ -196,8 +341,9 @@ def is_equilibrated(cell: VoxelCell, s: np.ndarray, mean: np.ndarray, tol: float
         relative to ``|mean|`` (absolute when ``mean`` is zero).
     """
     mean = np.asarray(mean, dtype=float)
-    fnorm = float(np.linalg.norm(div_adjoint(cell, s)))
-    scale = dual_norm_scale(cell) * quad_norm(cell, s)
+    st = stencil_of(cell)
+    fnorm = float(np.linalg.norm(st.divadj(s)))
+    scale = st.dual_scale * quad_norm(cell, s)
     div_res = fnorm / scale if scale > 0.0 else 0.0
     dmean = np.linalg.norm(cell_average(cell, s) - mean)
     mnorm = np.linalg.norm(mean)
@@ -205,54 +351,15 @@ def is_equilibrated(cell: VoxelCell, s: np.ndarray, mean: np.ndarray, tol: float
     return (div_res <= tol and mean_res <= tol), div_res, mean_res
 
 
-def compatibility_residual(cell: VoxelCell, e: np.ndarray,
-                           tol: float = 1e-12, max_iter: int | None = None) -> float:
+def compatibility_residual(cell: VoxelCell, e: np.ndarray) -> float:
     """L2 distance from ``e`` to the range of ``sym_gradient``.
 
     The best macro part is the cell average of ``e`` (periodic gradients have
-    zero mean), and the periodic part solves the normal equations of the
-    least-squares fit, run here with conjugate gradients on the unit-material
-    stiffness. Zero iff ``e`` is a discrete compatible strain.
+    zero mean). The periodic part solves the normal equations of the
+    least-squares fit, whose operator is the unit-material stiffness; it is
+    block-circulant, so one DFT block solve gives it exactly. Zero iff ``e``
+    is a discrete compatible strain.
     """
-    tables = strain_tables(cell)
-    macro = cell_average(cell, e)
-    rhs = div_adjoint(cell, e, tables)
-    rhs -= node_mean(rhs)
-
-    def op(phi):
-        field = sym_gradient(cell, LinPerField(np.zeros(6), phi), tables)
-        out = div_adjoint(cell, field, tables)
-        return out - node_mean(out)
-
-    phi = _plain_cg(op, rhs, tol=tol, max_iter=max_iter or 6 * rhs.size)
-    fit = sym_gradient(cell, LinPerField(macro, phi), tables)
-    return quad_norm(cell, e - fit)
-
-
-def _plain_cg(op, b, tol, max_iter):
-    """Minimal CG on an SPSD operator; used by least-squares projections."""
-    bnorm = float(np.linalg.norm(b))
-    x = np.zeros_like(b)
-    if bnorm == 0.0:
-        return x
-    r = b.copy()
-    p = r.copy()
-    rr = float(np.sum(r * r))
-    for _ in range(int(max_iter)):
-        if np.sqrt(rr) <= tol * bnorm:
-            return x
-        ap = op(p)
-        pap = float(np.sum(p * ap))
-        if pap <= 0.0:
-            break
-        alpha = rr / pap
-        x += alpha * p
-        r -= alpha * ap
-        rr_new = float(np.sum(r * r))
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-    if np.sqrt(rr) <= max(tol * 100.0, 1e-8) * bnorm:
-        return x
-    raise SolverFailure(
-        f"least-squares projection stalled at residual {np.sqrt(rr) / bnorm:.3e}"
-    )
+    st = stencil_of(cell)
+    phi = _dft_block_solve(st.unit_pinv, st.divadj(e))
+    return quad_norm(cell, e - st.strain(cell_average(cell, e), phi))

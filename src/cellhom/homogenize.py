@@ -9,8 +9,8 @@ import numpy as np
 
 from . import mandel
 from .cell import VoxelCell, cell_average
-from .fem import LinPerField, quad_inner, sym_gradient
-from .solvers import SolveParams, Stencil, solve_strain_driven, solve_stress_driven, solve_stress_uzawa
+from .fem import LinPerField, quad_inner, stencil_of, sym_gradient
+from .solvers import SolveParams, solve_strain_driven, solve_stress_driven, solve_stress_uzawa
 
 #: orthonormal Mandel basis: three unit normal strains, three normalized shears
 MANDEL_BASIS = np.eye(6)
@@ -47,8 +47,10 @@ def _column_tol(params: SolveParams) -> SolveParams:
     return replace(params, tol=min(params.tol, COLUMN_TOL_CEIL))
 
 
-def _run_columns(task, threads: int):
+def _run_columns(cell: VoxelCell, task, threads: int):
     if threads > 1:
+        # the workers share the cell's core: build it and its inverse first
+        stencil_of(cell).ref_pinv
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(task, range(6)))
     return [task(i) for i in range(6)]
@@ -68,15 +70,15 @@ def homogenize(cell: VoxelCell, params: SolveParams | None = None,
     ``NotConverged`` from the column solves.
     """
     params = _column_tol(params or SolveParams())
-    st = Stencil(cell, params.precond)
+    st = stencil_of(cell)
 
     if formulation in ("displacement", "strain"):
         def task(i):
             u, rep = solve_strain_driven(cell, MANDEL_BASIS[i], params)
-            e = sym_gradient(cell, u, st.tables)
+            e = sym_gradient(cell, u)
             return cell_average(cell, st.stress(e)), e, rep
 
-        cols = _run_columns(task, threads)
+        cols = _run_columns(cell, task, threads)
         raw = np.column_stack([c[0] for c in cols])
     elif formulation == "stress-uzawa":
         def task(i):
@@ -84,7 +86,7 @@ def homogenize(cell: VoxelCell, params: SolveParams | None = None,
             e = st.compliance_stress(sig)
             return cell_average(cell, e), e, rep
 
-        cols = _run_columns(task, threads)
+        cols = _run_columns(cell, task, threads)
         raw = np.column_stack([c[0] for c in cols])
     else:
         raise ValueError(f"unknown formulation {formulation!r}")
@@ -109,8 +111,9 @@ def homogenize(cell: VoxelCell, params: SolveParams | None = None,
     reports = [c[2] for c in cols]
     energy_check = np.zeros((6, 6))
     for i in range(6):
+        s_i = st.stress(fields[i])
         for j in range(6):
-            prod = quad_inner(cell, st.stress(fields[i]), fields[j]) / cell.volume
+            prod = quad_inner(cell, s_i, fields[j]) / cell.volume
             energy_check[i, j] = abs(prod - sym[i, j])
     return HomogResult(CH=ch, DH=dh, per_column_reports=reports,
                        energy_check=energy_check)
@@ -118,10 +121,9 @@ def homogenize(cell: VoxelCell, params: SolveParams | None = None,
 
 def energy_product(cell: VoxelCell, u_a: LinPerField, u_b: LinPerField) -> float:
     """Cell average of the cross elastic energy of two displacements."""
-    st = Stencil(cell)
-    ea = sym_gradient(cell, u_a, st.tables)
-    eb = sym_gradient(cell, u_b, st.tables)
-    return quad_inner(cell, st.stress(ea), eb) / cell.volume
+    ea = sym_gradient(cell, u_a)
+    eb = sym_gradient(cell, u_b)
+    return quad_inner(cell, stencil_of(cell).stress(ea), eb) / cell.volume
 
 
 def dual_consistency(cell: VoxelCell, result: HomogResult,
@@ -137,4 +139,4 @@ def dual_consistency(cell: VoxelCell, result: HomogResult,
         return float(np.linalg.norm(a_solved - a_tensor)
                      / np.linalg.norm(a_tensor))
 
-    return max(_run_columns(task, threads))
+    return max(_run_columns(cell, task, threads))

@@ -15,8 +15,10 @@ The preconditioner is the constant-coefficient operator built from the
 volume-averaged stiffness; being block-circulant on the periodic grid it is
 inverted exactly by DFT diagonalization (3x3 Hermitian blocks per frequency,
 zero frequency annihilated, which also enforces the zero-mean constraint).
-A per-node block-Jacobi preconditioner and no preconditioning are available
-as fallbacks.
+The same DFT block inverse, built for the unit material, gives the
+compatibility residual of ``fem`` by one exact solve. All operators come
+from the cell's one cached core, ``fem.stencil_of(cell)``; ``Stencil`` is
+re-exported here.
 """
 
 from __future__ import annotations
@@ -25,16 +27,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import mandel
 from .cell import VoxelCell, cell_average
 from .energies import MacroLoad, displacement_potential
 from .fem import (
     LinPerField,
+    Stencil,
     div_adjoint,
-    gather_corners,
-    node_mean,
     project_zero_mean,
-    strain_tables,
+    stencil_of,
     sym_gradient,
 )
 
@@ -53,7 +53,6 @@ class SolveParams:
     max_iter: int = 10000
     uzawa_step: float | str = "auto"
     seed: int = 0
-    precond: str = "reference"
 
     def __post_init__(self):
         if not self.tol > 0.0:
@@ -62,8 +61,6 @@ class SolveParams:
             raise ValueError("max_iter must be at least 1")
         if not (self.uzawa_step == "auto" or float(self.uzawa_step) > 0.0):
             raise ValueError("uzawa_step must be positive or 'auto'")
-        if self.precond not in ("reference", "jacobi", "none"):
-            raise ValueError(f"unknown preconditioner {self.precond!r}")
 
 
 @dataclass
@@ -93,142 +90,15 @@ class StepTooLarge(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# operator context
-
-
-class Stencil:
-    """Per-solve bundle of geometry tables, material fields and preconditioner."""
-
-    def __init__(self, cell: VoxelCell, precond: str = "reference"):
-        self.cell = cell
-        self.tables = strain_tables(cell)
-        self.cvox = cell.stiffness_field
-        self.cmean = cell.mean_stiffness
-        self.cmean_inv = mandel.invert(self.cmean)
-        self.volume = cell.volume
-        self.dims = cell.dims
-        self.nphi = int(np.prod(cell.dims)) * 3
-        self.precond = precond
-        self._ref_pinv = None
-        self._jac_inv = None
-
-    # field operations ------------------------------------------------------
-
-    def strain_periodic(self, phi: np.ndarray) -> np.ndarray:
-        return np.einsum("qacd,ijkad->ijkqc", self.tables, gather_corners(phi))
-
-    def stress(self, e: np.ndarray) -> np.ndarray:
-        return np.einsum("ijkcd,ijkqd->ijkqc", self.cvox, e)
-
-    def stress_ref(self, e: np.ndarray) -> np.ndarray:
-        return np.einsum("cd,ijkqd->ijkqc", self.cmean, e)
-
-    def compliance_stress(self, s: np.ndarray) -> np.ndarray:
-        return np.einsum("ijkcd,ijkqd->ijkqc", self.cell.compliance_field, s)
-
-    def divadj(self, s: np.ndarray) -> np.ndarray:
-        return div_adjoint(self.cell, s, self.tables)
-
-    def project(self, phi: np.ndarray) -> np.ndarray:
-        return phi - node_mean(phi)
-
-    # periodic-fluctuation operator ------------------------------------------
-
-    def k_phi(self, phi: np.ndarray) -> np.ndarray:
-        out = self.divadj(self.stress(self.strain_periodic(phi)))
-        return self.project(out)
-
-    def k_ref_phi(self, phi: np.ndarray) -> np.ndarray:
-        out = self.divadj(self.stress_ref(self.strain_periodic(phi)))
-        return self.project(out)
-
-    # extended operator on (mean strain, fluctuation) -------------------------
-
-    def unpack(self, x: np.ndarray):
-        return x[:6], x[6:].reshape(self.dims + (3,))
-
-    def pack(self, macro: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        return np.concatenate([np.asarray(macro, dtype=float).ravel(), phi.ravel()])
-
-    def strain_ext(self, x: np.ndarray) -> np.ndarray:
-        macro, phi = self.unpack(x)
-        e = self.strain_periodic(phi)
-        e += macro
-        return e
-
-    def k_ext(self, x: np.ndarray) -> np.ndarray:
-        s = self.stress(self.strain_ext(x))
-        return self.pack(self.volume * cell_average(self.cell, s),
-                         self.project(self.divadj(s)))
-
-    def m_ext(self, x: np.ndarray) -> np.ndarray:
-        """Apply the block preconditioner operator itself (not its inverse)."""
-        macro, phi = self.unpack(x)
-        return self.pack(self.volume * (self.cmean @ macro), self.k_ref_phi(phi))
-
-    # preconditioner inverses --------------------------------------------------
-
-    @property
-    def ref_pinv(self) -> np.ndarray:
-        """DFT-diagonalized pseudo-inverse blocks of the reference operator."""
-        if self._ref_pinv is None:
-            kernel = np.zeros(self.dims + (3, 3))
-            for d in range(3):
-                imp = np.zeros(self.dims + (3,))
-                imp[0, 0, 0, d] = 1.0
-                kernel[..., :, d] = self.divadj(self.stress_ref(self.strain_periodic(imp)))
-            khat = np.fft.fftn(kernel, axes=(0, 1, 2))
-            khat = 0.5 * (khat + np.conj(khat.transpose(0, 1, 2, 4, 3)))
-            pinv = np.linalg.pinv(khat, rcond=1e-12, hermitian=True)
-            pinv[0, 0, 0] = 0.0  # zero frequency carries the removed nullspace
-            self._ref_pinv = pinv
-        return self._ref_pinv
-
-    def ref_solve(self, r: np.ndarray) -> np.ndarray:
-        rhat = np.fft.fftn(r, axes=(0, 1, 2))
-        zhat = np.einsum("ijkab,ijkb->ijka", self.ref_pinv, rhat)
-        return np.real(np.fft.ifftn(zhat, axes=(0, 1, 2)))
-
-    @property
-    def jac_inv(self) -> np.ndarray:
-        """Inverse per-node 3x3 diagonal blocks of the heterogeneous operator."""
-        if self._jac_inv is None:
-            w = self.cell.voxel_volume / 8.0
-            blocks = np.zeros(self.dims + (3, 3))
-            from .fem import CORNERS
-
-            for ai, a in enumerate(CORNERS):
-                contrib = w * np.einsum("qcd,ijkce,qef->ijkdf",
-                                        self.tables[:, ai], self.cvox,
-                                        self.tables[:, ai])
-                blocks += np.roll(contrib, shift=a, axis=(0, 1, 2))
-            self._jac_inv = np.linalg.inv(blocks)
-        return self._jac_inv
-
-    def jacobi_solve(self, r: np.ndarray) -> np.ndarray:
-        return np.einsum("ijkab,ijkb->ijka", self.jac_inv, r)
-
-    def precond_phi(self, r: np.ndarray) -> np.ndarray:
-        if self.precond == "reference":
-            return self.ref_solve(r)
-        if self.precond == "jacobi":
-            return self.project(self.jacobi_solve(r))
-        return r.copy()
-
-    def precond_ext(self, x: np.ndarray) -> np.ndarray:
-        macro, phi = self.unpack(x)
-        return self.pack(self.cmean_inv @ macro / self.volume, self.precond_phi(phi))
-
-
-# ---------------------------------------------------------------------------
 # preconditioned conjugate gradients
 
 
-def _pcg(op, precond, b, tol, max_iter, x0=None, energy_offset=0.0):
+def _pcg(op, m_inv, b, tol, max_iter, x0=None, energy_offset=0.0):
     """PCG with a Polak-Ribiere restart-safe beta; tracks energy via K x.
 
-    Returns (x, report). The recorded energies are ``1/2 x.Kx - b.x`` plus
-    ``energy_offset``, exact per iterate thanks to the running ``K x``.
+    ``m_inv`` applies the inverse preconditioner. Returns (x, report). The
+    recorded energies are ``1/2 x.Kx - b.x`` plus ``energy_offset``, exact
+    per iterate thanks to the running ``K x``.
     """
     bnorm = float(np.linalg.norm(b))
     x = np.zeros_like(b) if x0 is None else x0.copy()
@@ -250,7 +120,7 @@ def _pcg(op, precond, b, tol, max_iter, x0=None, energy_offset=0.0):
     if history[-1] <= tol:
         return x, SolveReport(0, history, energies[-1], True,
                               energy_history=energies)
-    z = precond(r)
+    z = m_inv(r)
     p = z.copy()
     rz = float(r @ z)
     it = 0
@@ -269,7 +139,7 @@ def _pcg(op, precond, b, tol, max_iter, x0=None, energy_offset=0.0):
         energies.append(energy())
         if history[-1] <= tol:
             break
-        z = precond(r)
+        z = m_inv(r)
         rz_new = float(r @ z)
         r_prev_z = float(r_old @ z)
         beta = max(0.0, (rz_new - r_prev_z) / rz)
@@ -295,16 +165,17 @@ def solve_strain_driven(cell: VoxelCell, macro_strain, params: SolveParams | Non
     """
     params = params or SolveParams()
     a = np.asarray(macro_strain, dtype=float)
-    st = Stencil(cell, params.precond)
+    st = stencil_of(cell)
     const = np.broadcast_to(a, cell.dims + (8, 6))
-    rhs = -st.project(st.divadj(st.stress(const)))
-    offset = 0.5 * float(np.sum(st.stress(const) * const)) * cell.voxel_volume / 8.0
+    s_const = st.stress(const)
+    rhs = -st.project(div_adjoint(cell, s_const))
+    offset = 0.5 * float(np.sum(s_const * const)) * st.w
 
     def op(v):
         return st.k_phi(v.reshape(cell.dims + (3,))).ravel()
 
     def pre(v):
-        return st.precond_phi(v.reshape(cell.dims + (3,))).ravel()
+        return st.ref_solve(v.reshape(cell.dims + (3,))).ravel()
 
     x0v = None if x0 is None else st.project(x0).ravel()
     sol, report = _pcg(op, pre, rhs.ravel(), params.tol, params.max_iter,
@@ -328,7 +199,7 @@ def solve_stress_driven(cell: VoxelCell, macro_stress, params: SolveParams | Non
     """
     params = params or SolveParams()
     s_target = np.asarray(macro_stress, dtype=float)
-    st = Stencil(cell, params.precond)
+    st = stencil_of(cell)
     b = st.pack(cell.volume * s_target, np.zeros(cell.dims + (3,)))
     sol, report = _pcg(st.k_ext, st.precond_ext, b, params.tol, params.max_iter,
                        x0=x0)
@@ -414,7 +285,7 @@ def solve_stress_uzawa(cell: VoxelCell, macro_stress, params: SolveParams | None
     """
     params = params or SolveParams()
     s_target = np.asarray(macro_stress, dtype=float)
-    st = Stencil(cell, params.precond)
+    st = stencil_of(cell)
     gaps: list = []
     history: list = []
     energies: list = []
@@ -446,8 +317,7 @@ def solve_stress_uzawa(cell: VoxelCell, macro_stress, params: SolveParams | None
         psi = st.ref_solve(divadj_sig)
         sig_feas = sig - st.stress_ref(st.strain_periodic(psi))
         sig_feas += s_target - cell_average(cell, sig_feas)
-        compl = 0.5 * float(np.sum(st.compliance_stress(sig_feas) * sig_feas)) \
-            * cell.voxel_volume / 8.0
+        compl = 0.5 * float(np.sum(st.compliance_stress(sig_feas) * sig_feas)) * st.w
         k_en = 0.5 * float(x @ kx) - float(b @ x)
         gap = abs(compl + k_en)
         gaps.append(gap)

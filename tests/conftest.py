@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import cellhom as ch
+from cellhom.solvers import Stencil
 from cellhom.microstructures import (
     cubic_inclusion_cell,
     homogeneous_cell,
@@ -56,3 +57,17 @@ def probe_solution_d(cell_d, homog_d):
     w, rep_w = ch.solve_stress_driven(cell_d, s)
     return {"A": PROBE_A, "S": s, "u": u, "w": w,
             "rep_u": rep_u, "rep_w": rep_w}
+
+
+@pytest.fixture
+def core_builds(monkeypatch):
+    """Cells whose operator core is built while the test runs."""
+    built = []
+    init = Stencil.__init__
+
+    def counting_init(self, cell):
+        built.append(cell)
+        init(self, cell)
+
+    monkeypatch.setattr(Stencil, "__init__", counting_init)
+    return built

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,9 @@ def test_voxel_parse_iso_and_order():
     ("CELLVOX 1\n2 1 1 1\nISO 1 1\n0", "phase ids"),
     ("CELLVOX 1\n1 1 1 1\nISO 1 1\n3", "phase id out of range"),
     ("CELLVOX 1\n1 1 1 1\nISO 1 -1\n0", "positive"),
+    ("CELLVOX 1\n1 1 1 1\nISO 1 inf\n0", "phase 0 .*non-finite"),
+    ("CELLVOX 1\n1 1 1 1\nFULL nan" + " 0" * 5 + " 1 0 0 0 0 1 0 0 0 1 0 0 1 0 1\n0",
+     "phase 0 .*non-finite"),
 ])
 def test_voxel_parse_errors(bad, match):
     with pytest.raises(ValueError, match=match):
@@ -93,6 +98,23 @@ def test_cell_rejects_non_spd_phase():
     c[0, 0] = -1.0
     with pytest.raises(ValueError, match="positive definite"):
         VoxelCell((1, 1, 1), np.zeros((1, 1, 1), dtype=int), [c])
+
+
+def test_cell_is_frozen():
+    grid = np.zeros((2, 1, 1), dtype=np.int64)
+    cell = VoxelCell((2, 1, 1), grid, [ch.iso_tensor(1.0, 1.0), ch.iso_tensor(0.0, 1.5)])
+    before = cell.stiffness_field.copy()
+    grid[1, 0, 0] = 1  # the cell keeps its own copy of the inputs
+    with pytest.raises(ValueError, match="read-only"):
+        cell.phase_of[1, 0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        cell.phases[0][3, 3] = 6.0
+    with pytest.raises(ValueError, match="read-only"):
+        cell.stiffness_field[0, 0, 0, 3, 3] = 6.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cell.phase_of = grid
+    np.testing.assert_array_equal(cell.stiffness_field, before)
+    assert cell.stiffness_field[1, 0, 0, 3, 3] == 2.0
 
 
 def test_cell_rejects_shape_mismatch():

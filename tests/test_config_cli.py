@@ -116,6 +116,12 @@ def test_run_verify_lists_arrows(tmp_path):
     assert "dual_consistency" in report["checks"]
 
 
+def test_run_verify_builds_one_core(tmp_path, core_builds):
+    cfg = _write_inputs(tmp_path, random_two_phase_cell(), "task = verify\n")
+    assert main([str(cfg), "--quiet"]) == 0
+    assert len(core_builds) == 1
+
+
 def test_run_solve_strain(tmp_path):
     cfg = _write_inputs(
         tmp_path, random_two_phase_cell(),
@@ -152,6 +158,15 @@ def test_run_missing_voxel_is_io_error(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("voxel_path = /nonexistent/cell.vox\n", encoding="utf-8")
     assert main([str(cfg), "--quiet"]) == 1
+
+
+def test_run_non_finite_modulus_is_input_error(tmp_path, capsys):
+    vox = tmp_path / "cell.vox"
+    vox.write_text("CELLVOX 1\n1 1 1 1\nISO 1 inf\n0\n", encoding="utf-8")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"voxel_path = {vox}\n", encoding="utf-8")
+    assert main([str(cfg), "--quiet"]) == 1
+    assert "phase 0" in capsys.readouterr().err
 
 
 def test_main_config_errors(tmp_path):

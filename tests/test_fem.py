@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,9 @@ from cellhom.fem import (
     node_mean,
     quad_inner,
     quad_norm,
+    stencil_of,
 )
-from cellhom.microstructures import homogeneous_cell, random_two_phase_cell
+from cellhom.microstructures import homogeneous_cell, random_cell, random_two_phase_cell
 
 
 def _random_field(cell, seed):
@@ -136,6 +139,23 @@ def test_compatibility_residual_members(cell_d):
     a = np.array([1.0, 2.0, -1.0, 0.5, 0.25, 0.0])
     e_const = np.broadcast_to(a, cell_d.dims + (8, 6)).copy()
     assert compatibility_residual(cell_d, e_const) <= 1e-10 * quad_norm(cell_d, e_const)
+
+
+def test_core_is_cached_without_keeping_its_cell_alive():
+    cell = random_two_phase_cell()
+    st = stencil_of(cell)
+    assert stencil_of(cell) is st and st.cell is cell
+    alive = weakref.ref(cell)
+    del cell
+    assert alive() is None
+
+
+def test_compatibility_residual_exact_on_sheared_anisotropic_cell():
+    lat = Lattice(np.array([1.1, 0.0, 0.0]), np.array([0.3, 0.9, 0.0]),
+                  np.array([-0.2, 0.25, 1.2]))
+    cell = random_cell(dims=(3, 4, 5), seed=3, lattice=lat)
+    e = ch.sym_gradient(cell, _random_field(cell, 16))
+    assert compatibility_residual(cell, e) <= 1e-14 * quad_norm(cell, e)
 
 
 def test_compatibility_residual_against_dense_lstsq():

@@ -5,7 +5,7 @@ import cellhom as ch
 from cellhom.cell import Lattice, VoxelCell
 from cellhom.fem import LinPerField
 from cellhom.homogenize import MANDEL_BASIS
-from cellhom.microstructures import homogeneous_cell, random_spd_tensor
+from cellhom.microstructures import homogeneous_cell, random_spd_tensor, random_two_phase_cell
 from cellhom.solvers import NotConverged, SolveParams
 
 
@@ -104,6 +104,12 @@ def test_homogenize_uzawa_formulation_agrees(cell_d, homog_d):
 def test_homogenize_threads_identical(cell_d, homog_d):
     res = ch.homogenize(cell_d, threads=4)
     np.testing.assert_array_equal(res.CH, homog_d.CH)
+
+
+def test_homogenize_builds_one_core(core_builds):
+    cell = random_two_phase_cell()
+    ch.homogenize(cell, threads=2)
+    assert len(core_builds) == 1 and core_builds[0] is cell
 
 
 def test_homogenize_propagates_not_converged(cell_d):

@@ -16,8 +16,6 @@ def test_params_validation():
         SolveParams(max_iter=0)
     with pytest.raises(ValueError):
         SolveParams(uzawa_step=0.0)
-    with pytest.raises(ValueError):
-        SolveParams(precond="magic")
 
 
 def test_strain_driven_homogeneous_is_trivial():
@@ -203,12 +201,3 @@ def test_strain_route_pairing(cell_d, probe_solution_d):
     np.testing.assert_allclose(ch.cell_average(cell_d, e_tilde), a, atol=1e-7)
     assert quad_norm(cell_d, e_tilde - e_bar - a) <= 1e-8 * quad_norm(cell_d, e_tilde)
 
-
-@pytest.mark.parametrize("precond", ["jacobi", "none"])
-def test_preconditioner_fallbacks_agree(cell_d, probe_solution_d, precond):
-    a = probe_solution_d["A"]
-    u, rep = ch.solve_strain_driven(cell_d, a, SolveParams(tol=1e-10, precond=precond))
-    e_ref = ch.sym_gradient(cell_d, probe_solution_d["u"])
-    e = ch.sym_gradient(cell_d, u)
-    assert quad_norm(cell_d, e - e_ref) <= 1e-7 * quad_norm(cell_d, e_ref)
-    assert rep.converged
