@@ -35,7 +35,11 @@ class Lattice:
     def __post_init__(self):
         for name in ("g1", "g2", "g3"):
             object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=float)))
-        if not self.volume > 0.0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            volume = self.volume
+        if not math.isfinite(volume):
+            raise ValueError("lattice generators must span a finite volume")
+        if not volume > 0.0:
             raise ValueError("lattice generators must be linearly independent")
 
     @property

@@ -85,43 +85,32 @@ def _write_artifacts(outdir: Path, report: dict, rows: list, ch=None):
     (outdir / "convergence.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _probe_checks(cell, params, ch, solve_rows, checks):
-    """Hill-Mandel and duality residuals at one probe solution pair."""
-    a_probe = PROBE_STRAIN
-    u, rep_u = solve_strain_driven(cell, a_probe, params)
-    solve_rows.append(("probe_strain", rep_u))
-    st = stencil_of(cell)
-    sig_u = st.stress(sym_gradient(cell, u))
-    checks["hill_mandel"] = hill_mandel_residual(cell, u, sig_u)
+def _mean(field: np.ndarray) -> list:
+    return np.asarray(np.mean(field, axis=(0, 1, 2, 3))).tolist()
 
-    s_probe = ch @ a_probe
-    w, rep_w = solve_stress_driven(cell, s_probe, params)
-    solve_rows.append(("probe_stress", rep_w))
-    sig_w = st.stress(sym_gradient(cell, w))
-    scale = abs(complementary_energy(cell, sig_w))
-    e_route, rep_e = solve_strain_route(cell, MacroLoad.stress_driven(s_probe), params)
-    solve_rows.append(("probe_strain_route", rep_e))
-    checks["duality_gap_displacement"] = abs(
-        duality_gap_displacement(cell, sig_w, w, s_probe, 10 * params.tol)) / scale
-    checks["duality_gap_strain"] = abs(
-        duality_gap_strain(cell, sig_w, e_route, s_probe, 10 * params.tol)) / scale
+
+def _hm_and_gap(cell, disp, sig, s, tol):
+    """Hill-Mandel residual of a stress-load solution ``(disp, sig)`` and its
+    displacement duality gap relative to the complementary energy."""
+    gap = abs(duality_gap_displacement(cell, sig, disp, s, 10 * tol))
+    hm = hill_mandel_residual(cell, disp, sig)
+    return hm, gap / abs(complementary_energy(cell, sig))
 
 
 def run(config: RunConfig, threads: int = 1, quiet: bool = False) -> int:
     """Execute one configured task; returns the process exit code."""
     t0 = time.perf_counter()
     try:
+        params = SolveParams(tol=config.tol, max_iter=config.max_iter,
+                             uzawa_step=config.uzawa_step, seed=config.seed)
         g = np.asarray(config.lattice, dtype=float).reshape(3, 3)
-        lattice = Lattice(g[0], g[1], g[2])
-        cell = load_voxel_file(config.voxel_path, lattice)
+        cell = load_voxel_file(config.voxel_path, Lattice(g[0], g[1], g[2]))
         outdir = Path(config.output_dir)
         outdir.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:
         print(f"cellhom: {exc}", file=sys.stderr)
         return 1
 
-    params = SolveParams(tol=config.tol, max_iter=config.max_iter,
-                         uzawa_step=config.uzawa_step, seed=config.seed)
     report: dict = {
         "task": config.task,
         "formulation": config.formulation,
@@ -129,16 +118,20 @@ def run(config: RunConfig, threads: int = 1, quiet: bool = False) -> int:
         "params": {"tol": config.tol, "max_iter": config.max_iter,
                    "uzawa_step": str(config.uzawa_step), "seed": config.seed,
                    "threads": threads},
-        "solves": [],
-        "checks": {},
     }
     solve_rows: list = []
     checks: dict = {}
-    ch_matrix = None
     failures: list = []
+    ch_matrix = None
+    hm_limit = HILL_MANDEL_FACTOR * params.tol
+    gap_limit = GAP_FACTOR * params.tol
+    st = stencil_of(cell)
 
     def check(name, value, ok):
-        checks[name] = value
+        """Fail the run's check ``name`` unless ``ok``; record ``value`` in
+        the checks (None: it is recorded elsewhere)."""
+        if value is not None:
+            checks[name] = value
         if not ok:
             failures.append(name)
 
@@ -148,10 +141,9 @@ def run(config: RunConfig, threads: int = 1, quiet: bool = False) -> int:
                                 if config.task == "homogenize" else "displacement",
                                 threads=threads)
             ch_matrix = result.CH
-            for i, rep in enumerate(result.per_column_reports):
-                solve_rows.append((f"column_{i + 1}", rep))
-            report["CH"] = result.CH.tolist()
-            report["DH"] = result.DH.tolist()
+            solve_rows += [(f"column_{i + 1}", rep)
+                           for i, rep in enumerate(result.per_column_reports)]
+            report.update(CH=result.CH.tolist(), DH=result.DH.tolist())
             ch_norm = float(np.linalg.norm(result.CH))
             check("energy_check_max", float(result.energy_check.max()),
                   result.energy_check.max() <= ENERGY_CHECK_LIMIT * ch_norm)
@@ -161,13 +153,25 @@ def run(config: RunConfig, threads: int = 1, quiet: bool = False) -> int:
             pair = float(np.linalg.norm(result.CH @ result.DH - np.eye(6)))
             check("inverse_pair", pair, pair <= INVERSE_PAIR_LIMIT)
 
-            _probe_checks(cell, params, result.CH, solve_rows, checks)
-            if checks["hill_mandel"] > HILL_MANDEL_FACTOR * params.tol:
-                failures.append("hill_mandel")
-            if checks["duality_gap_displacement"] > GAP_FACTOR * params.tol:
-                failures.append("duality_gap_displacement")
-            if checks["duality_gap_strain"] > GAP_FACTOR * params.tol:
-                failures.append("duality_gap_strain")
+            # probe pair: Hill-Mandel at the strain-driven solution, both
+            # duality gaps at the stress-driven one
+            u, rep_u = solve_strain_driven(cell, PROBE_STRAIN, params)
+            solve_rows.append(("probe_strain", rep_u))
+            hm = hill_mandel_residual(cell, u, st.stress(sym_gradient(cell, u)))
+            check("hill_mandel", hm, hm <= hm_limit)
+            s_probe = result.CH @ PROBE_STRAIN
+            w, rep_w = solve_stress_driven(cell, s_probe, params)
+            solve_rows.append(("probe_stress", rep_w))
+            # for a stress load the strain route is the gradient of this same solve
+            solve_rows.append(("probe_strain_route", rep_w))
+            e_w = sym_gradient(cell, w)
+            sig_w = st.stress(e_w)
+            scale = abs(complementary_energy(cell, sig_w))
+            gap_u = duality_gap_displacement(cell, sig_w, w, s_probe, 10 * params.tol)
+            gap_e = duality_gap_strain(cell, sig_w, e_w, s_probe, 10 * params.tol)
+            for name, gap in (("duality_gap_displacement", abs(gap_u) / scale),
+                              ("duality_gap_strain", abs(gap_e) / scale)):
+                check(name, gap, gap <= gap_limit)
 
             if config.task == "verify":
                 consist = dual_consistency(cell, result, params, threads=threads)
@@ -178,78 +182,61 @@ def run(config: RunConfig, threads: int = 1, quiet: bool = False) -> int:
                      "passed": a.passed} for a in arrows
                 ]
                 for a in arrows:
-                    if not a.passed:
-                        failures.append(f"arrow: {a.name}")
+                    check(f"arrow: {a.name}", None, a.passed)
 
         else:  # task == "solve"
-            st = stencil_of(cell)
             value = np.asarray(config.macro_value, dtype=float)
             if config.formulation == "stress-uzawa":
                 sig, v, rep = solve_stress_uzawa(cell, value, params)
                 solve_rows.append(("uzawa", rep))
-                report["mean_strain"] = np.asarray(
-                    np.mean(st.compliance_stress(sig), axis=(0, 1, 2, 3))).tolist()
+                report["mean_strain"] = _mean(st.compliance_stress(sig))
                 ok, dres, mres = is_equilibrated(cell, sig, value, 10 * params.tol)
                 check("stress_admissibility", max(dres, mres), ok)
-                checks["hill_mandel"] = hill_mandel_residual(cell, v, sig)
-                gap = abs(duality_gap_displacement(cell, sig, v, value, 10 * params.tol))
-                check("duality_gap_displacement",
-                      gap / abs(complementary_energy(cell, sig)),
-                      gap <= GAP_FACTOR * params.tol
-                      * abs(complementary_energy(cell, sig)))
+                checks["hill_mandel"], gap = _hm_and_gap(cell, v, sig, value, params.tol)
+                check("duality_gap_displacement", gap, gap <= gap_limit)
             elif config.formulation == "strain":
                 load = (MacroLoad.strain_driven(value) if config.macro_kind == "strain"
                         else MacroLoad.stress_driven(value))
                 e, rep = solve_strain_route(cell, load, params)
                 solve_rows.append(("strain_route", rep))
-                report["mean_field"] = np.asarray(
-                    np.mean(e, axis=(0, 1, 2, 3))).tolist()
+                report["mean_field"] = _mean(e)
                 checks["final_residual"] = rep.residual_history[-1]
             elif config.macro_kind == "strain":
                 u, rep = solve_strain_driven(cell, value, params)
                 solve_rows.append(("strain_driven", rep))
                 sig = st.stress(sym_gradient(cell, u))
-                report["mean_stress"] = np.asarray(
-                    np.mean(sig, axis=(0, 1, 2, 3))).tolist()
+                report["mean_stress"] = _mean(sig)
                 hm = hill_mandel_residual(cell, u, sig)
-                check("hill_mandel", hm, hm <= HILL_MANDEL_FACTOR * params.tol)
+                check("hill_mandel", hm, hm <= hm_limit)
             else:
                 w, rep = solve_stress_driven(cell, value, params)
                 solve_rows.append(("stress_driven", rep))
                 e_w = sym_gradient(cell, w)
-                sig = st.stress(e_w)
-                report["mean_strain"] = np.asarray(
-                    np.mean(e_w, axis=(0, 1, 2, 3))).tolist()
-                hm = hill_mandel_residual(cell, w, sig)
-                check("hill_mandel", hm, hm <= HILL_MANDEL_FACTOR * params.tol)
-                gap = abs(duality_gap_displacement(cell, sig, w, value, 10 * params.tol))
-                scale = abs(complementary_energy(cell, sig))
-                check("duality_gap_displacement", gap / scale,
-                      gap <= GAP_FACTOR * params.tol * scale)
-
+                report["mean_strain"] = _mean(e_w)
+                hm, gap = _hm_and_gap(cell, w, st.stress(e_w), value, params.tol)
+                check("hill_mandel", hm, hm <= hm_limit)
+                check("duality_gap_displacement", gap, gap <= gap_limit)
+        code = 3 if failures else 0
     except (NotConverged, StepTooLarge) as exc:
         report["error"] = str(exc)
         solve_rows.append(("failed", exc.report))
-        report["solves"] = [_report_of(lbl, rep) for lbl, rep in solve_rows]
-        report["checks"] = checks
-        report["wall_time_s"] = time.perf_counter() - t0
-        _write_artifacts(outdir, report, solve_rows, ch=ch_matrix)
-        if not quiet:
-            print(f"cellhom: not converged: {exc}", file=sys.stderr)
-        return 2
+        code = 2
 
     report["solves"] = [_report_of(lbl, rep) for lbl, rep in solve_rows]
     report["checks"] = checks
-    report["checks_failed"] = failures
+    if code != 2:
+        report["checks_failed"] = failures
     report["wall_time_s"] = time.perf_counter() - t0
     _write_artifacts(outdir, report, solve_rows, ch=ch_matrix)
-    if not quiet:
+    if not quiet and code == 2:
+        print(f"cellhom: not converged: {report['error']}", file=sys.stderr)
+    elif not quiet:
         wrote = "CH.txt, report.json, convergence.csv" if ch_matrix is not None \
             else "report.json, convergence.csv"
         print(f"cellhom: task {config.task} done, wrote {wrote} in {outdir}")
         if failures:
             print(f"cellhom: checks failed: {', '.join(failures)}", file=sys.stderr)
-    return 3 if failures else 0
+    return code
 
 
 def main(argv=None) -> int:

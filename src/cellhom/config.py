@@ -1,7 +1,9 @@
 """Flat key=value run configuration.
 
-Grammar: UTF-8 text, one ``key = value`` pair per line, ``#`` starts a
-comment, blank lines ignored, unknown keys rejected. The key set is fixed:
+Grammar: UTF-8 text, one ``key = value`` pair per line; ``#`` at the start
+of a line or after whitespace starts a comment (so ``run#3`` inside a value
+is kept), blank lines ignored, unknown keys rejected. Reals must be finite.
+The key set is fixed:
 
 ====================  =======================================================
 key                   value
@@ -14,7 +16,7 @@ macro_value           6 reals, Mandel order  (task = solve only)
 lattice               9 reals: generators g1 g2 g3, concatenated
 tol                   relative solver tolerance, default 1e-9
 max_iter              iteration cap, default 10000
-uzawa_step            positive real or AUTO
+uzawa_step            positive real or AUTO, default AUTO
 output_dir            artifact directory, default "."
 seed                  integer seed for randomized probes, default 0
 ====================  =======================================================
@@ -23,8 +25,13 @@ seed                  integer seed for randomized probes, default 0
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import math
+import re
 
 import numpy as np
+
+from .cell import Lattice
+from .solvers import SolveParams
 
 
 class ParseError(ValueError):
@@ -46,8 +53,8 @@ class ValidationError(ValueError):
 TASKS = ("homogenize", "solve", "verify")
 FORMULATIONS = ("displacement", "stress-uzawa", "strain")
 
-_KEYS = ("voxel_path", "task", "formulation", "macro_kind", "macro_value",
-         "lattice", "tol", "max_iter", "uzawa_step", "output_dir", "seed")
+#: ``#`` opens a comment at the start of a line or after whitespace only
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 @dataclass
@@ -58,34 +65,80 @@ class RunConfig:
     macro_kind: str | None = None
     macro_value: np.ndarray | None = None
     lattice: np.ndarray = field(default_factory=lambda: np.eye(3).ravel())
-    tol: float = 1e-9
-    max_iter: int = 10000
-    uzawa_step: float | str = "auto"
+    tol: float = SolveParams.tol
+    max_iter: int = SolveParams.max_iter
+    uzawa_step: float | str = SolveParams.uzawa_step
     output_dir: str = "."
-    seed: int = 0
+    seed: int = SolveParams.seed
 
 
-def _floats(fld: str, text: str, count: int) -> np.ndarray:
-    try:
-        vals = np.array([float(t) for t in text.split()])
-    except ValueError as exc:
-        raise ValidationError(fld, f"expected {count} reals: {exc}") from exc
-    if vals.size != count:
-        raise ValidationError(fld, f"expected {count} reals, got {vals.size}")
+def _choice(options):
+    def parse(text):
+        if text not in options:
+            raise ValueError(f"must be one of {options}")
+        return text
+    return parse
+
+
+def _real(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite real")
+    return value
+
+
+def _reals(count: int):
+    def parse(text):
+        vals = np.array([_real(t) for t in text.split()])
+        if vals.size != count:
+            raise ValueError(f"expected {count} reals, got {vals.size}")
+        return vals
+    return parse
+
+
+def _auto_or_real(text: str):
+    return "auto" if text.upper() == "AUTO" else _real(text)
+
+
+def _lattice(text: str) -> np.ndarray:
+    vals = _reals(9)(text)
+    Lattice(*vals.reshape(3, 3))
     return vals
+
+
+def _solver_param(name: str, parse):
+    """``parse``, then let ``SolveParams`` judge the value."""
+    return lambda text: getattr(SolveParams(**{name: parse(text)}), name)
+
+
+#: parser per key, applied in this order, so the first bad value reported
+#: does not depend on the order of the lines
+_PARSERS = {
+    "voxel_path": str,
+    "task": _choice(TASKS),
+    "formulation": _choice(FORMULATIONS),
+    "macro_kind": _choice(("strain", "stress")),
+    "macro_value": _reals(6),
+    "lattice": _lattice,
+    "tol": _solver_param("tol", _real),
+    "max_iter": _solver_param("max_iter", int),
+    "uzawa_step": _solver_param("uzawa_step", _auto_or_real),
+    "output_dir": str,
+    "seed": int,
+}
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a run configuration."""
     pairs: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ParseError(lineno, f"expected 'key = value', got {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KEYS:
+        if key not in _PARSERS:
             raise ParseError(lineno, f"unknown key {key!r}")
         if key in pairs:
             raise ParseError(lineno, f"duplicate key {key!r}")
@@ -95,59 +148,14 @@ def parse_config(text: str) -> RunConfig:
 
     if "voxel_path" not in pairs:
         raise ValidationError("voxel_path", "required")
-    cfg = RunConfig(voxel_path=pairs.pop("voxel_path"))
-
-    if "task" in pairs:
-        cfg.task = pairs.pop("task")
-        if cfg.task not in TASKS:
-            raise ValidationError("task", f"must be one of {TASKS}")
-    if "formulation" in pairs:
-        cfg.formulation = pairs.pop("formulation")
-        if cfg.formulation not in FORMULATIONS:
-            raise ValidationError("formulation", f"must be one of {FORMULATIONS}")
-    if "macro_kind" in pairs:
-        cfg.macro_kind = pairs.pop("macro_kind")
-        if cfg.macro_kind not in ("strain", "stress"):
-            raise ValidationError("macro_kind", "must be 'strain' or 'stress'")
-    if "macro_value" in pairs:
-        cfg.macro_value = _floats("macro_value", pairs.pop("macro_value"), 6)
-    if "lattice" in pairs:
-        cfg.lattice = _floats("lattice", pairs.pop("lattice"), 9)
-        if abs(np.linalg.det(cfg.lattice.reshape(3, 3).T)) <= 0.0:
-            raise ValidationError("lattice", "generators must be independent")
-    if "tol" in pairs:
-        try:
-            cfg.tol = float(pairs.pop("tol"))
-        except ValueError as exc:
-            raise ValidationError("tol", str(exc)) from exc
-        if not cfg.tol > 0.0:
-            raise ValidationError("tol", "must be positive")
-    if "max_iter" in pairs:
-        try:
-            cfg.max_iter = int(pairs.pop("max_iter"))
-        except ValueError as exc:
-            raise ValidationError("max_iter", str(exc)) from exc
-        if cfg.max_iter < 1:
-            raise ValidationError("max_iter", "must be at least 1")
-    if "uzawa_step" in pairs:
-        raw = pairs.pop("uzawa_step")
-        if raw.upper() == "AUTO":
-            cfg.uzawa_step = "auto"
-        else:
+    values = {}
+    for key, parse in _PARSERS.items():
+        if key in pairs:
             try:
-                cfg.uzawa_step = float(raw)
+                values[key] = parse(pairs[key])
             except ValueError as exc:
-                raise ValidationError("uzawa_step", str(exc)) from exc
-            if not cfg.uzawa_step > 0.0:
-                raise ValidationError("uzawa_step", "must be positive or AUTO")
-    if "output_dir" in pairs:
-        cfg.output_dir = pairs.pop("output_dir")
-    if "seed" in pairs:
-        try:
-            cfg.seed = int(pairs.pop("seed"))
-        except ValueError as exc:
-            raise ValidationError("seed", str(exc)) from exc
-    assert not pairs
+                raise ValidationError(key, str(exc)) from exc
+    cfg = RunConfig(**values)
 
     # task-dependent field requirements: exactly what the task needs
     if cfg.task == "solve":

@@ -24,6 +24,7 @@ re-exported here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import math
 
 import numpy as np
 
@@ -46,7 +47,8 @@ class SolveParams:
     ``uzawa_step`` is either a positive float or the string ``"auto"``, in
     which case the step is set to 2 / (lmax + lmin) of the preconditioned
     operator, both extreme eigenvalues estimated by 20 seeded power
-    iterations.
+    iterations. These defaults and range rules are the only ones: the run
+    configuration takes both from here.
     """
 
     tol: float = 1e-9
@@ -55,26 +57,34 @@ class SolveParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not (self.uzawa_step == "auto" or float(self.uzawa_step) > 0.0):
-            raise ValueError("uzawa_step must be positive or 'auto'")
+        if self.uzawa_step != "auto":
+            step = float(self.uzawa_step)
+            if not (math.isfinite(step) and step > 0.0):
+                raise ValueError("uzawa_step must be positive and finite, or 'auto'")
 
 
 @dataclass
 class SolveReport:
+    """Per-solve record; ``stop_reason`` says why the iteration ended:
+    ``converged``, ``budget`` (``max_iter`` spent), ``breakdown`` (PCG met a
+    non-positive curvature or preconditioned residual product) or
+    ``step-too-large`` (Uzawa gap kept growing)."""
+
     iterations: int
     residual_history: list
     final_energy: float
     converged: bool
     gap_history: list = field(default_factory=list)
     energy_history: list = field(default_factory=list)
+    stop_reason: str = "converged"
 
 
 class NotConverged(RuntimeError):
-    """Iteration budget exhausted; carries the partial report."""
+    """Solve stopped before convergence; carries the partial report."""
 
     def __init__(self, message: str, report: SolveReport):
         super().__init__(message)
@@ -124,11 +134,13 @@ def _pcg(op, m_inv, b, tol, max_iter, x0=None, energy_offset=0.0):
     p = z.copy()
     rz = float(r @ z)
     it = 0
+    stop_reason = "budget"
     while it < max_iter:
         kp = op(p)
         pkp = float(p @ kp)
         if pkp <= 0.0 or rz <= 0.0:
-            break  # stagnated in rounding noise; residual test decides below
+            stop_reason = "breakdown"  # rounding noise; residual test decides below
+            break
         alpha = rz / pkp
         x += alpha * p
         kx += alpha * kp
@@ -147,7 +159,16 @@ def _pcg(op, m_inv, b, tol, max_iter, x0=None, energy_offset=0.0):
         rz = rz_new
     converged = history[-1] <= tol
     return x, SolveReport(it, history, energies[-1], converged,
-                          energy_history=energies)
+                          energy_history=energies,
+                          stop_reason="converged" if converged else stop_reason)
+
+
+def _not_converged(solve: str, report: SolveReport) -> NotConverged:
+    why = {"budget": "iteration budget spent",
+           "breakdown": "PCG breakdown"}[report.stop_reason]
+    return NotConverged(
+        f"{solve} solve: {why}, residual {report.residual_history[-1]:.3e} after "
+        f"{report.iterations} iterations", report)
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +204,7 @@ def solve_strain_driven(cell: VoxelCell, macro_strain, params: SolveParams | Non
     phi = st.project(sol.reshape(cell.dims + (3,)))
     u = LinPerField(a, phi)
     if not report.converged:
-        raise NotConverged(
-            f"strain-driven solve: {report.residual_history[-1]:.3e} after "
-            f"{report.iterations} iterations", report)
+        raise _not_converged("strain-driven", report)
     return u, report
 
 
@@ -210,9 +229,7 @@ def solve_stress_driven(cell: VoxelCell, macro_stress, params: SolveParams | Non
     w = project_zero_mean(cell, LinPerField(macro, phi))
     report.final_energy = displacement_potential(cell, w, s_target)
     if not report.converged:
-        raise NotConverged(
-            f"stress-driven solve: {report.residual_history[-1]:.3e} after "
-            f"{report.iterations} iterations", report)
+        raise _not_converged("stress-driven", report)
     return w, report
 
 
@@ -305,6 +322,11 @@ def solve_stress_uzawa(cell: VoxelCell, macro_stress, params: SolveParams | None
     it = 0
     converged = False
 
+    def stopped(reason):
+        """Report of an unconverged stop at the current iterate."""
+        return SolveReport(it, history, compl, False, gap_history=gaps,
+                           energy_history=energies, stop_reason=reason)
+
     while True:
         e = st.strain_ext(x)
         sig = st.stress(e)
@@ -329,20 +351,18 @@ def solve_stress_uzawa(cell: VoxelCell, macro_stress, params: SolveParams | None
         if gap_rel <= params.tol and relres <= params.tol:
             converged = True
             break
-        report_now = SolveReport(it, history, compl, False, gap_history=gaps,
-                                 energy_history=energies)
         if gap > prev_gap * (1.0 + 1e-15) + 1e-300:
             streak += 1
             if streak >= 10:
                 raise StepTooLarge(
                     f"uzawa gap grew for {streak} consecutive iterations "
-                    f"(step {rho:.3e})", report_now)
+                    f"(step {rho:.3e})", stopped("step-too-large"))
         else:
             streak = 0
         prev_gap = gap
         if it >= params.max_iter:
             raise NotConverged(
-                f"uzawa: gap {gap_rel:.3e} after {it} iterations", report_now)
+                f"uzawa: gap {gap_rel:.3e} after {it} iterations", stopped("budget"))
         x = x - rho * st.precond_ext(grad)
         it += 1
 

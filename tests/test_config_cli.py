@@ -58,10 +58,23 @@ seed = 3
     ("voxel_path = a\ntask = solve\nmacro_kind = strain\n"
      "macro_value = 1 0 0 0 0 0\nformulation = stress-uzawa\n",
      ValidationError, "macro_kind"),
+    ("voxel_path = a\nformulation = fem\n", ValidationError, "formulation"),
+    ("voxel_path = a\nmacro_kind = heat\n", ValidationError, "macro_kind"),
+    ("voxel_path = a\nseed = 1.5\n", ValidationError, "seed"),
+    ("voxel_path = a\nmax_iter = 1.5\n", ValidationError, "max_iter"),
+    ("voxel_path = a\nuzawa_step = fast\n", ValidationError, "uzawa_step"),
+    ("voxel_path = a\ntask = solve\nmacro_kind = strain\nmacro_value = 1 0 0 0 0\n",
+     ValidationError, "macro_value"),
 ])
 def test_validation_errors(text, exc, needle):
-    with pytest.raises(exc, match=needle):
+    with pytest.raises(exc, match=needle) as err:
         parse_config(text)
+    assert err.value.field == needle
+
+
+def test_parse_hash_inside_value_is_kept():
+    cfg = parse_config("voxel_path = /data/run#3/cell.vox   # comment\n")
+    assert cfg.voxel_path == "/data/run#3/cell.vox"
 
 
 def test_parse_errors_carry_line_numbers():
@@ -152,6 +165,41 @@ def test_run_homogenize_uzawa_formulation(tmp_path):
     got = np.loadtxt(tmp_path / "out" / "CH.txt")
     expect = ch.homogenize(cell).CH
     assert np.abs(got - expect).max() <= 1e-6 * np.linalg.norm(expect)
+
+
+@pytest.mark.parametrize("extra, key", [
+    ("tol = inf\n", "tol"),
+    ("task = solve\nmacro_kind = stress\nmacro_value = nan 0 0 0 0 0\n", "macro_value"),
+    ("formulation = stress-uzawa\nuzawa_step = inf\n", "uzawa_step"),
+    ("task = solve\nmacro_kind = stress\nmacro_value = inf 0 0 0 0 0\n", "macro_value"),
+    ("lattice = nan 0 0 0 1 0 0 0 1\n", "lattice"),
+    ("lattice = 1e308 0 0 0 1e308 0 0 0 1e308\n", "lattice"),
+])
+def test_run_non_finite_config_is_input_error(tmp_path, capsys, extra, key):
+    cfg = _write_inputs(tmp_path, random_two_phase_cell(), extra)
+    assert main([str(cfg), "--quiet"]) == 1
+    assert f"config error: {key}:" in capsys.readouterr().err
+
+
+def test_run_homogenize_solves_each_probe_once(tmp_path, monkeypatch):
+    import cellhom.cli as cli
+    import cellhom.solvers as solvers
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return stress_driven(*args, **kwargs)
+
+    stress_driven = solvers.solve_stress_driven
+    monkeypatch.setattr(cli, "solve_stress_driven", counting)
+    monkeypatch.setattr(solvers, "solve_stress_driven", counting)
+    cfg = _write_inputs(tmp_path, random_two_phase_cell(), "task = homogenize\n")
+    assert main([str(cfg), "--quiet"]) == 0
+    assert len(calls) == 1
+    labels = [s["label"] for s in json.loads(
+        (tmp_path / "out" / "report.json").read_text())["solves"]]
+    assert labels[6:] == ["probe_strain", "probe_stress", "probe_strain_route"]
 
 
 def test_run_missing_voxel_is_io_error(tmp_path):

@@ -6,7 +6,7 @@ from cellhom.energies import MacroLoad
 from cellhom.fem import LinPerField, quad_norm
 from cellhom.mandel import SQRT2
 from cellhom.microstructures import homogeneous_cell
-from cellhom.solvers import NotConverged, SolveParams, Stencil, StepTooLarge
+from cellhom.solvers import NotConverged, SolveParams, Stencil, StepTooLarge, _pcg
 
 
 def test_params_validation():
@@ -16,6 +16,10 @@ def test_params_validation():
         SolveParams(max_iter=0)
     with pytest.raises(ValueError):
         SolveParams(uzawa_step=0.0)
+    with pytest.raises(ValueError, match="tol"):
+        SolveParams(tol=np.inf)
+    with pytest.raises(ValueError, match="uzawa_step"):
+        SolveParams(uzawa_step=np.inf)
 
 
 def test_strain_driven_homogeneous_is_trivial():
@@ -79,6 +83,14 @@ def test_not_converged_carries_report(cell_d):
                                SolveParams(tol=1e-12, max_iter=2))
     assert err.value.report.iterations == 2
     assert not err.value.report.converged
+    assert err.value.report.stop_reason == "budget"
+    assert "budget" in str(err.value)
+
+
+def test_pcg_reports_breakdown():
+    _, rep = _pcg(lambda v: -v, lambda v: v, np.ones(4), 1e-9, 10)
+    assert rep.stop_reason == "breakdown"
+    assert not rep.converged and rep.iterations == 0
 
 
 def test_stress_driven_homogeneous():
