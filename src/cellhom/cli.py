@@ -4,7 +4,8 @@ Artifacts written into the configured output directory:
 
 * ``CH.txt``        homogenized stiffness, 6x6 Mandel matrix, one row per
                     line, 17 significant digits (homogenize and verify tasks)
-* ``report.json``   solver reports, verification residuals, wall time
+* ``report.json``   solver reports (each with its stop reason), verification
+                    residuals, wall time
 * ``convergence.csv``  per-solve iteration history: label, iteration,
                     residual, gap (gap only where the solver produces one)
 
@@ -31,7 +32,7 @@ from .checks import (
     hill_mandel_residual,
     voigt_reuss_margins,
 )
-from .config import RunConfig, load_config
+from .config import RunConfig, ValidationError, load_config
 from .energies import MacroLoad, complementary_energy
 from .fem import is_equilibrated, stencil_of, sym_gradient
 from .homogenize import dual_consistency, homogenize
@@ -59,6 +60,7 @@ def _report_of(label: str, rep) -> dict:
         "label": label,
         "iterations": rep.iterations,
         "converged": rep.converged,
+        "stop_reason": rep.stop_reason,
         "final_residual": rep.residual_history[-1],
         "final_energy": rep.final_energy,
     }
@@ -100,6 +102,11 @@ def _hm_and_gap(cell, disp, sig, s, tol):
 def run(config: RunConfig, threads: int = 1, quiet: bool = False) -> int:
     """Execute one configured task; returns the process exit code."""
     t0 = time.perf_counter()
+    try:
+        config.validate()
+    except ValidationError as exc:
+        print(f"cellhom: config error: {exc}", file=sys.stderr)
+        return 1
     try:
         params = SolveParams(tol=config.tol, max_iter=config.max_iter,
                              uzawa_step=config.uzawa_step, seed=config.seed)

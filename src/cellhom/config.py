@@ -52,6 +52,8 @@ class ValidationError(ValueError):
 
 TASKS = ("homogenize", "solve", "verify")
 FORMULATIONS = ("displacement", "stress-uzawa", "strain")
+#: allowed values of the choice keys (``macro_kind`` may also be unset)
+CHOICES = {"task": TASKS, "formulation": FORMULATIONS, "macro_kind": ("strain", "stress")}
 
 #: ``#`` opens a comment at the start of a line or after whitespace only
 _COMMENT = re.compile(r"(?:^|\s)#")
@@ -71,8 +73,45 @@ class RunConfig:
     output_dir: str = "."
     seed: int = SolveParams.seed
 
+    def __post_init__(self):
+        self.validate()
 
-def _choice(options):
+    def validate(self):
+        """Apply the choice and task rules; raises ``ValidationError``.
+
+        Run on construction and again by ``cli.run``, so a config built or
+        changed in code meets the same rules as a parsed one.
+        """
+        for key in CHOICES:
+            value = getattr(self, key)
+            if value is None and key == "macro_kind":
+                continue
+            try:
+                _choice(key)(value)
+            except ValueError as exc:
+                raise ValidationError(key, str(exc)) from None
+        # task-dependent field requirements: exactly what the task needs
+        if self.task == "solve":
+            if self.macro_kind is None:
+                raise ValidationError("macro_kind", "required when task = solve")
+            if self.macro_value is None:
+                raise ValidationError("macro_value", "required when task = solve")
+            try:
+                value = np.asarray(self.macro_value, dtype=float)
+            except (TypeError, ValueError):
+                value = None
+            if value is None or value.shape != (6,) or not np.all(np.isfinite(value)):
+                raise ValidationError("macro_value", "must be 6 finite reals")
+            if self.formulation == "stress-uzawa" and self.macro_kind != "stress":
+                raise ValidationError(
+                    "macro_kind", "stress-uzawa formulation solves a stress datum")
+        elif self.macro_kind is not None or self.macro_value is not None:
+            raise ValidationError("macro_value", f"not accepted when task = {self.task}")
+
+
+def _choice(key: str):
+    options = CHOICES[key]
+
     def parse(text):
         if text not in options:
             raise ValueError(f"must be one of {options}")
@@ -115,9 +154,9 @@ def _solver_param(name: str, parse):
 #: does not depend on the order of the lines
 _PARSERS = {
     "voxel_path": str,
-    "task": _choice(TASKS),
-    "formulation": _choice(FORMULATIONS),
-    "macro_kind": _choice(("strain", "stress")),
+    "task": _choice("task"),
+    "formulation": _choice("formulation"),
+    "macro_kind": _choice("macro_kind"),
     "macro_value": _reals(6),
     "lattice": _lattice,
     "tol": _solver_param("tol", _real),
@@ -155,22 +194,9 @@ def parse_config(text: str) -> RunConfig:
                 values[key] = parse(pairs[key])
             except ValueError as exc:
                 raise ValidationError(key, str(exc)) from exc
-    cfg = RunConfig(**values)
-
-    # task-dependent field requirements: exactly what the task needs
-    if cfg.task == "solve":
-        if cfg.macro_kind is None:
-            raise ValidationError("macro_kind", "required when task = solve")
-        if cfg.macro_value is None:
-            raise ValidationError("macro_value", "required when task = solve")
-        if cfg.formulation == "stress-uzawa" and cfg.macro_kind != "stress":
-            raise ValidationError(
-                "macro_kind", "stress-uzawa formulation solves a stress datum")
-    else:
-        if cfg.macro_kind is not None or cfg.macro_value is not None:
-            raise ValidationError(
-                "macro_value", f"not accepted when task = {cfg.task}")
-    return cfg
+    # each value is checked on its own, in key order, above; the task
+    # rules across keys run when the config is built
+    return RunConfig(**values)
 
 
 def load_config(path) -> RunConfig:

@@ -3,8 +3,9 @@
 Discretization: trilinear (Q1) hexahedral elements on the voxel partition,
 one periodic node per voxel corner equivalence class, 2x2x2 Gauss quadrature
 per voxel. Linear displacement fields are reproduced exactly and the
-element Jacobian is one constant matrix for the whole grid, so every
-operator below is a short stencil.
+element Jacobian is one constant matrix for the whole grid, so the
+strain-displacement map of every voxel is the same ``(24, 48)`` matrix and
+the element stiffness depends only on the phase.
 
 Field layouts (all plain float arrays):
 
@@ -20,9 +21,13 @@ holds to rounding by construction; the continuous minus-divergence sign is
 absorbed into this dual pairing.
 
 Every operator application (strain B, stiffness C, compliance D, adjoint
-B^T and the DFT block inverses of constant-material operators) is a method
-of one ``Stencil`` per cell, built on first use by ``stencil_of(cell)`` and
-cached on the cell; the module functions below go through it.
+B^T, the fused element stiffness and the DFT block inverses of
+constant-material operators) is a method of one ``Stencil`` per cell, built
+on first use by ``stencil_of(cell)`` and cached on the cell; the module
+functions below go through it. Its kernels are a gather of corner values by
+an index table, dense products with per-phase element matrices, and a
+scatter that sums each node's contributions in ``CORNERS`` order (see
+``Stencil``); the DFT inverses live on the ``rfftn`` half spectrum.
 """
 
 from __future__ import annotations
@@ -107,26 +112,80 @@ def strain_tables(cell: VoxelCell) -> np.ndarray:
     return b
 
 
-def gather_corners(values: np.ndarray) -> np.ndarray:
-    """Collect the 8 corner-node values of every voxel, shape ``dims+(8,3)``."""
-    return np.stack(
-        [np.roll(values, shift=(-a[0], -a[1], -a[2]), axis=(0, 1, 2)) for a in CORNERS],
-        axis=3,
-    )
+def corner_table(dims) -> np.ndarray:
+    """Flat node index of every voxel corner, shape ``(n_voxels, 8)``.
+
+    Row ``e`` lists the nodes of voxel ``e`` (C order over ``dims``) in
+    ``CORNERS`` order; node ``(i, j, k)`` is the corner at the low end of
+    voxel ``(i, j, k)``, and indices wrap periodically.
+    """
+    idx = np.indices(dims).reshape(3, -1)
+    cols = []
+    for a in CORNERS:
+        i, j, k = ((idx[d] + a[d]) % dims[d] for d in range(3))
+        cols.append((i * dims[1] + j) * dims[2] + k)
+    return np.stack(cols, axis=1)
 
 
-def _const_stress(c: np.ndarray, e: np.ndarray) -> np.ndarray:
-    return np.einsum("cd,ijkqd->ijkqc", c, e)
+def scatter_table(conn: np.ndarray) -> np.ndarray:
+    """Index of every node's contributions in a flat ``(elements * 8, 3)``
+    array of corner forces whose element ``e`` has the nodes ``conn[e]``,
+    shape ``(8, n_nodes)``: entry ``[a, node]`` is ``8 * e + a`` for the
+    element ``e`` that has ``node`` at corner ``a``."""
+    table = np.empty(conn.shape[::-1], dtype=np.int64)
+    for a in range(8):
+        table[a, conn[:, a]] = 8 * np.arange(conn.shape[0]) + a
+    return table
 
 
-def _dft_block_solve(pinv: np.ndarray, r: np.ndarray) -> np.ndarray:
-    rhat = np.fft.fftn(r, axes=(0, 1, 2))
-    zhat = np.einsum("ijkab,ijkb->ijka", pinv, rhat)
-    return np.real(np.fft.ifftn(zhat, axes=(0, 1, 2)))
+def gather_corners(values: np.ndarray, conn: np.ndarray) -> np.ndarray:
+    """Collect the corner-node values of every voxel, shape ``(n_voxels, 8, 3)``."""
+    return np.take(values.reshape(-1, 3), conn, axis=0)
+
+
+@dataclass(frozen=True)
+class PhaseBlock:
+    """Element matrices of one phase, all for row-vector products ``x @ M``.
+
+    ``sel`` picks the phase's voxels (a slice when it fills the cell) and
+    ``rows`` its elements in the core's phase-sorted element order;
+    ``c_rows`` and ``d_rows`` apply the stiffness and compliance to Mandel
+    rows; ``k_rows`` is the element stiffness. The stress of a mean strain
+    ``macro`` and corner displacements ``ue`` integrates over the phase to
+    ``c_vol @ macro + g_mean @ sum(ue)`` (``c_vol`` is the stiffness times
+    the phase volume), and ``macro @ g_rows`` is its element force (both
+    ``g`` are ``w sum_q C B_q``, the second with ``C`` transposed).
+    """
+
+    sel: object
+    rows: slice
+    c_vol: np.ndarray
+    c_rows: np.ndarray
+    d_rows: np.ndarray
+    k_rows: np.ndarray
+    g_mean: np.ndarray
+    g_rows: np.ndarray
 
 
 class Stencil:
-    """Operator core of one cell: strain tables, material fields, DFT inverses.
+    """Operator core of one cell: element matrices, index tables, DFT inverses.
+
+    The voxel Jacobian is one constant matrix, so the strain-displacement
+    map of a voxel is one ``(24, 48)`` matrix ``B`` (8 corners x 3
+    components to 8 Gauss points x 6 Mandel components), and the element
+    stiffness ``K_e = w sum_q B_q^T C_p B_q`` depends only on the phase
+    ``p``. Every stiffness application is therefore a gather of the corner
+    displacements, one 24x24 product per phase, and a scatter.
+
+    Quadrature fields keep the voxel order (``conn``, ``inv_table``); the
+    stiffness kernels number the elements phase by phase (``conn_k``,
+    ``inv_k``), so each phase's product reads and writes one contiguous
+    block. The scatter adds the 8 contributions of a node in ``CORNERS``
+    order whatever the element numbering. A uniform per-element
+    field thus gives a bit-exactly uniform nodal field, and the zero-mean
+    projection then cancels it exactly; summing in element order instead
+    leaves rounding noise that costs extra PCG iterations on cells where
+    the exact answer is a linear field (a homogeneous cell).
 
     Obtain it through ``stencil_of(cell)``, which builds one per cell.
     """
@@ -135,24 +194,75 @@ class Stencil:
         # weak, because the cell caches its core: a strong reference would be
         # a cycle that keeps both alive until the cyclic garbage collector runs
         self._cell = weakref.ref(cell)
-        self.tables = strain_tables(cell)
-        self.w = cell.voxel_volume / 8.0
-        self.cvox = cell.stiffness_field
-        self.dvox = cell.compliance_field
-        self.cmean = cell.mean_stiffness
-        self.cmean_inv = mandel.invert(self.cmean)
-        self.volume = cell.volume
         self.dims = cell.dims
+        self.volume = cell.volume
+        self.w = cell.voxel_volume / 8.0
+        n = cell.n_voxels
+        self.conn = corner_table(self.dims)
+        self.inv_table = scatter_table(self.conn)
+        flat = cell.phase_of.ravel()
+        by_phase = np.argsort(flat, kind="stable")
+        self.conn_k = self.conn[by_phase]
+        self.inv_k = scatter_table(self.conn_k)
+        self.bmat = strain_tables(cell).transpose(1, 3, 0, 2).reshape(24, 48)
+        self.bmat_t_w = self.w * self.bmat.T
+        self.cmean = cell.mean_stiffness
+        self.cmean_rows = np.ascontiguousarray(self.cmean.T)
+        self.cmean_inv = mandel.invert(self.cmean)
+        self.kref = self.element_stiffness(self.cmean)
+        bsum = self.w * self.bmat.reshape(24, 8, 6).sum(axis=1).T
+        self.phases = []
+        start = 0
+        for p, c in enumerate(cell.phases):
+            idx = np.flatnonzero(flat == p)
+            if idx.size:
+                self.phases.append(PhaseBlock(
+                    sel=slice(None) if idx.size == n else idx,
+                    rows=slice(start, start + idx.size), c_vol=8.0 * self.w * idx.size * c,
+                    c_rows=np.ascontiguousarray(c.T),
+                    d_rows=np.ascontiguousarray(mandel.invert(c).T),
+                    k_rows=self.element_stiffness(c), g_mean=c @ bsum, g_rows=c.T @ bsum))
+                start += idx.size
         self._ref_pinv = None
 
     @property
     def cell(self) -> VoxelCell:
         return self._cell()
 
+    def element_stiffness(self, c: np.ndarray) -> np.ndarray:
+        """``K_e^T = w sum_q B_q^T C^T B_q`` of the constant material ``c``,
+        for row-vector products ``ue @ K``."""
+        bq = self.bmat.reshape(24, 8, 6).transpose(1, 0, 2)
+        return self.w * (bq @ c.T @ bq.transpose(0, 2, 1)).sum(axis=0)
+
+    # gather / scatter ------------------------------------------------------
+
+    def corners(self, phi: np.ndarray, conn: np.ndarray | None = None) -> np.ndarray:
+        """Corner displacements of every element, shape ``(n_voxels, 24)``,
+        in voxel order or in the order of ``conn``."""
+        return gather_corners(phi, self.conn if conn is None else conn).reshape(-1, 24)
+
+    def scatter(self, fe: np.ndarray, table: np.ndarray | None = None) -> np.ndarray:
+        """Nodal sum of per-element corner forces ``(n_voxels, 24)``, in
+        ``CORNERS`` order per node; elements in voxel order or in the order
+        of ``table`` (a ``scatter_table``)."""
+        table = self.inv_table if table is None else table
+        out = np.take(fe.reshape(-1, 3), table, axis=0).sum(axis=0)
+        return out.reshape(self.dims + (3,))
+
+    def _constitutive(self, f: np.ndarray, rows: str) -> np.ndarray:
+        """Apply each phase's 6x6 matrix ``rows`` to its voxels of a
+        quadrature field."""
+        f = f.reshape(-1, 48)
+        out = np.empty(f.shape)
+        for ph in self.phases:
+            out[ph.sel] = (f[ph.sel].reshape(-1, 6) @ getattr(ph, rows)).reshape(-1, 48)
+        return out.reshape(self.dims + (8, 6))
+
     # field operations ------------------------------------------------------
 
     def strain_periodic(self, phi: np.ndarray) -> np.ndarray:
-        return np.einsum("qacd,ijkad->ijkqc", self.tables, gather_corners(phi))
+        return (self.corners(phi) @ self.bmat).reshape(self.dims + (8, 6))
 
     def strain(self, macro: np.ndarray, phi: np.ndarray) -> np.ndarray:
         e = self.strain_periodic(phi)
@@ -160,20 +270,16 @@ class Stencil:
         return e
 
     def stress(self, e: np.ndarray) -> np.ndarray:
-        return np.einsum("ijkcd,ijkqd->ijkqc", self.cvox, e)
+        return self._constitutive(e, "c_rows")
 
     def stress_ref(self, e: np.ndarray) -> np.ndarray:
-        return _const_stress(self.cmean, e)
+        return e @ self.cmean_rows
 
     def compliance_stress(self, s: np.ndarray) -> np.ndarray:
-        return np.einsum("ijkcd,ijkqd->ijkqc", self.dvox, s)
+        return self._constitutive(s, "d_rows")
 
     def divadj(self, s: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dims + (3,))
-        for ai, a in enumerate(CORNERS):
-            contrib = self.w * np.einsum("qcd,ijkqc->ijkd", self.tables[:, ai], s)
-            out += np.roll(contrib, shift=a, axis=(0, 1, 2))
-        return out
+        return self.scatter(s.reshape(-1, 48) @ self.bmat_t_w)
 
     def project(self, phi: np.ndarray) -> np.ndarray:
         return phi - node_mean(phi)
@@ -182,20 +288,20 @@ class Stencil:
     def dual_scale(self) -> float:
         """Operator-norm bound of ``divadj``: sqrt(8 * lambda_max) of one
         element Gram matrix (a node touches at most 8 elements)."""
-        bm = self.tables.transpose(0, 2, 1, 3).reshape(8, 6, 24)
-        gram = self.w * np.einsum("qci,qcj->ij", bm, bm)
-        lam = np.linalg.eigvalsh(gram)[-1]
+        lam = np.linalg.eigvalsh(self.w * self.bmat @ self.bmat.T)[-1]
         return float(np.sqrt(8.0 * max(lam, 0.0)))
 
     # periodic-fluctuation operator ------------------------------------------
 
     def k_phi(self, phi: np.ndarray) -> np.ndarray:
-        out = self.divadj(self.stress(self.strain_periodic(phi)))
-        return self.project(out)
+        ue = self.corners(phi, self.conn_k)
+        fe = np.empty(ue.shape)
+        for ph in self.phases:
+            np.matmul(ue[ph.rows], ph.k_rows, out=fe[ph.rows])
+        return self.project(self.scatter(fe, self.inv_k))
 
     def k_ref_phi(self, phi: np.ndarray) -> np.ndarray:
-        out = self.divadj(self.stress_ref(self.strain_periodic(phi)))
-        return self.project(out)
+        return self.project(self.scatter(self.corners(phi) @ self.kref))
 
     # extended operator on (mean strain, fluctuation) -------------------------
 
@@ -209,9 +315,18 @@ class Stencil:
         return self.strain(*self.unpack(x))
 
     def k_ext(self, x: np.ndarray) -> np.ndarray:
-        s = self.stress(self.strain_ext(x))
-        return self.pack(self.volume * cell_average(self.cell, s),
-                         self.project(self.divadj(s)))
+        """Stiffness of ``(mean strain, fluctuation)``: the cell integral of
+        the stress, and its nodal divergence functional."""
+        macro, phi = self.unpack(x)
+        ue = self.corners(phi, self.conn_k)
+        fe = np.empty(ue.shape)
+        mean = np.zeros(6)
+        for ph in self.phases:
+            u, f = ue[ph.rows], fe[ph.rows]
+            np.matmul(u, ph.k_rows, out=f)
+            f += macro @ ph.g_rows
+            mean += ph.c_vol @ macro + ph.g_mean @ u.sum(axis=0)
+        return self.pack(mean, self.project(self.scatter(fe, self.inv_k)))
 
     def m_ext(self, x: np.ndarray) -> np.ndarray:
         """Apply the block preconditioner operator itself (not its inverse)."""
@@ -222,22 +337,28 @@ class Stencil:
 
     def circulant_pinv(self, c: np.ndarray) -> np.ndarray:
         """DFT-diagonalized pseudo-inverse blocks of the periodic operator of
-        the constant material ``c``.
+        the constant material ``c``, on the half spectrum of ``rfftn``.
 
         That operator is block-circulant on the periodic grid, so one
-        impulse response gives its 3x3 Hermitian block per frequency; the
-        zero frequency, which carries the constant nullspace, is annihilated.
+        impulse response gives its 3x3 Hermitian block per frequency. The
+        zero frequency carries the constant nullspace: its block is set to
+        the identity for the batched inverse and then zeroed. Every other
+        block is positive definite. The blocks are returned component-first,
+        shape ``(3, 3, n1, n2, n3 // 2 + 1)``, the layout ``block_solve``
+        transforms in.
         """
+        kel = self.element_stiffness(c)
         kernel = np.zeros(self.dims + (3, 3))
         for d in range(3):
             imp = np.zeros(self.dims + (3,))
             imp[0, 0, 0, d] = 1.0
-            kernel[..., :, d] = self.divadj(_const_stress(c, self.strain_periodic(imp)))
-        khat = np.fft.fftn(kernel, axes=(0, 1, 2))
+            kernel[..., :, d] = self.scatter(self.corners(imp) @ kel)
+        khat = np.fft.rfftn(kernel, axes=(0, 1, 2))
         khat = 0.5 * (khat + np.conj(khat.transpose(0, 1, 2, 4, 3)))
-        pinv = np.linalg.pinv(khat, rcond=1e-12, hermitian=True)
+        khat[0, 0, 0] = np.eye(3)
+        pinv = np.linalg.inv(khat)
         pinv[0, 0, 0] = 0.0
-        return pinv
+        return np.ascontiguousarray(pinv.transpose(3, 4, 0, 1, 2))
 
     @property
     def ref_pinv(self) -> np.ndarray:
@@ -252,8 +373,22 @@ class Stencil:
         of the least-squares fit by symmetric gradients)."""
         return self.circulant_pinv(np.eye(6))
 
+    def block_solve(self, pinv: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Apply the half-spectrum inverse blocks ``pinv`` to a nodal field.
+
+        The transforms run on the component-first copy of ``r``, where each
+        component is one contiguous grid: about twice as fast as transforming
+        the three interleaved components in place.
+        """
+        rhat = np.fft.rfftn(np.ascontiguousarray(np.moveaxis(r, 3, 0)), axes=(1, 2, 3))
+        zhat = pinv[:, 0] * rhat[0]
+        zhat += pinv[:, 1] * rhat[1]
+        zhat += pinv[:, 2] * rhat[2]
+        z = np.fft.irfftn(zhat, s=self.dims, axes=(1, 2, 3))
+        return np.ascontiguousarray(np.moveaxis(z, 0, 3))
+
     def ref_solve(self, r: np.ndarray) -> np.ndarray:
-        return _dft_block_solve(self.ref_pinv, r)
+        return self.block_solve(self.ref_pinv, r)
 
     def precond_ext(self, x: np.ndarray) -> np.ndarray:
         macro, phi = self.unpack(x)
@@ -361,5 +496,5 @@ def compatibility_residual(cell: VoxelCell, e: np.ndarray) -> float:
     is a discrete compatible strain.
     """
     st = stencil_of(cell)
-    phi = _dft_block_solve(st.unit_pinv, st.divadj(e))
+    phi = st.block_solve(st.unit_pinv, st.divadj(e))
     return quad_norm(cell, e - st.strain(cell_average(cell, e), phi))

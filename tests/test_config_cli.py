@@ -288,3 +288,48 @@ def test_run_config_dataclass_roundtrip(tmp_path):
     cfg = RunConfig(voxel_path=str(vox), task="homogenize",
                     output_dir=str(tmp_path / "out"))
     assert run(cfg, quiet=True) == 0
+
+
+def test_run_config_checks_rules_when_built(tmp_path):
+    with pytest.raises(ValidationError) as err:
+        RunConfig(voxel_path=str(tmp_path / "cell.vox"), task="fly")
+    assert err.value.field == "task"
+    with pytest.raises(ValidationError) as err:
+        RunConfig(voxel_path=str(tmp_path / "cell.vox"), task="solve", macro_kind="strain",
+                  macro_value=np.zeros(5))
+    assert err.value.field == "macro_value"
+
+
+def test_run_changed_config_exits_1_naming_field(tmp_path, capsys):
+    cell = homogeneous_cell(dims=(2, 2, 2))
+    vox = tmp_path / "cell.vox"
+    vox.write_text(voxel_text(cell), encoding="utf-8")
+    cfg = RunConfig(voxel_path=str(vox), output_dir=str(tmp_path / "out"))
+    cfg.task = "fly"
+    assert run(cfg, quiet=True) == 1
+    assert "config error: task:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, first", [
+    ("voxel_path = a\ntol = -1\ntask = fly\n", "task"),
+    ("voxel_path = a\nseed = 1.5\nformulation = fem\n", "formulation"),
+    ("voxel_path = a\nmacro_kind = strain\nmax_iter = 0\n", "max_iter"),
+    ("voxel_path = a\ntask = solve\nmacro_kind = strain\nuzawa_step = fast\n", "uzawa_step"),
+])
+def test_parse_reports_first_error_in_key_order(text, first):
+    with pytest.raises(ValidationError) as err:
+        parse_config(text)
+    assert err.value.field == first
+
+
+def test_report_records_stop_reason(tmp_path):
+    cfg = _write_inputs(tmp_path, random_two_phase_cell(), "task = homogenize\n")
+    assert main([str(cfg), "--quiet"]) == 0
+    solves = json.loads((tmp_path / "out" / "report.json").read_text())["solves"]
+    assert [s["stop_reason"] for s in solves] == ["converged"] * len(solves)
+    cfg = _write_inputs(tmp_path, laminate_cell(),
+                        "task = homogenize\nmax_iter = 1\ntol = 1e-14\n")
+    assert main([str(cfg), "--quiet"]) == 2
+    solves = json.loads((tmp_path / "out" / "report.json").read_text())["solves"]
+    assert solves[-1]["label"] == "failed" and solves[-1]["stop_reason"] == "budget"

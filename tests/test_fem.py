@@ -14,7 +14,12 @@ from cellhom.fem import (
     quad_norm,
     stencil_of,
 )
-from cellhom.microstructures import homogeneous_cell, random_cell, random_two_phase_cell
+from cellhom.microstructures import (
+    homogeneous_cell,
+    random_cell,
+    random_spd_tensor,
+    random_two_phase_cell,
+)
 
 
 def _random_field(cell, seed):
@@ -205,3 +210,82 @@ def test_average_product_identity_constant_stress(cell_d):
     s_mean = np.array([0.5, -1.0, 2.0, 0.1, -0.2, 0.3])
     s = np.broadcast_to(s_mean, cell_d.dims + (8, 6)).copy()
     assert ch.hill_mandel_residual(cell_d, u, s) <= 1e-13
+
+
+# -- operator-core kernels ------------------------------------------------------
+#
+# Two cells: a sheared 3-phase anisotropic 3x4x5 cell (odd last axis, so the
+# rfftn half spectrum has no Nyquist plane) and a 4x4x6 cell (even last axis).
+
+
+def _three_phase_sheared_cell():
+    rng = np.random.default_rng(21)
+    lat = Lattice(np.array([1.1, 0.0, 0.0]), np.array([0.3, 0.9, 0.0]),
+                  np.array([-0.2, 0.25, 1.2]))
+    phases = [random_spd_tensor(rng, scale=s) for s in (1.0, 3.0, 0.5)]
+    grid = np.arange(60).reshape(3, 4, 5) % 3
+    return VoxelCell((3, 4, 5), rng.permuted(grid.ravel()).reshape(3, 4, 5), phases, lat)
+
+
+KERNEL_CELLS = {
+    "sheared-3phase-3x4x5": _three_phase_sheared_cell,
+    "two-phase-4x4x6": lambda: random_two_phase_cell(dims=(4, 4, 6), seed=5),
+}
+
+
+@pytest.fixture(params=sorted(KERNEL_CELLS))
+def kernel_cell(request):
+    return KERNEL_CELLS[request.param]()
+
+
+def _rel(a, b):
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+def test_fused_stiffness_matches_composed_operators(kernel_cell):
+    st = stencil_of(kernel_cell)
+    rng = np.random.default_rng(22)
+    phi = rng.standard_normal(kernel_cell.dims + (3,))
+    composed = st.project(st.divadj(st.stress(st.strain_periodic(phi))))
+    assert _rel(st.k_phi(phi), composed) <= 1e-13
+
+    x = st.pack(rng.standard_normal(6), phi)
+    s = st.stress(st.strain_ext(x))
+    composed = st.pack(kernel_cell.volume * ch.cell_average(kernel_cell, s),
+                       st.project(st.divadj(s)))
+    assert _rel(st.k_ext(x), composed) <= 1e-13
+
+
+def test_element_stiffness_symmetric_with_rigid_null_space(kernel_cell):
+    st = stencil_of(kernel_cell)
+    assert len(st.phases) == len(kernel_cell.phases)
+    for k in [ph.k_rows for ph in st.phases] + [st.kref]:
+        assert np.abs(k - k.T).max() <= 1e-14 * np.abs(k).max()
+        lam = np.linalg.eigvalsh(0.5 * (k + k.T))
+        # 3 translations + 3 infinitesimal rotations, nothing else
+        assert np.all(np.abs(lam[:6]) <= 1e-12 * lam[-1])
+        assert lam[6] >= 1e-4 * lam[-1]
+
+
+def test_uniform_element_field_scatters_to_exactly_uniform_nodes(kernel_cell):
+    st = stencil_of(kernel_cell)
+    rng = np.random.default_rng(23)
+    fe = np.broadcast_to(rng.standard_normal(24), (kernel_cell.n_voxels, 24))
+    for table in (st.inv_table, st.inv_k):
+        nodal = st.scatter(fe, table)
+        np.testing.assert_array_equal(nodal, np.broadcast_to(nodal[0, 0, 0], nodal.shape))
+    s = np.broadcast_to(rng.standard_normal(6), kernel_cell.dims + (8, 6))
+    nodal = st.divadj(s)
+    np.testing.assert_array_equal(nodal, np.broadcast_to(nodal[0, 0, 0], nodal.shape))
+
+
+def test_ref_solve_inverts_reference_operator_on_zero_mean_fields(kernel_cell):
+    st = stencil_of(kernel_cell)
+    rng = np.random.default_rng(24)
+    phi = st.project(rng.standard_normal(kernel_cell.dims + (3,)))
+    assert _rel(st.ref_solve(st.k_ref_phi(phi)), phi) <= 1e-12
+    r = st.project(rng.standard_normal(kernel_cell.dims + (3,)))
+    assert _rel(st.k_ref_phi(st.ref_solve(r)), r) <= 1e-12
+    # the constant nullspace is annihilated, not amplified
+    const = np.broadcast_to(np.array([1.0, -2.0, 0.5]), kernel_cell.dims + (3,))
+    assert np.abs(st.ref_solve(const)).max() <= 1e-13

@@ -16,6 +16,15 @@ def test_homogeneous_identity_iso():
     np.testing.assert_allclose(res.DH, ch.invert(c), atol=1e-12)
 
 
+def test_homogeneous_cell_needs_no_iteration():
+    # the load of a mean strain on a homogeneous cell is a uniform nodal
+    # field that the zero-mean projection cancels exactly, because the
+    # scatter sums every node's contributions in the same corner order
+    res = ch.homogenize(homogeneous_cell())
+    assert [r.iterations for r in res.per_column_reports] == [0] * 6
+    assert all(r.stop_reason == "converged" for r in res.per_column_reports)
+
+
 def test_homogeneous_identity_anisotropic_skewed_lattice():
     rng = np.random.default_rng(41)
     c = random_spd_tensor(rng)
