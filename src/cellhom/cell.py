@@ -71,7 +71,7 @@ class VoxelCell:
     """Periodic voxel cell: phase grid plus per-phase stiffness table.
 
     The cell is immutable: its arrays are read-only copies of the inputs, so
-    the cached material fields and operator core never go stale.
+    the cached material means and operator core never go stale.
 
     Attributes
     ----------
@@ -131,27 +131,21 @@ class VoxelCell:
     def voxel_volume(self) -> float:
         return self.lattice.volume / self.n_voxels
 
-    # -- derived material fields (cached, read-only) -------------------------
+    # -- phase-fraction means (cached, read-only) ------------------------------
 
-    @cached_property
-    def stiffness_field(self) -> np.ndarray:
-        """Per-voxel 6x6 stiffness, shape ``dims + (6, 6)``."""
-        return _read_only(np.stack(self.phases)[self.phase_of])
-
-    @cached_property
-    def compliance_field(self) -> np.ndarray:
-        """Per-voxel 6x6 compliance, shape ``dims + (6, 6)``."""
-        return _read_only(np.stack([mandel.invert(p) for p in self.phases])[self.phase_of])
+    def _phase_mean(self, mats) -> np.ndarray:
+        frac = np.bincount(self.phase_of.ravel(), minlength=len(mats)) / self.n_voxels
+        return _read_only(np.tensordot(frac, np.stack(mats), axes=1))
 
     @cached_property
     def mean_stiffness(self) -> np.ndarray:
-        """Volume average of the stiffness field (the arithmetic bound)."""
-        return _read_only(self.stiffness_field.mean(axis=(0, 1, 2)))
+        """Volume average of the stiffness (the arithmetic bound)."""
+        return self._phase_mean(self.phases)
 
     @cached_property
     def mean_compliance(self) -> np.ndarray:
-        """Volume average of the compliance field (the harmonic-bound source)."""
-        return _read_only(self.compliance_field.mean(axis=(0, 1, 2)))
+        """Volume average of the compliance (the harmonic-bound source)."""
+        return self._phase_mean([mandel.invert(p) for p in self.phases])
 
 
 def cell_average(cell: VoxelCell, f: np.ndarray) -> np.ndarray:

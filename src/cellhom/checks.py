@@ -175,7 +175,7 @@ def dense_reference_strain(cell: VoxelCell, macro_strain) -> np.ndarray:
     for i in range(n1):
         for j in range(n2):
             for k in range(n3):
-                cmat = cell.stiffness_field[i, j, k]
+                cmat = cell.phases[cell.phase_of[i, j, k]]
                 nodes = []
                 for a in corners:
                     ia, ja, ka = (i + a[0]) % n1, (j + a[1]) % n2, (k + a[2]) % n3

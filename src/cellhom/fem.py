@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 import itertools
+import threading
 import weakref
 
 import numpy as np
@@ -138,9 +139,11 @@ def scatter_table(conn: np.ndarray) -> np.ndarray:
     return table
 
 
-def gather_corners(values: np.ndarray, conn: np.ndarray) -> np.ndarray:
-    """Collect the corner-node values of every voxel, shape ``(n_voxels, 8, 3)``."""
-    return np.take(values.reshape(-1, 3), conn, axis=0)
+def gather_corners(values: np.ndarray, conn: np.ndarray, out=None) -> np.ndarray:
+    """Collect the corner-node values of every voxel, shape ``(n_voxels, 8, 3)``,
+    into ``out`` if given. ``conn`` is a valid table, so clipping changes
+    nothing; the default ``mode="raise"`` would buffer a full copy of ``out``."""
+    return np.take(values.reshape(-1, 3), conn, axis=0, out=out, mode="clip")
 
 
 @dataclass(frozen=True)
@@ -224,6 +227,7 @@ class Stencil:
                     k_rows=self.element_stiffness(c), g_mean=c @ bsum, g_rows=c.T @ bsum))
                 start += idx.size
         self._ref_pinv = None
+        self._tls = threading.local()
 
     @property
     def cell(self) -> VoxelCell:
@@ -237,18 +241,26 @@ class Stencil:
 
     # gather / scatter ------------------------------------------------------
 
-    def corners(self, phi: np.ndarray, conn: np.ndarray | None = None) -> np.ndarray:
-        """Corner displacements of every element, shape ``(n_voxels, 24)``,
-        in voxel order or in the order of ``conn``."""
-        return gather_corners(phi, self.conn if conn is None else conn).reshape(-1, 24)
+    def corners(self, phi: np.ndarray) -> np.ndarray:
+        """Corner displacements of every element in voxel order, ``(n_voxels, 24)``."""
+        return gather_corners(phi, self.conn).reshape(-1, 24)
 
-    def scatter(self, fe: np.ndarray, table: np.ndarray | None = None) -> np.ndarray:
+    def scatter(self, fe: np.ndarray, table: np.ndarray | None = None, work=None) -> np.ndarray:
         """Nodal sum of per-element corner forces ``(n_voxels, 24)``, in
         ``CORNERS`` order per node; elements in voxel order or in the order
-        of ``table`` (a ``scatter_table``)."""
+        of ``table`` (a ``scatter_table``), gathered into ``work`` if given."""
         table = self.inv_table if table is None else table
-        out = np.take(fe.reshape(-1, 3), table, axis=0).sum(axis=0)
-        return out.reshape(self.dims + (3,))
+        nodes = np.take(fe.reshape(-1, 3), table, axis=0, out=work, mode="clip")
+        return nodes.sum(axis=0).reshape(self.dims + (3,))
+
+    def _work_arrays(self):
+        """The fused kernels' corner gather, element forces and scatter gather,
+        one set per thread sharing the core: allocated per call, arrays this
+        large are mapped and page-faulted afresh, costing more than the products."""
+        if not hasattr(self._tls, "arrays"):
+            n = self.conn.shape[0]
+            self._tls.arrays = (np.empty((n, 8, 3)), np.empty((n, 24)), np.empty((8, n, 3)))
+        return self._tls.arrays
 
     def _constitutive(self, f: np.ndarray, rows: str) -> np.ndarray:
         """Apply each phase's 6x6 matrix ``rows`` to its voxels of a
@@ -272,9 +284,6 @@ class Stencil:
     def stress(self, e: np.ndarray) -> np.ndarray:
         return self._constitutive(e, "c_rows")
 
-    def stress_ref(self, e: np.ndarray) -> np.ndarray:
-        return e @ self.cmean_rows
-
     def compliance_stress(self, s: np.ndarray) -> np.ndarray:
         return self._constitutive(s, "d_rows")
 
@@ -283,6 +292,16 @@ class Stencil:
 
     def project(self, phi: np.ndarray) -> np.ndarray:
         return phi - node_mean(phi)
+
+    @cached_property
+    def phase_bounds(self) -> tuple:
+        """``(lam, Lam)`` with ``lam C0 <= C_p <= Lam C0`` for every present
+        phase and the mean stiffness ``C0`` (extreme generalized eigenvalues):
+        element by element ``lam M <= K <= Lam M`` for the reference operator
+        ``M``, so ``Lam / lam`` bounds the preconditioned condition number."""
+        linv = np.linalg.inv(np.linalg.cholesky(self.cmean))
+        eig = [np.linalg.eigvalsh(linv @ ph.c_rows.T @ linv.T) for ph in self.phases]
+        return float(min(e[0] for e in eig)), float(max(e[-1] for e in eig))
 
     @cached_property
     def dual_scale(self) -> float:
@@ -294,11 +313,11 @@ class Stencil:
     # periodic-fluctuation operator ------------------------------------------
 
     def k_phi(self, phi: np.ndarray) -> np.ndarray:
-        ue = self.corners(phi, self.conn_k)
-        fe = np.empty(ue.shape)
+        ue, fe, nodes = self._work_arrays()
+        ue = gather_corners(phi, self.conn_k, out=ue).reshape(-1, 24)
         for ph in self.phases:
             np.matmul(ue[ph.rows], ph.k_rows, out=fe[ph.rows])
-        return self.project(self.scatter(fe, self.inv_k))
+        return self.project(self.scatter(fe, self.inv_k, nodes))
 
     def k_ref_phi(self, phi: np.ndarray) -> np.ndarray:
         return self.project(self.scatter(self.corners(phi) @ self.kref))
@@ -318,15 +337,15 @@ class Stencil:
         """Stiffness of ``(mean strain, fluctuation)``: the cell integral of
         the stress, and its nodal divergence functional."""
         macro, phi = self.unpack(x)
-        ue = self.corners(phi, self.conn_k)
-        fe = np.empty(ue.shape)
+        ue, fe, nodes = self._work_arrays()
+        ue = gather_corners(phi, self.conn_k, out=ue).reshape(-1, 24)
         mean = np.zeros(6)
         for ph in self.phases:
             u, f = ue[ph.rows], fe[ph.rows]
             np.matmul(u, ph.k_rows, out=f)
             f += macro @ ph.g_rows
             mean += ph.c_vol @ macro + ph.g_mean @ u.sum(axis=0)
-        return self.pack(mean, self.project(self.scatter(fe, self.inv_k)))
+        return self.pack(mean, self.project(self.scatter(fe, self.inv_k, nodes)))
 
     def m_ext(self, x: np.ndarray) -> np.ndarray:
         """Apply the block preconditioner operator itself (not its inverse)."""

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import mandel
 from .cell import VoxelCell, cell_average
-from .fem import LinPerField, quad_inner, stencil_of, sym_gradient
+from .fem import LinPerField, stencil_of
 from .solvers import SolveParams, solve_strain_driven, solve_stress_driven, solve_stress_uzawa
 
 #: orthonormal Mandel basis: three unit normal strains, three normalized shears
@@ -22,6 +22,10 @@ ASYMMETRY_LIMIT = 1e-9
 #: gate measures assembly bugs rather than leftover iteration error
 COLUMN_TOL_CEIL = 1e-10
 
+#: and this over the condition bound ``Lam/lam`` (``Stencil.phase_bounds``),
+#: by which the residual understates the first-order error of the stress average
+COLUMN_TOL_CONTRAST = 5e-9
+
 
 class AsymmetricResult(RuntimeError):
     """Assembled homogenized tensor is not symmetric to tolerance."""
@@ -31,9 +35,11 @@ class AsymmetricResult(RuntimeError):
 class HomogResult:
     """Homogenized stiffness/compliance pair with per-column diagnostics.
 
-    ``energy_check[i, j]`` is the absolute difference between the
-    matrix entry and the same entry recomputed as a cell energy product of
-    the two column solutions; it quantifies the agreement of the
+    ``energy_check[i, j]`` is ``|x_j . Kx_i / V - sym[i, j]|``, the cell
+    energy product of columns ``i`` and ``j`` against the symmetrized entry:
+    ``x`` is the packed ``(mean strain, fluctuation)`` solution and ``Kx``
+    its ``Stencil.k_ext``, or for stress-uzawa the strain ``D sigma`` and the
+    weighted stress ``w sigma``. It quantifies the agreement of the
     averaged-stress and energy definitions of the homogenized tensor.
     """
 
@@ -43,8 +49,10 @@ class HomogResult:
     energy_check: np.ndarray
 
 
-def _column_tol(params: SolveParams) -> SolveParams:
-    return replace(params, tol=min(params.tol, COLUMN_TOL_CEIL))
+def _column_tol(cell: VoxelCell, params: SolveParams) -> SolveParams:
+    lam, lam_max = stencil_of(cell).phase_bounds
+    return replace(params, tol=min(params.tol, COLUMN_TOL_CEIL,
+                                   COLUMN_TOL_CONTRAST * lam / lam_max))
 
 
 def _run_columns(cell: VoxelCell, task, threads: int):
@@ -69,27 +77,26 @@ def homogenize(cell: VoxelCell, params: SolveParams | None = None,
     beyond ``ASYMMETRY_LIMIT`` (a solver or assembly bug) and propagates
     ``NotConverged`` from the column solves.
     """
-    params = _column_tol(params or SolveParams())
+    params = _column_tol(cell, params or SolveParams())
     st = stencil_of(cell)
 
+    # each task returns (column, x, Kx, report); see HomogResult
     if formulation in ("displacement", "strain"):
         def task(i):
             u, rep = solve_strain_driven(cell, MANDEL_BASIS[i], params)
-            e = sym_gradient(cell, u)
-            return cell_average(cell, st.stress(e)), e, rep
-
-        cols = _run_columns(cell, task, threads)
-        raw = np.column_stack([c[0] for c in cols])
+            x = st.pack(u.macro, u.periodic)
+            kx = st.k_ext(x)
+            return kx[:6] / cell.volume, x, kx, rep
     elif formulation == "stress-uzawa":
         def task(i):
             sig, v, rep = solve_stress_uzawa(cell, MANDEL_BASIS[i], params)
             e = st.compliance_stress(sig)
-            return cell_average(cell, e), e, rep
-
-        cols = _run_columns(cell, task, threads)
-        raw = np.column_stack([c[0] for c in cols])
+            return cell_average(cell, e), e.ravel(), (st.w * sig).ravel(), rep
     else:
         raise ValueError(f"unknown formulation {formulation!r}")
+
+    cols, xs, kxs, reports = zip(*_run_columns(cell, task, threads))
+    raw = np.column_stack(cols)
 
     norm = np.linalg.norm(raw)
     asym = np.linalg.norm(raw - raw.T)
@@ -104,39 +111,27 @@ def homogenize(cell: VoxelCell, params: SolveParams | None = None,
         ch = sym
     dh = mandel.invert(ch)
 
-    # Cross energies of the column strain fields reproduce the assembled
-    # entries: stiffness entries for strain columns, compliance entries for
-    # stress columns (there <C e_i, e_j> = <s_i, D s_j>).
-    fields = [c[1] for c in cols]
-    reports = [c[2] for c in cols]
-    energy_check = np.zeros((6, 6))
-    for i in range(6):
-        s_i = st.stress(fields[i])
-        for j in range(6):
-            prod = quad_inner(cell, s_i, fields[j]) / cell.volume
-            energy_check[i, j] = abs(prod - sym[i, j])
-    return HomogResult(CH=ch, DH=dh, per_column_reports=reports,
+    energy_check = np.abs(np.array([[xj @ kxi for xj in xs] for kxi in kxs]) / cell.volume - sym)
+    return HomogResult(CH=ch, DH=dh, per_column_reports=list(reports),
                        energy_check=energy_check)
 
 
 def energy_product(cell: VoxelCell, u_a: LinPerField, u_b: LinPerField) -> float:
     """Cell average of the cross elastic energy of two displacements."""
-    ea = sym_gradient(cell, u_a)
-    eb = sym_gradient(cell, u_b)
-    return quad_inner(cell, stencil_of(cell).stress(ea), eb) / cell.volume
+    st = stencil_of(cell)
+    kx_a = st.k_ext(st.pack(u_a.macro, u_a.periodic))
+    return float(st.pack(u_b.macro, u_b.periodic) @ kx_a) / cell.volume
 
 
 def dual_consistency(cell: VoxelCell, result: HomogResult,
                      params: SolveParams | None = None, threads: int = 1) -> float:
     """Worst relative mismatch between mean strains of stress-driven solves
     and the compliance applied to the same basis stresses."""
-    params = _column_tol(params or SolveParams())
+    params = _column_tol(cell, params or SolveParams())
 
     def task(i):
         w, _ = solve_stress_driven(cell, MANDEL_BASIS[i], params)
-        a_solved = cell_average(cell, sym_gradient(cell, w))
         a_tensor = result.DH @ MANDEL_BASIS[i]
-        return float(np.linalg.norm(a_solved - a_tensor)
-                     / np.linalg.norm(a_tensor))
+        return float(np.linalg.norm(w.macro - a_tensor) / np.linalg.norm(a_tensor))
 
     return max(_run_columns(cell, task, threads))

@@ -35,14 +35,7 @@ import numpy as np
 
 from .cell import VoxelCell, cell_average
 from .energies import MacroLoad, displacement_potential
-from .fem import (
-    LinPerField,
-    Stencil,
-    div_adjoint,
-    project_zero_mean,
-    stencil_of,
-    sym_gradient,
-)
+from .fem import LinPerField, Stencil, project_zero_mean, stencil_of, sym_gradient
 
 
 @dataclass
@@ -192,10 +185,9 @@ def solve_strain_driven(cell: VoxelCell, macro_strain, params: SolveParams | Non
     params = params or SolveParams()
     a = np.asarray(macro_strain, dtype=float)
     st = stencil_of(cell)
-    const = np.broadcast_to(a, cell.dims + (8, 6))
-    s_const = st.stress(const)
-    rhs = -st.project(div_adjoint(cell, s_const))
-    offset = 0.5 * float(np.sum(s_const * const)) * st.w
+    # the stiffness of (a, 0) gives the load of the mean strain and its energy
+    mean, load = st.unpack(st.k_ext(st.pack(a, np.zeros(cell.dims + (3,)))))
+    offset = 0.5 * float(a @ mean)
 
     def op(v):
         return st.k_phi(v.reshape(cell.dims + (3,))).ravel()
@@ -204,7 +196,7 @@ def solve_strain_driven(cell: VoxelCell, macro_strain, params: SolveParams | Non
         return st.ref_solve(v.reshape(cell.dims + (3,))).ravel()
 
     x0v = None if x0 is None else st.project(x0).ravel()
-    sol, report = _pcg(op, pre, rhs.ravel(), params.tol, params.max_iter,
+    sol, report = _pcg(op, pre, -load.ravel(), params.tol, params.max_iter,
                        x0=x0v, energy_offset=offset)
     phi = st.project(sol.reshape(cell.dims + (3,)))
     u = LinPerField(a, phi)
@@ -227,9 +219,8 @@ def solve_stress_driven(cell: VoxelCell, macro_stress, params: SolveParams | Non
     b = st.pack(cell.volume * s_target, np.zeros(cell.dims + (3,)))
     sol, report = _pcg(st.k_ext, st.precond_ext, b, params.tol, params.max_iter,
                        x0=x0)
+    mean_sig = st.k_ext(sol)[:6] / cell.volume
     macro, phi = st.unpack(sol)
-    phi = st.project(phi)
-    mean_sig = cell_average(cell, st.stress(st.strain_ext(st.pack(macro, phi))))
     macro = macro + st.cmean_inv @ (s_target - mean_sig)
     w = project_zero_mean(cell, LinPerField(macro, phi))
     report.final_energy = displacement_potential(cell, w, s_target)
@@ -342,7 +333,7 @@ def solve_stress_uzawa(cell: VoxelCell, macro_stress, params: SolveParams | None
         # exact projection onto the admissible set: the reference solve
         # removes the weak divergence, the constant shift fixes the mean
         psi = st.ref_solve(divadj_sig)
-        sig_feas = sig - st.stress_ref(st.strain_periodic(psi))
+        sig_feas = sig - st.strain_periodic(psi) @ st.cmean_rows
         sig_feas += s_target - cell_average(cell, sig_feas)
         compl = 0.5 * float(np.sum(st.compliance_stress(sig_feas) * sig_feas)) * st.w
         k_en = 0.5 * float(x @ kx) - float(b @ x)

@@ -5,7 +5,7 @@ import pytest
 
 import cellhom as ch
 from cellhom.cell import Lattice, VoxelCell, parse_voxel_text, voxel_text, wrap_index
-from cellhom.microstructures import random_two_phase_cell
+from cellhom.microstructures import random_spd_tensor, random_two_phase_cell
 
 
 def test_wrap_index():
@@ -103,23 +103,38 @@ def test_cell_rejects_non_spd_phase():
 def test_cell_is_frozen():
     grid = np.zeros((2, 1, 1), dtype=np.int64)
     cell = VoxelCell((2, 1, 1), grid, [ch.iso_tensor(1.0, 1.0), ch.iso_tensor(0.0, 1.5)])
-    before = cell.stiffness_field.copy()
+    before = cell.mean_stiffness.copy()
     grid[1, 0, 0] = 1  # the cell keeps its own copy of the inputs
     with pytest.raises(ValueError, match="read-only"):
         cell.phase_of[1, 0, 0] = 1
     with pytest.raises(ValueError, match="read-only"):
         cell.phases[0][3, 3] = 6.0
-    with pytest.raises(ValueError, match="read-only"):
-        cell.stiffness_field[0, 0, 0, 3, 3] = 6.0
+    for mean in (cell.mean_stiffness, cell.mean_compliance):
+        with pytest.raises(ValueError, match="read-only"):
+            mean[3, 3] = 6.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         cell.phase_of = grid
-    np.testing.assert_array_equal(cell.stiffness_field, before)
-    assert cell.stiffness_field[1, 0, 0, 3, 3] == 2.0
+    np.testing.assert_array_equal(cell.mean_stiffness, before)
+    # both voxels are still phase 0 (shear slot 2 mu = 2), not half phase 1
+    assert cell.mean_stiffness[3, 3] == 2.0
+    assert cell.phases[0][3, 3] == 2.0
 
 
 def test_cell_rejects_shape_mismatch():
     with pytest.raises(ValueError, match="does not match"):
         VoxelCell((2, 1, 1), np.zeros((1, 1, 1), dtype=int), [np.eye(6)])
+
+
+def test_mean_fields_are_phase_fraction_sums():
+    rng = np.random.default_rng(5)
+    phases = [random_spd_tensor(rng, scale) for scale in (1.0, 7.0, 3.0)]
+    grid = rng.integers(0, 2, size=(3, 4, 5)) * 2  # phase 1 is absent
+    cell = VoxelCell((3, 4, 5), grid, phases)
+    frac = np.array([np.mean(grid == p) for p in range(3)])
+    for mean, mats in ((cell.mean_stiffness, phases),
+                       (cell.mean_compliance, [ch.invert(c) for c in phases])):
+        expect = sum(f * c for f, c in zip(frac, mats))
+        assert np.abs(mean - expect).max() <= 1e-15 * np.abs(expect).max()
 
 
 def test_mean_fields(cell_b):

@@ -1,3 +1,6 @@
+from concurrent.futures import ThreadPoolExecutor
+import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -289,3 +292,56 @@ def test_ref_solve_inverts_reference_operator_on_zero_mean_fields(kernel_cell):
     # the constant nullspace is annihilated, not amplified
     const = np.broadcast_to(np.array([1.0, -2.0, 0.5]), kernel_cell.dims + (3,))
     assert np.abs(st.ref_solve(const)).max() <= 1e-13
+
+
+def test_fused_kernels_allocate_no_element_array():
+    # the corner gather, the element forces and the scatter gather live in
+    # the core's per-thread work arrays, so after a warm-up call a kernel
+    # allocates only nodal-sized results
+    cell = random_two_phase_cell((16, 16, 16))
+    st = stencil_of(cell)
+    rng = np.random.default_rng(25)
+    limit = cell.n_voxels * 24 * 8
+
+    def field():
+        return rng.standard_normal(cell.dims + (3,))
+
+    for kernel, make in ((st.k_phi, field),
+                         (st.k_ext, lambda: st.pack(rng.standard_normal(6), field()))):
+        first = kernel(make())
+        kept = first.copy()
+        x = make()
+        tracemalloc.start()
+        try:
+            kernel(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
+        # a result never aliases a work array
+        np.testing.assert_array_equal(first, kept)
+
+
+def test_fused_kernels_give_serial_results_on_shared_core():
+    # every thread applies the kernels in its own work arrays
+    cell = random_two_phase_cell((8, 8, 8))
+    st = stencil_of(cell)
+    rng = np.random.default_rng(26)
+    xs = [st.pack(rng.standard_normal(6), rng.standard_normal(cell.dims + (3,)))
+          for _ in range(6)]
+    expect = [(st.k_ext(x), st.k_phi(st.unpack(x)[1])) for x in xs]
+
+    def apply(x):
+        return [(st.k_ext(x), st.k_phi(st.unpack(x)[1])) for _ in range(10)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            got = list(pool.map(apply, xs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for pair, runs in zip(expect, got):
+        for run in runs:
+            np.testing.assert_array_equal(run[0], pair[0])
+            np.testing.assert_array_equal(run[1], pair[1])

@@ -3,7 +3,7 @@ import pytest
 
 import cellhom as ch
 from cellhom.cell import Lattice, VoxelCell
-from cellhom.fem import LinPerField
+from cellhom.fem import LinPerField, stencil_of
 from cellhom.homogenize import MANDEL_BASIS
 from cellhom.microstructures import homogeneous_cell, random_spd_tensor, random_two_phase_cell
 from cellhom.solvers import NotConverged, SolveParams
@@ -81,6 +81,17 @@ def test_energy_product_homogeneous():
     v = LinPerField(b, np.zeros(cell.dims + (3,)))
     c = cell.phases[0]
     assert ch.energy_product(cell, u, v) == pytest.approx(float(a @ (c @ b)), rel=1e-14)
+
+
+@pytest.mark.parametrize("seed", [5, 6, 9])
+def test_high_contrast_cells_pass_the_symmetry_gate(seed):
+    # at contrast 1000 the column tolerance tightens with the phase-contrast
+    # bound, so the asymmetry gate sees assembly, not leftover iteration error
+    cell = random_two_phase_cell((6, 6, 6), seed, (1.0, 1.0), (1000.0, 1000.0), 0.1)
+    res = ch.homogenize(cell)
+    assert res.energy_check.max() <= 1e-10 * np.linalg.norm(res.CH)
+    lam, lam_max = stencil_of(cell).phase_bounds
+    assert lam_max / lam == pytest.approx(1000.0, rel=1e-12)
 
 
 def test_linearity_of_cell_solutions(cell_d):
