@@ -9,7 +9,8 @@ Three routes are provided:
   return;
 * ``solve_stress_uzawa``: alternating closed-form stress minimization and
   preconditioned displacement ascent on the stress-displacement Lagrangian,
-  stopped by the duality gap.
+  stopped by the duality gap, which is the complementary energy of one
+  correction stress per iteration.
 
 The preconditioner is the constant-coefficient operator built from the
 volume-averaged stiffness; being block-circulant on the periodic grid it is
@@ -33,8 +34,8 @@ import math
 
 import numpy as np
 
-from .cell import VoxelCell, cell_average
-from .energies import MacroLoad, displacement_potential
+from .cell import VoxelCell
+from .energies import MacroLoad
 from .fem import LinPerField, Stencil, project_zero_mean, stencil_of, sym_gradient
 
 
@@ -43,10 +44,11 @@ class SolveParams:
     """Knobs shared by all solvers.
 
     ``uzawa_step`` is either a positive float or the string ``"auto"``, in
-    which case the step is set to 2 / (lmax + lmin) of the preconditioned
-    operator, both extreme eigenvalues estimated by 20 seeded power
-    iterations. These defaults and range rules are the only ones: the run
-    configuration takes both from here.
+    which case the step is set to 2 / (Lam + lmin) of the preconditioned
+    operator: ``Lam`` is the phase bound of ``Stencil.phase_bounds``, an
+    upper bound of its spectrum, so the step cannot overshoot, and ``lmin``
+    is estimated by 20 seeded power iterations. These defaults and range
+    rules are the only ones: the run configuration takes both from here.
     """
 
     tol: float = 1e-9
@@ -223,58 +225,42 @@ def solve_stress_driven(cell: VoxelCell, macro_stress, params: SolveParams | Non
     macro, phi = st.unpack(sol)
     macro = macro + st.cmean_inv @ (s_target - mean_sig)
     w = project_zero_mean(cell, LinPerField(macro, phi))
-    report.final_energy = displacement_potential(cell, w, s_target)
+    x = st.pack(w.macro, w.periodic)
+    report.final_energy = (0.5 * float(x @ st.k_ext(x))
+                           - cell.volume * float(s_target @ w.macro))
     if not report.converged:
         raise _not_converged("stress-driven", report)
     return w, report
 
 
 def _power_step_estimate(st: Stencil, seed: int, iters: int = 20) -> float:
-    """AUTO Uzawa step 2/(lmax+lmin) of the preconditioned operator.
+    """AUTO Uzawa step 2/(Lam+lmin) of the preconditioned operator.
 
-    Extreme eigenvalues come from 20 power iterations each (the smallest via
-    the shifted operator); iterates are kept clear of the constant-shift
-    nullspace so roundoff cannot collapse the estimates.
+    ``Lam`` is the phase bound of ``Stencil.phase_bounds``: element by element
+    ``K_ext <= Lam M_ext``, so the step cannot overshoot. ``lmin`` is the
+    Rayleigh quotient after 20 seeded power iterations on the shifted
+    operator ``Lam - M_ext^-1 K_ext``; iterates are kept clear of the
+    constant-shift nullspace so roundoff cannot collapse the estimate.
     """
+    lam_max = st.phase_bounds[1]
     rng = np.random.default_rng(seed)
 
     def clean(x):
         macro, phi = st.unpack(x)
         return st.pack(macro, st.project(phi))
 
-    def t_apply(x):
-        return st.precond_ext(st.k_ext(x))
-
-    def rayleigh(x):
-        num = float(x @ st.k_ext(x))
-        den = float(x @ st.m_ext(x))
-        return num / den if den > 1e-30 else 1.0
-
-    def seed_vec():
-        x = clean(st.pack(rng.standard_normal(6),
-                          rng.standard_normal(st.dims + (3,))))
-        return x / np.linalg.norm(x)
-
-    x = seed_vec()
+    z = clean(st.pack(rng.standard_normal(6), rng.standard_normal(st.dims + (3,))))
+    z /= np.linalg.norm(z)
     for _ in range(iters):
-        y = clean(t_apply(x))
-        ny = float(np.linalg.norm(y))
-        if ny == 0.0:
-            break
-        x = y / ny
-    lam_max = max(rayleigh(x), 1e-30)
-
-    z = seed_vec()
-    for _ in range(iters):
-        y = clean(lam_max * z - t_apply(z))
+        y = clean(lam_max * z - st.precond_ext(st.k_ext(z)))
         ny = float(np.linalg.norm(y))
         if ny <= 1e-10 * lam_max:
             # spectrum collapsed onto lam_max; the shifted operator vanishes
             return 1.0 / lam_max
         z = y / ny
-    shifted = lam_max - rayleigh(z)
-    lam_min = lam_max - min(max(shifted, 0.0), lam_max)
-    lam_min = max(lam_min, 1e-12 * lam_max)
+    den = float(z @ st.m_ext(z))
+    lam_min = float(z @ st.k_ext(z)) / den if den > 1e-30 else 1.0
+    lam_min = min(max(lam_min, 1e-12 * lam_max), lam_max)
     return 2.0 / (lam_max + lam_min)
 
 
@@ -284,12 +270,19 @@ def solve_stress_uzawa(cell: VoxelCell, macro_stress, params: SolveParams | None
     The stress step is closed form (the inner minimum of the
     stress-displacement Lagrangian is attained at the constitutive stress of
     the current displacement); the displacement step is a preconditioned
-    gradient ascent on the dual. Each iteration also projects the working
-    stress onto the admissible set exactly, through one reference-operator
-    solve, so the recorded gap pairs a feasible primal value with the dual
-    value and weak duality holds per iteration. Convergence requires both
-    that certified gap (relative to the complementary energy) and the
-    equilibrium residual to fall below ``tol``.
+    gradient ascent on the dual. The nodal part of that step is the
+    reference solve ``psi`` of the weak divergence of the constitutive
+    stress ``C e(x)``, so subtracting the correction stress
+    ``tau = C0 e(psi) + (mean stress - S)`` makes it admissible exactly,
+    and weak duality holds per iteration. Because ``integral e(x).C0 e(psi)
+    = phi.K0 psi = phi.(K x)_phi``, expanding the complementary energy of
+    ``C e(x) - tau`` against the displacement energy
+    ``k_en = 1/2 x.Kx - b.x`` gives ``compl + k_en = 1/2 integral D tau.tau``:
+    the recorded gap is that one quadratic form, nonnegative by
+    construction, not the difference of two O(1) energies, so it carries no
+    cancellation error. Convergence requires both the gap (relative to the
+    complementary energy) and the equilibrium residual to fall below
+    ``tol``.
 
     Returns ``(sigma, v, report)``: the admissible stress, the zero-mean
     displacement whose constitutive stress it approximates, and the report
@@ -324,20 +317,16 @@ def solve_stress_uzawa(cell: VoxelCell, macro_stress, params: SolveParams | None
                            energy_history=energies, stop_reason=reason)
 
     while True:
-        e = st.strain_ext(x)
-        sig = st.stress(e)
-        mean_sig = cell_average(cell, sig)
-        divadj_sig = st.divadj(sig)
-        kx = st.pack(cell.volume * mean_sig, st.project(divadj_sig))
+        kx = st.k_ext(x)
         grad = kx - b
-        # exact projection onto the admissible set: the reference solve
-        # removes the weak divergence, the constant shift fixes the mean
-        psi = st.ref_solve(divadj_sig)
-        sig_feas = sig - st.strain_periodic(psi) @ st.cmean_rows
-        sig_feas += s_target - cell_average(cell, sig_feas)
-        compl = 0.5 * float(np.sum(st.compliance_stress(sig_feas) * sig_feas)) * st.w
+        step = st.precond_ext(grad)
+        # correction stress: the reference stress of the step's nodal part
+        # (psi) removes the weak divergence, the constant fixes the mean
+        tau = st.strain_periodic(st.unpack(step)[1]) @ st.cmean_rows
+        tau += kx[:6] / cell.volume - s_target
         k_en = 0.5 * float(x @ kx) - float(b @ x)
-        gap = abs(compl + k_en)
+        gap = 0.5 * float(np.sum(st.compliance_stress(tau) * tau)) * st.w
+        compl = gap - k_en
         gaps.append(gap)
         relres = float(np.linalg.norm(grad)) / bnorm
         history.append(relres)
@@ -359,14 +348,14 @@ def solve_stress_uzawa(cell: VoxelCell, macro_stress, params: SolveParams | None
         if it >= params.max_iter:
             raise NotConverged(
                 f"uzawa: gap {gap_rel:.3e} after {it} iterations", stopped("budget"))
-        x = x - rho * st.precond_ext(grad)
+        x = x - rho * step
         it += 1
 
     macro, phi = st.unpack(x)
     v = project_zero_mean(cell, LinPerField(macro, st.project(phi)))
     report = SolveReport(it, history, compl, converged,
                          gap_history=gaps, energy_history=energies)
-    return sig_feas, v, report
+    return st.stress(st.strain_ext(x)) - tau, v, report
 
 
 def solve_strain_route(cell: VoxelCell, load: MacroLoad,

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import cellhom as ch
-from cellhom.energies import MacroLoad
+from cellhom.checks import PROBE_STRAIN
+from cellhom.energies import MacroLoad, displacement_potential
 from cellhom.fem import LinPerField, quad_norm
 from cellhom.mandel import SQRT2
-from cellhom.microstructures import homogeneous_cell
+from cellhom.microstructures import homogeneous_cell, random_two_phase_cell
 from cellhom.solvers import NotConverged, SolveParams, Stencil, StepTooLarge, _pcg
 
 
@@ -117,6 +118,15 @@ def test_stress_driven_exact_mean_constraint(cell_d, probe_solution_d):
     assert np.abs(mean - s).max() <= 1e-13 * np.abs(s).max()
 
 
+def test_stress_driven_report_contract(cell_d, probe_solution_d):
+    rep = probe_solution_d["rep_w"]
+    assert rep.residual_history
+    assert rep.converged and rep.residual_history[-1] <= 1e-9
+    assert rep.final_energy == pytest.approx(
+        displacement_potential(cell_d, probe_solution_d["w"], probe_solution_d["S"]),
+        rel=1e-12)
+
+
 def test_stress_strain_roundtrip(cell_d, probe_solution_d):
     w = probe_solution_d["w"]
     e_w = ch.sym_gradient(cell_d, w)
@@ -150,6 +160,32 @@ def test_uzawa_gap_monotone(fixture_name, cell_b, cell_d, homog_b, homog_d):
     gaps = np.array(rep.gap_history)
     assert rep.iterations <= 2000
     assert (np.diff(gaps[1:]) <= 1e-12).all()
+
+
+@pytest.mark.parametrize("fixture_name", ["b", "d"])
+def test_uzawa_gap_is_exact(fixture_name, cell_b, cell_d, homog_b, homog_d):
+    # the gap is the energy of the correction stress, not a difference of
+    # energies: positive, nonincreasing and far below the energies at the end
+    cell = {"b": cell_b, "d": cell_d}[fixture_name]
+    res = {"b": homog_b, "d": homog_d}[fixture_name]
+    _, _, rep = ch.solve_stress_uzawa(cell, res.CH @ PROBE_STRAIN, SolveParams(tol=1e-12))
+    gaps = np.array(rep.gap_history)
+    assert (gaps > 0.0).all()
+    assert (gaps[2:] <= gaps[1:-1] * (1.0 + 1e-12)).all()
+    assert gaps[-1] <= 1e-20 * rep.final_energy
+
+
+@pytest.mark.parametrize("seed", [5, 9])
+def test_uzawa_auto_step_does_not_overshoot(seed):
+    # contrast 1000: the AUTO step is capped by the phase bound, so the gap
+    # never grows; the budget runs out long before convergence
+    cell = random_two_phase_cell((4, 4, 4), seed, (1.0, 1.0), (1000.0, 1000.0), 0.1)
+    with pytest.raises(NotConverged) as err:
+        ch.solve_stress_uzawa(cell, cell.mean_stiffness @ PROBE_STRAIN,
+                              SolveParams(tol=1e-8, max_iter=500))
+    rep = err.value.report
+    assert rep.stop_reason == "budget"
+    assert (np.diff(rep.gap_history) <= 0.0).all()
 
 
 def test_uzawa_agrees_with_stress_driven(cell_d, probe_solution_d):
