@@ -6,9 +6,8 @@ and given by a table of SPD 6x6 Mandel stiffness matrices indexed by a phase
 id. All periodic indexing wraps voxel/node coordinates componentwise.
 
 Reduction order note: averages and integrals use numpy's pairwise summation
-over a fixed voxel traversal, so results are bit-reproducible and never
-depend on worker-thread counts (parallelism in this package happens only at
-the whole-solve level).
+over a fixed voxel traversal, so results are bit-reproducible. The package
+starts no threads: the homogenization columns are solved one after another.
 """
 
 from __future__ import annotations

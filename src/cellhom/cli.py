@@ -93,14 +93,17 @@ def _mean(field: np.ndarray) -> list:
 
 def _hm_and_gap(cell, disp, sig, s, tol):
     """Hill-Mandel residual of a stress-load solution ``(disp, sig)`` and its
-    displacement duality gap relative to the complementary energy."""
+    displacement duality gap, relative to the complementary energy when that
+    is nonzero and absolute otherwise (a zero load)."""
     gap = abs(duality_gap_displacement(cell, sig, disp, s, 10 * tol))
     hm = hill_mandel_residual(cell, disp, sig)
-    return hm, gap / abs(complementary_energy(cell, sig))
+    compl = abs(complementary_energy(cell, sig))
+    return hm, gap / compl if compl > 0.0 else gap
 
 
 def run(config: RunConfig, threads: int = 1, quiet: bool = False) -> int:
-    """Execute one configured task; returns the process exit code."""
+    """Execute one configured task; returns the process exit code.
+    ``threads`` is only recorded in the report's params."""
     t0 = time.perf_counter()
     try:
         config.validate()
@@ -145,8 +148,7 @@ def run(config: RunConfig, threads: int = 1, quiet: bool = False) -> int:
     try:
         if config.task in ("homogenize", "verify"):
             result = homogenize(cell, params, formulation=config.formulation
-                                if config.task == "homogenize" else "displacement",
-                                threads=threads)
+                                if config.task == "homogenize" else "displacement")
             ch_matrix = result.CH
             solve_rows += [(f"column_{i + 1}", rep)
                            for i, rep in enumerate(result.per_column_reports)]
@@ -181,7 +183,7 @@ def run(config: RunConfig, threads: int = 1, quiet: bool = False) -> int:
                 check(name, gap, gap <= gap_limit)
 
             if config.task == "verify":
-                consist = dual_consistency(cell, result, params, threads=threads)
+                consist = dual_consistency(cell, result, params)
                 check("dual_consistency", consist, consist <= 1e-7)
                 arrows = equivalence_matrix(cell, params, tol=ARROW_TOL)
                 report["arrows"] = [
@@ -253,7 +255,8 @@ def main(argv=None) -> int:
                     "equivalent solver formulations.")
     parser.add_argument("config", help="path to the key = value run configuration")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap for independent column solves")
+                        help="accepted for compatibility, must be at least 1, "
+                             "recorded in report.json; has no effect")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     args = parser.parse_args(argv)
     try:

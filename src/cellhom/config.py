@@ -18,7 +18,7 @@ tol                   relative solver tolerance, default 1e-9
 max_iter              iteration cap, default 10000
 uzawa_step            positive real or AUTO, default AUTO
 output_dir            artifact directory, default "."
-seed                  integer seed for randomized probes, default 0
+seed                  nonnegative integer seed for random probes, default 0
 ====================  =======================================================
 """
 
@@ -163,7 +163,7 @@ _PARSERS = {
     "max_iter": _solver_param("max_iter", int),
     "uzawa_step": _solver_param("uzawa_step", _auto_or_real),
     "output_dir": str,
-    "seed": int,
+    "seed": _solver_param("seed", int),
 }
 
 

@@ -255,8 +255,9 @@ class Stencil:
 
     def _work_arrays(self):
         """The fused kernels' corner gather, element forces and scatter gather,
-        one set per thread sharing the core: allocated per call, arrays this
-        large are mapped and page-faulted afresh, costing more than the products."""
+        one set per thread, so a cell that a caller's threads share stays safe:
+        allocated per call, arrays this large are mapped and page-faulted afresh,
+        costing more than the products."""
         if not hasattr(self._tls, "arrays"):
             n = self.conn.shape[0]
             self._tls.arrays = (np.empty((n, 8, 3)), np.empty((n, 24)), np.empty((8, n, 3)))
@@ -417,9 +418,10 @@ class Stencil:
 def stencil_of(cell: VoxelCell) -> Stencil:
     """The operator core of ``cell``, built on first use and cached on it.
 
-    Cells are immutable, so the core never goes stale. Code that shares a
-    cell between threads fetches the core, and the inverse it will use,
-    before starting them.
+    Cells are immutable, so the core never goes stale. The package starts no
+    threads; a caller that shares a cell between its own threads fetches the
+    core, and the inverse it will use, before starting them, as neither
+    build is locked.
     """
     st = vars(cell).get("_stencil")
     if st is None:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,15 +54,6 @@ def _column_tol(cell: VoxelCell, params: SolveParams) -> SolveParams:
                                    COLUMN_TOL_CONTRAST * lam / lam_max))
 
 
-def _run_columns(cell: VoxelCell, task, threads: int):
-    if threads > 1:
-        # the workers share the cell's core: build it and its inverse first
-        stencil_of(cell).ref_pinv
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(task, range(6)))
-    return [task(i) for i in range(6)]
-
-
 def homogenize(cell: VoxelCell, params: SolveParams | None = None,
                formulation: str = "displacement", threads: int = 1) -> HomogResult:
     """Compute the homogenized tensors from six canonical cell solves.
@@ -73,29 +63,30 @@ def homogenize(cell: VoxelCell, params: SolveParams | None = None,
     Mandel basis strain. With the Uzawa formulation the compliance is
     assembled first from six basis mean stresses and then inverted.
 
+    The columns are solved one after another. ``threads`` is accepted and
+    ignored; it is kept so that callers passing it keep working.
+
     Raises ``AsymmetricResult`` when the assembled matrix is asymmetric
     beyond ``ASYMMETRY_LIMIT`` (a solver or assembly bug) and propagates
     ``NotConverged`` from the column solves.
     """
+    if formulation not in ("displacement", "strain", "stress-uzawa"):
+        raise ValueError(f"unknown formulation {formulation!r}")
     params = _column_tol(cell, params or SolveParams())
     st = stencil_of(cell)
 
-    # each task returns (column, x, Kx, report); see HomogResult
-    if formulation in ("displacement", "strain"):
-        def task(i):
-            u, rep = solve_strain_driven(cell, MANDEL_BASIS[i], params)
+    columns = []  # (column, x, Kx, report) per basis load; see HomogResult
+    for load in MANDEL_BASIS:
+        if formulation == "stress-uzawa":
+            sig, _, rep = solve_stress_uzawa(cell, load, params)
+            e = st.compliance_stress(sig)
+            columns.append((cell_average(cell, e), e.ravel(), (st.w * sig).ravel(), rep))
+        else:
+            u, rep = solve_strain_driven(cell, load, params)
             x = st.pack(u.macro, u.periodic)
             kx = st.k_ext(x)
-            return kx[:6] / cell.volume, x, kx, rep
-    elif formulation == "stress-uzawa":
-        def task(i):
-            sig, v, rep = solve_stress_uzawa(cell, MANDEL_BASIS[i], params)
-            e = st.compliance_stress(sig)
-            return cell_average(cell, e), e.ravel(), (st.w * sig).ravel(), rep
-    else:
-        raise ValueError(f"unknown formulation {formulation!r}")
-
-    cols, xs, kxs, reports = zip(*_run_columns(cell, task, threads))
+            columns.append((kx[:6] / cell.volume, x, kx, rep))
+    cols, xs, kxs, reports = zip(*columns)
     raw = np.column_stack(cols)
 
     norm = np.linalg.norm(raw)
@@ -124,14 +115,13 @@ def energy_product(cell: VoxelCell, u_a: LinPerField, u_b: LinPerField) -> float
 
 
 def dual_consistency(cell: VoxelCell, result: HomogResult,
-                     params: SolveParams | None = None, threads: int = 1) -> float:
+                     params: SolveParams | None = None) -> float:
     """Worst relative mismatch between mean strains of stress-driven solves
     and the compliance applied to the same basis stresses."""
     params = _column_tol(cell, params or SolveParams())
-
-    def task(i):
-        w, _ = solve_stress_driven(cell, MANDEL_BASIS[i], params)
-        a_tensor = result.DH @ MANDEL_BASIS[i]
-        return float(np.linalg.norm(w.macro - a_tensor) / np.linalg.norm(a_tensor))
-
-    return max(_run_columns(cell, task, threads))
+    mismatches = []
+    for load in MANDEL_BASIS:
+        w, _ = solve_stress_driven(cell, load, params)
+        a_tensor = result.DH @ load
+        mismatches.append(float(np.linalg.norm(w.macro - a_tensor) / np.linalg.norm(a_tensor)))
+    return max(mismatches)

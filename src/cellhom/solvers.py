@@ -65,6 +65,8 @@ class SolveParams:
             step = float(self.uzawa_step)
             if not (math.isfinite(step) and step > 0.0):
                 raise ValueError("uzawa_step must be positive and finite, or 'auto'")
+        if self.seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
 
 
 @dataclass

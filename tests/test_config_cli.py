@@ -61,6 +61,7 @@ seed = 3
     ("voxel_path = a\nformulation = fem\n", ValidationError, "formulation"),
     ("voxel_path = a\nmacro_kind = heat\n", ValidationError, "macro_kind"),
     ("voxel_path = a\nseed = 1.5\n", ValidationError, "seed"),
+    ("voxel_path = a\nseed = -1\n", ValidationError, "seed"),
     ("voxel_path = a\nmax_iter = 1.5\n", ValidationError, "max_iter"),
     ("voxel_path = a\nuzawa_step = fast\n", ValidationError, "uzawa_step"),
     ("voxel_path = a\ntask = solve\nmacro_kind = strain\nmacro_value = 1 0 0 0 0\n",
@@ -225,6 +226,27 @@ def test_main_config_errors(tmp_path):
     good = tmp_path / "good.cfg"
     good.write_text("voxel_path = a\n", encoding="utf-8")
     assert main([str(good), "--threads", "0"]) == 1
+
+
+def test_run_negative_seed_exits_1_naming_seed(tmp_path, capsys):
+    cfg = RunConfig(voxel_path=str(tmp_path / "cell.vox"), task="verify", seed=-1,
+                    output_dir=str(tmp_path / "out"))
+    assert run(cfg, quiet=True) == 1
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("formulation", ["displacement", "stress-uzawa"])
+def test_zero_stress_load_exits_0(tmp_path, formulation):
+    # a zero mean stress has zero complementary energy: the gap is absolute
+    cfg = _write_inputs(
+        tmp_path, random_two_phase_cell(),
+        f"task = solve\nformulation = {formulation}\nmacro_kind = stress\n"
+        "macro_value = 0 0 0 0 0 0\n")
+    assert main([str(cfg), "--quiet"]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["checks"]["duality_gap_displacement"] == 0.0
+    assert report["checks_failed"] == []
 
 
 def test_run_custom_lattice(tmp_path):

@@ -7,6 +7,7 @@ from cellhom.fem import LinPerField, stencil_of
 from cellhom.homogenize import MANDEL_BASIS
 from cellhom.microstructures import homogeneous_cell, random_spd_tensor, random_two_phase_cell
 from cellhom.solvers import NotConverged, SolveParams
+from test_fem import _three_phase_sheared_cell
 
 
 def test_homogeneous_identity_iso():
@@ -159,3 +160,32 @@ def test_homogenize_rejects_asymmetric_assembly(cell_d, monkeypatch):
 def test_homogenize_rejects_unknown_formulation(cell_d):
     with pytest.raises(ValueError):
         ch.homogenize(cell_d, formulation="spectral")
+
+
+def _translated(cell):
+    return VoxelCell(cell.dims, np.roll(cell.phase_of, (1, 2, 3), axis=(0, 1, 2)),
+                     cell.phases, cell.lattice)
+
+
+def _relabelled(cell):
+    # old phase k becomes new phase perm[k]
+    perm = np.array([2, 0, 1])
+    return VoxelCell(cell.dims, perm[cell.phase_of],
+                     [cell.phases[k] for k in np.argsort(perm)], cell.lattice)
+
+
+def _scaled(cell):
+    lat = cell.lattice
+    return VoxelCell(cell.dims, cell.phase_of, cell.phases,
+                     Lattice(2.5 * lat.g1, 2.5 * lat.g2, 2.5 * lat.g3))
+
+
+@pytest.mark.parametrize("transform", [_translated, _relabelled, _scaled],
+                         ids=["translation", "relabelling", "scaling"])
+def test_ch_invariance(transform):
+    # a periodic translation of the phase grid, a renaming of the phases and
+    # a uniform scaling of the lattice describe the same material
+    cell = _three_phase_sheared_cell()
+    expect = ch.homogenize(cell).CH
+    got = ch.homogenize(transform(cell)).CH
+    assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)

@@ -21,6 +21,8 @@ def test_params_validation():
         SolveParams(tol=np.inf)
     with pytest.raises(ValueError, match="uzawa_step"):
         SolveParams(uzawa_step=np.inf)
+    with pytest.raises(ValueError, match="seed"):
+        SolveParams(seed=-1)
 
 
 def test_strain_driven_homogeneous_is_trivial():
