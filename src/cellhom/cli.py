@@ -125,8 +125,8 @@ def run(config: RunConfig, threads: int = 1, quiet: bool = False) -> int:
         "task": config.task,
         "formulation": config.formulation,
         "voxel_path": str(config.voxel_path),
-        "params": {"tol": config.tol, "max_iter": config.max_iter,
-                   "uzawa_step": str(config.uzawa_step), "seed": config.seed,
+        "params": {"tol": params.tol, "max_iter": params.max_iter,
+                   "uzawa_step": str(params.uzawa_step), "seed": params.seed,
                    "threads": threads},
     }
     solve_rows: list = []

@@ -12,6 +12,12 @@ Three routes are provided:
   stopped by the duality gap, which is the complementary energy of one
   correction stress per iteration.
 
+Both CG routes run one loop, ``_pcg``: textbook preconditioned CG from a
+zero start with the Fletcher-Reeves beta, whose iterates equal those of
+Polak-Ribiere CG in exact arithmetic because the preconditioner is fixed
+and SPD. The energy of every iterate is read off the CG scalars, so the loop
+keeps no running ``K x``.
+
 The preconditioner is the constant-coefficient operator built from the
 volume-averaged stiffness; being block-circulant on the periodic grid it is
 inverted exactly by DFT diagonalization: 3x3 Hermitian blocks per frequency
@@ -31,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import math
+import numbers
 
 import numpy as np
 
@@ -39,16 +46,28 @@ from .energies import MacroLoad
 from .fem import LinPerField, Stencil, project_zero_mean, stencil_of, sym_gradient
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass
 class SolveParams:
     """Knobs shared by all solvers.
 
-    ``uzawa_step`` is either a positive float or the string ``"auto"``, in
-    which case the step is set to 2 / (Lam + lmin) of the preconditioned
-    operator: ``Lam`` is the phase bound of ``Stencil.phase_bounds``, an
-    upper bound of its spectrum, so the step cannot overshoot, and ``lmin``
-    is estimated by 20 seeded power iterations. These defaults and range
-    rules are the only ones: the run configuration takes both from here.
+    ``tol`` is a positive finite real, ``max_iter`` an integer of at least
+    1 and ``seed`` a nonnegative integer; bools are rejected, numpy integers
+    and reals accepted and stored as Python ``int`` and ``float``, and any
+    other type is a ``ValueError`` naming the field. ``uzawa_step`` is either a positive finite real or the string
+    ``"auto"``, in which case the step is set to 2 / (Lam + lmin) of the
+    preconditioned operator: ``Lam`` is the phase bound of
+    ``Stencil.phase_bounds``, an upper bound of its spectrum, so the step
+    cannot overshoot, and ``lmin`` is estimated by 20 seeded power
+    iterations. These defaults and range rules are the only ones: the run
+    configuration takes both from here.
     """
 
     tol: float = 1e-9
@@ -57,16 +76,19 @@ class SolveParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValueError("tol must be positive and finite")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if self.uzawa_step != "auto":
-            step = float(self.uzawa_step)
-            if not (math.isfinite(step) and step > 0.0):
-                raise ValueError("uzawa_step must be positive and finite, or 'auto'")
-        if self.seed < 0:
+        if not (_is_real(self.tol) and math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError("tol must be a positive finite real")
+        if not (_is_int(self.max_iter) and self.max_iter >= 1):
+            raise ValueError("max_iter must be an integer of at least 1")
+        if not (self.uzawa_step == "auto" or _is_real(self.uzawa_step)
+                and math.isfinite(self.uzawa_step) and self.uzawa_step > 0.0):
+            raise ValueError("uzawa_step must be a positive finite real, or 'auto'")
+        if not (_is_int(self.seed) and self.seed >= 0):
             raise ValueError("seed must be a nonnegative integer")
+        # builtin scalars from here on, so a report of them serializes
+        self.tol, self.max_iter, self.seed = float(self.tol), int(self.max_iter), int(self.seed)
+        if self.uzawa_step != "auto":
+            self.uzawa_step = float(self.uzawa_step)
 
 
 @dataclass
@@ -105,60 +127,44 @@ class StepTooLarge(RuntimeError):
 # preconditioned conjugate gradients
 
 
-def _pcg(op, m_inv, b, tol, max_iter, x0=None, energy_offset=0.0):
-    """PCG with a Polak-Ribiere restart-safe beta; tracks energy via K x.
+def _pcg(op, m_inv, b, tol, max_iter, energy_offset=0.0):
+    """Textbook preconditioned CG from ``x = 0`` on arrays of any shape.
 
-    ``m_inv`` applies the inverse preconditioner. Returns (x, report). The
-    recorded energies are ``1/2 x.Kx - b.x`` plus ``energy_offset``, exact
-    per iterate thanks to the running ``K x``.
+    ``op`` applies the SPD operator and ``m_inv`` the inverse of the SPD
+    preconditioner. Returns (x, report). Beta is Fletcher-Reeves,
+    ``r.z_new / r.z_old``; with a fixed SPD preconditioner the new residual
+    is conjugate to the old one, so the iterates are those of Polak-Ribiere
+    CG in exact arithmetic. The recorded energies ``1/2 x.Kx - b.x`` plus
+    ``energy_offset`` come from the CG scalars: as ``p.r = r.z``, each step
+    lowers the energy by ``alpha r.z / 2``.
     """
+    x = np.zeros_like(b)
     bnorm = float(np.linalg.norm(b))
-    x = np.zeros_like(b) if x0 is None else x0.copy()
-    if bnorm == 0.0 and not np.any(x):
+    if bnorm == 0.0:
         return x, SolveReport(0, [0.0], energy_offset, True,
                               energy_history=[energy_offset])
-    kx = op(x) if np.any(x) else np.zeros_like(b)
-    r = b - kx
-    scale = bnorm if bnorm > 0.0 else float(np.linalg.norm(r))
-    if scale == 0.0:
-        return x, SolveReport(0, [0.0], energy_offset, True,
-                              energy_history=[energy_offset])
-
-    def energy():
-        return 0.5 * float(x @ kx) - float(b @ x) + energy_offset
-
-    history = [float(np.linalg.norm(r)) / scale]
-    energies = [energy()]
-    if history[-1] <= tol:
-        return x, SolveReport(0, history, energies[-1], True,
-                              energy_history=energies)
-    z = m_inv(r)
-    p = z.copy()
-    rz = float(r @ z)
+    r = b.copy()
+    history = [1.0]
+    energies = [energy_offset]
+    p = None
     it = 0
     stop_reason = "budget"
-    while it < max_iter:
+    while history[-1] > tol and it < max_iter:
+        z = m_inv(r)
+        rz_new = float(np.vdot(r, z))
+        p = z if p is None else z + (rz_new / rz) * p
+        rz = rz_new
         kp = op(p)
-        pkp = float(p @ kp)
+        pkp = float(np.vdot(p, kp))
         if pkp <= 0.0 or rz <= 0.0:
             stop_reason = "breakdown"  # rounding noise; residual test decides below
             break
         alpha = rz / pkp
         x += alpha * p
-        kx += alpha * kp
-        r_old = r
-        r = r - alpha * kp
+        r -= alpha * kp
         it += 1
-        history.append(float(np.linalg.norm(r)) / scale)
-        energies.append(energy())
-        if history[-1] <= tol:
-            break
-        z = m_inv(r)
-        rz_new = float(r @ z)
-        r_prev_z = float(r_old @ z)
-        beta = max(0.0, (rz_new - r_prev_z) / rz)
-        p = z + beta * p
-        rz = rz_new
+        history.append(float(np.linalg.norm(r)) / bnorm)
+        energies.append(energies[-1] - 0.5 * alpha * rz)
     converged = history[-1] <= tol
     return x, SolveReport(it, history, energies[-1], converged,
                           energy_history=energies,
@@ -177,8 +183,7 @@ def _not_converged(solve: str, report: SolveReport) -> NotConverged:
 # solver entry points
 
 
-def solve_strain_driven(cell: VoxelCell, macro_strain, params: SolveParams | None = None,
-                        x0: np.ndarray | None = None):
+def solve_strain_driven(cell: VoxelCell, macro_strain, params: SolveParams | None = None):
     """Cell solution for a prescribed mean strain.
 
     Returns ``(u, report)`` where ``u.macro`` is the given strain and
@@ -191,26 +196,15 @@ def solve_strain_driven(cell: VoxelCell, macro_strain, params: SolveParams | Non
     st = stencil_of(cell)
     # the stiffness of (a, 0) gives the load of the mean strain and its energy
     mean, load = st.unpack(st.k_ext(st.pack(a, np.zeros(cell.dims + (3,)))))
-    offset = 0.5 * float(a @ mean)
-
-    def op(v):
-        return st.k_phi(v.reshape(cell.dims + (3,))).ravel()
-
-    def pre(v):
-        return st.ref_solve(v.reshape(cell.dims + (3,))).ravel()
-
-    x0v = None if x0 is None else st.project(x0).ravel()
-    sol, report = _pcg(op, pre, -load.ravel(), params.tol, params.max_iter,
-                       x0=x0v, energy_offset=offset)
-    phi = st.project(sol.reshape(cell.dims + (3,)))
-    u = LinPerField(a, phi)
+    sol, report = _pcg(st.k_phi, st.ref_solve, -load, params.tol, params.max_iter,
+                       energy_offset=0.5 * float(a @ mean))
+    u = LinPerField(a, st.project(sol))
     if not report.converged:
         raise _not_converged("strain-driven", report)
     return u, report
 
 
-def solve_stress_driven(cell: VoxelCell, macro_stress, params: SolveParams | None = None,
-                        x0: np.ndarray | None = None):
+def solve_stress_driven(cell: VoxelCell, macro_stress, params: SolveParams | None = None):
     """Cell solution for a prescribed mean stress.
 
     Returns ``(w, report)`` with zero-mean ``w``; the returned field carries
@@ -220,16 +214,15 @@ def solve_stress_driven(cell: VoxelCell, macro_stress, params: SolveParams | Non
     params = params or SolveParams()
     s_target = np.asarray(macro_stress, dtype=float)
     st = stencil_of(cell)
-    b = st.pack(cell.volume * s_target, np.zeros(cell.dims + (3,)))
-    sol, report = _pcg(st.k_ext, st.precond_ext, b, params.tol, params.max_iter,
-                       x0=x0)
-    mean_sig = st.k_ext(sol)[:6] / cell.volume
+    b = st.pack(st.volume * s_target, np.zeros(cell.dims + (3,)))
+    sol, report = _pcg(st.k_ext, st.precond_ext, b, params.tol, params.max_iter)
+    mean_sig = st.k_ext(sol)[:6] / st.volume
     macro, phi = st.unpack(sol)
     macro = macro + st.cmean_inv @ (s_target - mean_sig)
     w = project_zero_mean(cell, LinPerField(macro, phi))
     x = st.pack(w.macro, w.periodic)
     report.final_energy = (0.5 * float(x @ st.k_ext(x))
-                           - cell.volume * float(s_target @ w.macro))
+                           - st.volume * float(s_target @ w.macro))
     if not report.converged:
         raise _not_converged("stress-driven", report)
     return w, report
@@ -305,7 +298,7 @@ def solve_stress_uzawa(cell: VoxelCell, macro_stress, params: SolveParams | None
 
     rho = (float(params.uzawa_step) if params.uzawa_step != "auto"
            else _power_step_estimate(st, params.seed))
-    b = st.pack(cell.volume * s_target, np.zeros(cell.dims + (3,)))
+    b = st.pack(st.volume * s_target, np.zeros(cell.dims + (3,)))
     bnorm = float(np.linalg.norm(b))
     x = np.zeros_like(b)
     streak = 0
@@ -325,7 +318,7 @@ def solve_stress_uzawa(cell: VoxelCell, macro_stress, params: SolveParams | None
         # correction stress: the reference stress of the step's nodal part
         # (psi) removes the weak divergence, the constant fixes the mean
         tau = st.strain_periodic(st.unpack(step)[1]) @ st.cmean_rows
-        tau += kx[:6] / cell.volume - s_target
+        tau += kx[:6] / st.volume - s_target
         k_en = 0.5 * float(x @ kx) - float(b @ x)
         gap = 0.5 * float(np.sum(st.compliance_stress(tau) * tau)) * st.w
         compl = gap - k_en

@@ -236,6 +236,30 @@ def test_run_negative_seed_exits_1_naming_seed(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("tol", "abc"), ("tol", None), ("max_iter", "10"), ("max_iter", 2.5)])
+def test_run_solver_param_of_wrong_type_exits_1(tmp_path, capsys, field, value):
+    vox = tmp_path / "cell.vox"
+    vox.write_text(voxel_text(homogeneous_cell(dims=(2, 2, 2))), encoding="utf-8")
+    cfg = RunConfig(voxel_path=str(vox), task="verify", output_dir=str(tmp_path / "out"),
+                    **{field: value})
+    assert run(cfg, quiet=True) == 1
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_numpy_scalar_params_exit_0(tmp_path):
+    # numpy scalars are valid solver parameters and report.json records them
+    vox = tmp_path / "cell.vox"
+    vox.write_text(voxel_text(homogeneous_cell(dims=(2, 2, 2))), encoding="utf-8")
+    cfg = RunConfig(voxel_path=str(vox), task="verify", output_dir=str(tmp_path / "out"),
+                    tol=np.float64(1e-9), max_iter=np.int64(500), seed=np.int64(2))
+    assert run(cfg, quiet=True) == 0
+    params = json.loads((tmp_path / "out" / "report.json").read_text())["params"]
+    assert (params["tol"], params["max_iter"], params["seed"]) == (1e-9, 500, 2)
+
+
 @pytest.mark.parametrize("formulation", ["displacement", "stress-uzawa"])
 def test_zero_stress_load_exits_0(tmp_path, formulation):
     # a zero mean stress has zero complementary energy: the gap is absolute

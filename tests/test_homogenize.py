@@ -122,6 +122,25 @@ def test_homogenize_uzawa_formulation_agrees(cell_d, homog_d):
     assert all(r.gap_history for r in res.per_column_reports)
 
 
+def test_homogenize_uzawa_estimates_the_step_once(cell_d, monkeypatch):
+    # AUTO is resolved once per cell: every column runs the same fixed step
+    import importlib
+    hz = importlib.import_module("cellhom.homogenize")
+    sv = importlib.import_module("cellhom.solvers")
+    original = sv._power_step_estimate
+    calls = []
+
+    def counted(st, seed):
+        calls.append(seed)
+        return original(st, seed)
+
+    monkeypatch.setattr(hz, "_power_step_estimate", counted)
+    monkeypatch.setattr(sv, "_power_step_estimate", counted)
+    res = ch.homogenize(cell_d, SolveParams(seed=3), formulation="stress-uzawa")
+    assert calls == [3]
+    assert all(r.converged for r in res.per_column_reports)
+
+
 def test_homogenize_threads_identical(cell_d, homog_d):
     res = ch.homogenize(cell_d, threads=4)
     np.testing.assert_array_equal(res.CH, homog_d.CH)
@@ -180,12 +199,38 @@ def _scaled(cell):
                      Lattice(2.5 * lat.g1, 2.5 * lat.g2, 2.5 * lat.g3))
 
 
-@pytest.mark.parametrize("transform", [_translated, _relabelled, _scaled],
-                         ids=["translation", "relabelling", "scaling"])
-def test_ch_invariance(transform):
-    # a periodic translation of the phase grid, a renaming of the phases and
-    # a uniform scaling of the lattice describe the same material
+def _swapped(cell):
+    # g1 <-> g2 with the grid axes swapped: the same voxels, relisted
+    lat = cell.lattice
+    n1, n2, n3 = cell.dims
+    return VoxelCell((n2, n1, n3), cell.phase_of.transpose(1, 0, 2), cell.phases,
+                     Lattice(lat.g2, lat.g1, lat.g3))
+
+
+#: 90 degree rotation about e3, a signed permutation, so the rotated cell
+#: is solved to rounding of the original rather than to iteration error
+Q_E3 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+#: its action on Mandel vectors (a signed permutation, rounded to exact
+#: integers), column k the image of basis tensor k
+R_E3 = np.rint(np.column_stack([ch.sym_to_mandel(Q_E3 @ ch.mandel_to_sym(e) @ Q_E3.T)
+                                for e in np.eye(6)]))
+
+
+def _rotated(cell):
+    lat = cell.lattice
+    return VoxelCell(cell.dims, cell.phase_of, [R_E3 @ c @ R_E3.T for c in cell.phases],
+                     Lattice(Q_E3 @ lat.g1, Q_E3 @ lat.g2, Q_E3 @ lat.g3))
+
+
+@pytest.mark.parametrize("transform, rot", [
+    (_translated, np.eye(6)), (_relabelled, np.eye(6)), (_scaled, np.eye(6)),
+    (_swapped, np.eye(6)), (_rotated, R_E3)],
+    ids=["translation", "relabelling", "scaling", "generator-swap", "rotation-e3"])
+def test_ch_invariance(transform, rot):
+    # a periodic translation of the phase grid, a renaming of the phases, a
+    # uniform scaling of the lattice and a relisting of its generators
+    # describe the same material; a rotated cell has the rotated tensor
     cell = _three_phase_sheared_cell()
-    expect = ch.homogenize(cell).CH
+    expect = rot @ ch.homogenize(cell).CH @ rot.T
     got = ch.homogenize(transform(cell)).CH
     assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)

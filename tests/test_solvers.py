@@ -23,6 +23,25 @@ def test_params_validation():
         SolveParams(uzawa_step=np.inf)
     with pytest.raises(ValueError, match="seed"):
         SolveParams(seed=-1)
+    # wrong types name the field instead of failing later in numpy or math
+    for bad in ("abc", None, True, 1e-9j):
+        with pytest.raises(ValueError, match="tol"):
+            SolveParams(tol=bad)
+    for bad in ("10", 2.5, 10.0, True, None):
+        with pytest.raises(ValueError, match="max_iter"):
+            SolveParams(max_iter=bad)
+    for bad in (1.5, "3", False, None):
+        with pytest.raises(ValueError, match="seed"):
+            SolveParams(seed=bad)
+    for bad in ("0.5", "AUTO", True, None):
+        with pytest.raises(ValueError, match="uzawa_step"):
+            SolveParams(uzawa_step=bad)
+    # numpy scalars of the right kind are accepted
+    ok = SolveParams(tol=np.float64(1e-8), max_iter=np.int64(5),
+                     uzawa_step=np.float32(0.5), seed=np.uint8(3))
+    assert (ok.tol, ok.max_iter, ok.uzawa_step, ok.seed) == (1e-8, 5, 0.5, 3)
+    assert [type(v) for v in (ok.tol, ok.max_iter, ok.uzawa_step, ok.seed)] == [
+        float, int, float, int]
 
 
 def test_strain_driven_homogeneous_is_trivial():
@@ -69,15 +88,29 @@ def test_pcg_energy_monotone(cell_d, probe_solution_d):
         assert (diffs <= 1e-12).all()
 
 
-def test_uniqueness_from_random_starts(cell_d):
-    a = np.array([0.2, 0.1, -0.3, 0.0, 0.4, -0.1])
-    rng = np.random.default_rng(31)
-    u1, _ = ch.solve_strain_driven(cell_d, a,
-                                   x0=rng.standard_normal(cell_d.dims + (3,)))
-    u2, _ = ch.solve_strain_driven(cell_d, a,
-                                   x0=rng.standard_normal(cell_d.dims + (3,)))
-    e1, e2 = (ch.sym_gradient(cell_d, u) for u in (u1, u2))
-    assert quad_norm(cell_d, e1 - e2) <= 1e-8 * quad_norm(cell_d, e1)
+def test_pcg_energy_recurrence_matches_iterates():
+    # a dense SPD system with a Jacobi preconditioner: the energies read off
+    # the CG scalars equal 1/2 x.Ax - b.x + offset at every iterate
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((12, 12))
+    a = g @ g.T + 12.0 * np.diag(rng.uniform(0.5, 4.0, 12))
+    b = rng.standard_normal(12)
+    d = np.diag(a).copy()
+    offset = 0.75
+
+    def run(max_iter):
+        return _pcg(lambda v: a @ v, lambda v: v / d, b, 1e-14, max_iter,
+                    energy_offset=offset)
+
+    x, rep = run(100)
+    assert rep.converged
+    np.testing.assert_allclose(x, np.linalg.solve(a, b), rtol=0, atol=1e-10)
+    assert len(rep.energy_history) == rep.iterations + 1
+    scale = abs(rep.energy_history[-1])
+    for k, e in enumerate(rep.energy_history):
+        xk, _ = run(k)
+        exact = 0.5 * xk @ a @ xk - b @ xk + offset
+        assert abs(e - exact) <= 1e-12 * scale
 
 
 def test_not_converged_carries_report(cell_d):
