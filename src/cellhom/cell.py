@@ -187,26 +187,26 @@ def parse_voxel_text(text: str, lattice: Lattice | None = None) -> VoxelCell:
         if 2 + k >= len(lines):
             raise ValueError(f"missing phase line {k}")
         tok = lines[2 + k].split()
-        if tok and tok[0] == "ISO":
-            if len(tok) != 3:
-                raise ValueError(f"phase {k}: ISO takes exactly two moduli")
-            try:
+        try:  # every phase-line error names the phase
+            if tok and tok[0] == "ISO":
+                if len(tok) != 3:
+                    raise ValueError("ISO takes exactly two moduli")
                 phases.append(mandel.iso_tensor(float(tok[1]), float(tok[2])))
-            except mandel.DomainError as exc:
-                raise ValueError(f"phase {k}: {exc}") from exc
-        elif tok and tok[0] == "FULL":
-            if len(tok) != 22:
-                raise ValueError(f"phase {k}: FULL takes 21 upper-triangle entries")
-            vals = [float(t) for t in tok[1:]]
-            c = np.zeros((6, 6))
-            pos = 0
-            for i in range(6):
-                for j in range(i, 6):
-                    c[i, j] = c[j, i] = vals[pos]
-                    pos += 1
-            phases.append(c)
-        else:
-            raise ValueError(f"phase {k}: expected ISO or FULL")
+            elif tok and tok[0] == "FULL":
+                if len(tok) != 22:
+                    raise ValueError("FULL takes 21 upper-triangle entries")
+                vals = [float(t) for t in tok[1:]]
+                c = np.zeros((6, 6))
+                pos = 0
+                for i in range(6):
+                    for j in range(i, 6):
+                        c[i, j] = c[j, i] = vals[pos]
+                        pos += 1
+                phases.append(c)
+            else:
+                raise ValueError("expected ISO or FULL")
+        except ValueError as exc:  # mandel.DomainError included
+            raise ValueError(f"phase {k}: {exc}") from exc
 
     ids = " ".join(lines[2 + nphase:]).split()
     if len(ids) != n1 * n2 * n3:

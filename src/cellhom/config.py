@@ -18,7 +18,7 @@ tol                   relative solver tolerance, default 1e-9
 max_iter              iteration cap, default 10000
 uzawa_step            positive real or AUTO, default AUTO
 output_dir            artifact directory, default "."
-seed                  nonnegative integer seed for random probes, default 0
+seed                  accepted and recorded; has no effect, default 0
 ====================  =======================================================
 """
 

@@ -348,11 +348,6 @@ class Stencil:
             mean += ph.c_vol @ macro + ph.g_mean @ u.sum(axis=0)
         return self.pack(mean, self.project(self.scatter(fe, self.inv_k, nodes)))
 
-    def m_ext(self, x: np.ndarray) -> np.ndarray:
-        """Apply the block preconditioner operator itself (not its inverse)."""
-        macro, phi = self.unpack(x)
-        return self.pack(self.volume * (self.cmean @ macro), self.k_ref_phi(phi))
-
     # constant-material inverses -----------------------------------------------
 
     def circulant_pinv(self, c: np.ndarray) -> np.ndarray:

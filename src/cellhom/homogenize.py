@@ -9,8 +9,7 @@ import numpy as np
 from . import mandel
 from .cell import VoxelCell, cell_average
 from .fem import LinPerField, stencil_of
-from .solvers import (SolveParams, _power_step_estimate, solve_strain_driven,
-                      solve_stress_driven, solve_stress_uzawa)
+from .solvers import SolveParams, solve_strain_driven, solve_stress_driven, solve_stress_uzawa
 
 #: orthonormal Mandel basis: three unit normal strains, three normalized shears
 MANDEL_BASIS = np.eye(6)
@@ -75,9 +74,6 @@ def homogenize(cell: VoxelCell, params: SolveParams | None = None,
         raise ValueError(f"unknown formulation {formulation!r}")
     params = _column_tol(cell, params or SolveParams())
     st = stencil_of(cell)
-    if formulation == "stress-uzawa" and params.uzawa_step == "auto":
-        # one power estimate per cell: every column runs the same fixed step
-        params = replace(params, uzawa_step=_power_step_estimate(st, params.seed))
 
     columns = []  # (column, x, Kx, report) per basis load; see HomogResult
     for load in MANDEL_BASIS:

@@ -12,11 +12,12 @@ Three routes are provided:
   stopped by the duality gap, which is the complementary energy of one
   correction stress per iteration.
 
-Both CG routes run one loop, ``_pcg``: textbook preconditioned CG from a
-zero start with the Fletcher-Reeves beta, whose iterates equal those of
-Polak-Ribiere CG in exact arithmetic because the preconditioner is fixed
-and SPD. The energy of every iterate is read off the CG scalars, so the loop
-keeps no running ``K x``.
+The CG routes, and the Uzawa route with the AUTO step, run one loop,
+``_pcg``: textbook preconditioned CG from a zero start with the
+Fletcher-Reeves beta, whose iterates equal those of Polak-Ribiere CG in
+exact arithmetic because the preconditioner is fixed and SPD. The energy of
+every iterate is read off the CG scalars, so the loop keeps no running
+``K x``; the Uzawa route stops it on the duality gap through a hook.
 
 The preconditioner is the constant-coefficient operator built from the
 volume-averaged stiffness; being block-circulant on the periodic grid it is
@@ -61,13 +62,13 @@ class SolveParams:
     ``tol`` is a positive finite real, ``max_iter`` an integer of at least
     1 and ``seed`` a nonnegative integer; bools are rejected, numpy integers
     and reals accepted and stored as Python ``int`` and ``float``, and any
-    other type is a ``ValueError`` naming the field. ``uzawa_step`` is either a positive finite real or the string
-    ``"auto"``, in which case the step is set to 2 / (Lam + lmin) of the
-    preconditioned operator: ``Lam`` is the phase bound of
-    ``Stencil.phase_bounds``, an upper bound of its spectrum, so the step
-    cannot overshoot, and ``lmin`` is estimated by 20 seeded power
-    iterations. These defaults and range rules are the only ones: the run
-    configuration takes both from here.
+    other type is a ``ValueError`` naming the field. ``uzawa_step`` is
+    either a positive finite real, the fixed step of the displacement
+    ascent, or the string ``"auto"``, in which case each step takes CG's
+    step length along CG's conjugate direction. ``seed`` is accepted and
+    recorded; no solver draws random numbers, so it has no effect. These
+    defaults and range rules are the only ones: the run configuration takes
+    both from here.
     """
 
     tol: float = 1e-9
@@ -96,7 +97,7 @@ class SolveReport:
     """Per-solve record; ``stop_reason`` says why the iteration ended:
     ``converged``, ``budget`` (``max_iter`` spent), ``breakdown`` (PCG met a
     non-positive curvature or preconditioned residual product) or
-    ``step-too-large`` (Uzawa gap kept growing)."""
+    ``step-too-large`` (the gap of a fixed-step Uzawa solve kept growing)."""
 
     iterations: int
     residual_history: list
@@ -116,7 +117,7 @@ class NotConverged(RuntimeError):
 
 
 class StepTooLarge(RuntimeError):
-    """Uzawa gap grew for 10 consecutive iterations; carries the report."""
+    """Uzawa gap grew for 10 consecutive fixed steps; carries the report."""
 
     def __init__(self, message: str, report: SolveReport):
         super().__init__(message)
@@ -127,7 +128,7 @@ class StepTooLarge(RuntimeError):
 # preconditioned conjugate gradients
 
 
-def _pcg(op, m_inv, b, tol, max_iter, energy_offset=0.0):
+def _pcg(op, m_inv, b, tol, max_iter, energy_offset=0.0, hook=None):
     """Textbook preconditioned CG from ``x = 0`` on arrays of any shape.
 
     ``op`` applies the SPD operator and ``m_inv`` the inverse of the SPD
@@ -137,6 +138,10 @@ def _pcg(op, m_inv, b, tol, max_iter, energy_offset=0.0):
     CG in exact arithmetic. The recorded energies ``1/2 x.Kx - b.x`` plus
     ``energy_offset`` come from the CG scalars: as ``p.r = r.z``, each step
     lowers the energy by ``alpha r.z / 2``.
+
+    ``hook(x, r, z, energy)``, called at every iterate with the ``z =
+    m_inv(r)`` the next direction uses, returns whether to stop, in place of
+    the test ``|r| <= tol |b|``.
     """
     x = np.zeros_like(b)
     bnorm = float(np.linalg.norm(b))
@@ -149,15 +154,21 @@ def _pcg(op, m_inv, b, tol, max_iter, energy_offset=0.0):
     p = None
     it = 0
     stop_reason = "budget"
-    while history[-1] > tol and it < max_iter:
-        z = m_inv(r)
+    while True:
+        # the residual test needs no z, so a converged solve spends no m_inv
+        # on it; "not >" stops on a NaN residual too, unconverged
+        z = None if hook is None else m_inv(r)
+        stop = (not history[-1] > tol) if hook is None else bool(hook(x, r, z, energies[-1]))
+        if stop or it >= max_iter:
+            break
+        z = m_inv(r) if z is None else z
         rz_new = float(np.vdot(r, z))
         p = z if p is None else z + (rz_new / rz) * p
         rz = rz_new
         kp = op(p)
         pkp = float(np.vdot(p, kp))
         if pkp <= 0.0 or rz <= 0.0:
-            stop_reason = "breakdown"  # rounding noise; residual test decides below
+            stop_reason = "breakdown"  # rounding noise at an unconverged iterate
             break
         alpha = rz / pkp
         x += alpha * p
@@ -165,7 +176,7 @@ def _pcg(op, m_inv, b, tol, max_iter, energy_offset=0.0):
         it += 1
         history.append(float(np.linalg.norm(r)) / bnorm)
         energies.append(energies[-1] - 0.5 * alpha * rz)
-    converged = history[-1] <= tol
+    converged = stop and (hook is not None or history[-1] <= tol)
     return x, SolveReport(it, history, energies[-1], converged,
                           energy_history=energies,
                           stop_reason="converged" if converged else stop_reason)
@@ -174,9 +185,10 @@ def _pcg(op, m_inv, b, tol, max_iter, energy_offset=0.0):
 def _not_converged(solve: str, report: SolveReport) -> NotConverged:
     why = {"budget": "iteration budget spent",
            "breakdown": "PCG breakdown"}[report.stop_reason]
+    gap = f", gap {report.gap_history[-1]:.3e}" if report.gap_history else ""
     return NotConverged(
-        f"{solve} solve: {why}, residual {report.residual_history[-1]:.3e} after "
-        f"{report.iterations} iterations", report)
+        f"{solve} solve: {why}, residual {report.residual_history[-1]:.3e}{gap} "
+        f"after {report.iterations} iterations", report)
 
 
 # ---------------------------------------------------------------------------
@@ -228,35 +240,14 @@ def solve_stress_driven(cell: VoxelCell, macro_stress, params: SolveParams | Non
     return w, report
 
 
-def _power_step_estimate(st: Stencil, seed: int, iters: int = 20) -> float:
-    """AUTO Uzawa step 2/(Lam+lmin) of the preconditioned operator.
-
-    ``Lam`` is the phase bound of ``Stencil.phase_bounds``: element by element
-    ``K_ext <= Lam M_ext``, so the step cannot overshoot. ``lmin`` is the
-    Rayleigh quotient after 20 seeded power iterations on the shifted
-    operator ``Lam - M_ext^-1 K_ext``; iterates are kept clear of the
-    constant-shift nullspace so roundoff cannot collapse the estimate.
-    """
-    lam_max = st.phase_bounds[1]
-    rng = np.random.default_rng(seed)
-
-    def clean(x):
-        macro, phi = st.unpack(x)
-        return st.pack(macro, st.project(phi))
-
-    z = clean(st.pack(rng.standard_normal(6), rng.standard_normal(st.dims + (3,))))
-    z /= np.linalg.norm(z)
-    for _ in range(iters):
-        y = clean(lam_max * z - st.precond_ext(st.k_ext(z)))
-        ny = float(np.linalg.norm(y))
-        if ny <= 1e-10 * lam_max:
-            # spectrum collapsed onto lam_max; the shifted operator vanishes
-            return 1.0 / lam_max
-        z = y / ny
-    den = float(z @ st.m_ext(z))
-    lam_min = float(z @ st.k_ext(z)) / den if den > 1e-30 else 1.0
-    lam_min = min(max(lam_min, 1e-12 * lam_max), lam_max)
-    return 2.0 / (lam_max + lam_min)
+def _correction(st: Stencil, r: np.ndarray, z: np.ndarray):
+    """Correction stress ``tau = -C0 e(z_phi) - r[:6] / V`` and gap ``1/2
+    integral D tau.tau`` of the Uzawa iterate with residual ``r = b - K x``
+    and ``z = M^-1 r``; ``C e(x) - tau`` is admissible exactly."""
+    tau = st.strain_periodic(st.unpack(z)[1]) @ st.cmean_rows
+    tau += r[:6] / st.volume
+    np.negative(tau, out=tau)
+    return tau, 0.5 * float(np.sum(st.compliance_stress(tau) * tau)) * st.w
 
 
 def solve_stress_uzawa(cell: VoxelCell, macro_stress, params: SolveParams | None = None):
@@ -265,92 +256,106 @@ def solve_stress_uzawa(cell: VoxelCell, macro_stress, params: SolveParams | None
     The stress step is closed form (the inner minimum of the
     stress-displacement Lagrangian is attained at the constitutive stress of
     the current displacement); the displacement step is a preconditioned
-    gradient ascent on the dual. The nodal part of that step is the
-    reference solve ``psi`` of the weak divergence of the constitutive
-    stress ``C e(x)``, so subtracting the correction stress
-    ``tau = C0 e(psi) + (mean stress - S)`` makes it admissible exactly,
-    and weak duality holds per iteration. Because ``integral e(x).C0 e(psi)
-    = phi.K0 psi = phi.(K x)_phi``, expanding the complementary energy of
-    ``C e(x) - tau`` against the displacement energy
-    ``k_en = 1/2 x.Kx - b.x`` gives ``compl + k_en = 1/2 integral D tau.tau``:
-    the recorded gap is that one quadratic form, nonnegative by
+    ascent on the dual. The nodal part of that step is the reference solve
+    ``psi`` of the weak divergence of the constitutive stress ``C e(x)``, so
+    subtracting the correction stress ``tau = C0 e(psi) + (mean stress -
+    S)`` makes it admissible exactly, and weak duality holds per iteration.
+    Because ``integral e(x).C0 e(psi) = phi.K0 psi = phi.(K x)_phi``,
+    expanding the complementary energy of ``C e(x) - tau`` against the
+    displacement energy ``E = 1/2 x.Kx - b.x`` gives ``compl + E = 1/2
+    integral D tau.tau``: the gap is that one quadratic form, nonnegative by
     construction, not the difference of two O(1) energies, so it carries no
     cancellation error. Convergence requires both the gap (relative to the
-    complementary energy) and the equilibrium residual to fall below
-    ``tol``.
+    complementary energy) and the equilibrium residual to fall below ``tol``.
 
-    Returns ``(sigma, v, report)``: the admissible stress, the zero-mean
-    displacement whose constitutive stress it approximates, and the report
-    with the per-iteration gap history. The dual multiplier of the
-    underlying Lagrangian is ``-v``.
+    With ``uzawa_step = "auto"`` the displacement steps are those of
+    ``_pcg`` (Uzawa's algorithm with conjugate-gradient directions). The gap
+    of a CG iterate need not fall monotonically, so the recorded gap is the
+    best certified one, ``best_k = min(gap_k, best_{k-1} - (E_{k-1} - E_k))``:
+    the gap of the admissible stress of the best iterate ``j`` so far against
+    the current displacement, whose energy only falls. A numeric
+    ``uzawa_step`` is a fixed step along the preconditioned residual, which
+    raises ``StepTooLarge`` when the gap grows for 10 consecutive iterations.
+
+    Returns ``(sigma, v, report)``: the admissible stress (of iterate ``j``),
+    the zero-mean last displacement, and the report with the gap history;
+    ``final_energy`` is the complementary energy of ``sigma``. The dual
+    multiplier of the underlying Lagrangian is ``-v``.
     """
     params = params or SolveParams()
     s_target = np.asarray(macro_stress, dtype=float)
     st = stencil_of(cell)
-    gaps: list = []
-    history: list = []
-    energies: list = []
 
     if np.linalg.norm(s_target) == 0.0:
         report = SolveReport(0, [0.0], 0.0, True, gap_history=[0.0],
                              energy_history=[0.0])
         return np.zeros(cell.dims + (8, 6)), LinPerField.zeros(cell), report
 
-    rho = (float(params.uzawa_step) if params.uzawa_step != "auto"
-           else _power_step_estimate(st, params.seed))
     b = st.pack(st.volume * s_target, np.zeros(cell.dims + (3,)))
     bnorm = float(np.linalg.norm(b))
-    x = np.zeros_like(b)
-    streak = 0
-    prev_gap = np.inf
-    it = 0
-    converged = False
+    gaps: list = []
+    if params.uzawa_step == "auto":
+        x_j = tau = None
+        best = compl = np.inf
+        energy_prev = 0.0
 
-    def stopped(reason):
-        """Report of an unconverged stop at the current iterate."""
-        return SolveReport(it, history, compl, False, gap_history=gaps,
-                           energy_history=energies, stop_reason=reason)
+        def gap_test(x, r, z, energy):
+            nonlocal x_j, tau, best, compl, energy_prev
+            tau_k, gap = _correction(st, r, z)
+            best -= energy_prev - energy
+            if gap <= best:
+                best, x_j, tau, compl = gap, x.copy(), tau_k, gap - energy
+            gaps.append(best)
+            energy_prev = energy
+            return (best <= params.tol * max(compl, 1e-300)
+                    and float(np.linalg.norm(r)) <= params.tol * bnorm)
 
-    while True:
-        kx = st.k_ext(x)
-        grad = kx - b
-        step = st.precond_ext(grad)
-        # correction stress: the reference stress of the step's nodal part
-        # (psi) removes the weak divergence, the constant fixes the mean
-        tau = st.strain_periodic(st.unpack(step)[1]) @ st.cmean_rows
-        tau += kx[:6] / st.volume - s_target
-        k_en = 0.5 * float(x @ kx) - float(b @ x)
-        gap = 0.5 * float(np.sum(st.compliance_stress(tau) * tau)) * st.w
-        compl = gap - k_en
-        gaps.append(gap)
-        relres = float(np.linalg.norm(grad)) / bnorm
-        history.append(relres)
-        energies.append(k_en)
+        x, report = _pcg(st.k_ext, st.precond_ext, b, params.tol, params.max_iter,
+                         hook=gap_test)
+        report.gap_history, report.final_energy = gaps, compl
+        if not report.converged:
+            raise _not_converged("uzawa", report)
+    else:
+        x = np.zeros_like(b)
+        history: list = []
+        energies: list = []
+        streak = it = 0
 
-        gap_rel = gap / max(compl, 1e-300)
-        if gap_rel <= params.tol and relres <= params.tol:
-            converged = True
-            break
-        if gap > prev_gap * (1.0 + 1e-15) + 1e-300:
-            streak += 1
-            if streak >= 10:
-                raise StepTooLarge(
-                    f"uzawa gap grew for {streak} consecutive iterations "
-                    f"(step {rho:.3e})", stopped("step-too-large"))
-        else:
-            streak = 0
-        prev_gap = gap
-        if it >= params.max_iter:
-            raise NotConverged(
-                f"uzawa: gap {gap_rel:.3e} after {it} iterations", stopped("budget"))
-        x = x - rho * step
-        it += 1
+        def stopped(reason):
+            """Report of an unconverged stop at the current iterate."""
+            return SolveReport(it, history, compl, False, gap_history=gaps,
+                               energy_history=energies, stop_reason=reason)
+
+        while True:
+            kx = st.k_ext(x)
+            r = b - kx
+            z = st.precond_ext(r)
+            tau, gap = _correction(st, r, z)
+            energies.append(0.5 * float(x @ kx) - float(b @ x))
+            compl = gap - energies[-1]
+            history.append(float(np.linalg.norm(r)) / bnorm)
+            gaps.append(gap)
+            if gap <= params.tol * max(compl, 1e-300) and history[-1] <= params.tol:
+                break
+            if len(gaps) > 1 and gap > gaps[-2] * (1.0 + 1e-15) + 1e-300:
+                streak += 1
+                if streak >= 10:
+                    raise StepTooLarge(
+                        f"uzawa gap grew for {streak} consecutive iterations "
+                        f"(step {params.uzawa_step:.3e})", stopped("step-too-large"))
+            else:
+                streak = 0
+            if it >= params.max_iter:
+                raise _not_converged("uzawa", stopped("budget"))
+            x += params.uzawa_step * z
+            it += 1
+        report = SolveReport(it, history, compl, True, gap_history=gaps,
+                             energy_history=energies)
+        x_j = x
 
     macro, phi = st.unpack(x)
     v = project_zero_mean(cell, LinPerField(macro, st.project(phi)))
-    report = SolveReport(it, history, compl, converged,
-                         gap_history=gaps, energy_history=energies)
-    return st.stress(st.strain_ext(x)) - tau, v, report
+    return st.stress(st.strain_ext(x_j)) - tau, v, report
 
 
 def solve_strain_route(cell: VoxelCell, load: MacroLoad,

@@ -85,6 +85,9 @@ def test_voxel_parse_iso_and_order():
     ("CELLVOX 1\n1 1 1 1\nISO 1 1\n3", "phase id out of range"),
     ("CELLVOX 1\n1 1 1 1\nISO 1 -1\n0", "positive"),
     ("CELLVOX 1\n1 1 1 1\nISO 1 inf\n0", "phase 0 .*non-finite"),
+    ("CELLVOX 1\n1 1 1 1\nISO 1 abc\n0", "phase 0: .*'abc'"),
+    ("CELLVOX 1\n1 1 1 1\nFULL x" + " 0" * 5 + " 1 0 0 0 0 1 0 0 0 1 0 0 1 0 1\n0",
+     "phase 0: .*'x'"),
     ("CELLVOX 1\n1 1 1 1\nFULL nan" + " 0" * 5 + " 1 0 0 0 0 1 0 0 0 1 0 0 1 0 1\n0",
      "phase 0 .*non-finite"),
 ])

@@ -121,6 +121,18 @@ def test_run_exit2_on_iteration_budget(tmp_path):
     assert "error" in report and report["solves"]
 
 
+def test_run_uzawa_budget_exits_2_naming_the_budget(tmp_path):
+    vox = tmp_path / "cell.vox"
+    vox.write_text(voxel_text(random_two_phase_cell()), encoding="utf-8")
+    cfg = RunConfig(voxel_path=str(vox), task="solve", formulation="stress-uzawa",
+                    macro_kind="stress", macro_value=[1.0, 0.2, 0, 0, 0, 0],
+                    max_iter=1, output_dir=str(tmp_path / "out"))
+    assert run(cfg, quiet=True) == 2
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert "iteration budget spent" in report["error"]
+    assert report["solves"][-1]["stop_reason"] == "budget"
+
+
 def test_run_verify_lists_arrows(tmp_path):
     cfg = _write_inputs(tmp_path, random_two_phase_cell(), "task = verify\n")
     code = main([str(cfg), "--quiet"])

@@ -1,4 +1,5 @@
 from concurrent.futures import ThreadPoolExecutor
+import gc
 import sys
 import tracemalloc
 import weakref
@@ -156,6 +157,19 @@ def test_core_is_cached_without_keeping_its_cell_alive():
     alive = weakref.ref(cell)
     del cell
     assert alive() is None
+
+
+def test_auto_uzawa_solve_leaves_no_cycle_holding_the_core():
+    # with the cyclic collector off, the core dies with its cell after a solve
+    cell = random_two_phase_cell()
+    gc.disable()
+    try:
+        ch.solve_stress_uzawa(cell, cell.mean_stiffness @ np.ones(6))
+        core = weakref.ref(stencil_of(cell))
+        del cell
+        assert core() is None
+    finally:
+        gc.enable()
 
 
 def test_compatibility_residual_exact_on_sheared_anisotropic_cell():

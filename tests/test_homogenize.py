@@ -122,25 +122,6 @@ def test_homogenize_uzawa_formulation_agrees(cell_d, homog_d):
     assert all(r.gap_history for r in res.per_column_reports)
 
 
-def test_homogenize_uzawa_estimates_the_step_once(cell_d, monkeypatch):
-    # AUTO is resolved once per cell: every column runs the same fixed step
-    import importlib
-    hz = importlib.import_module("cellhom.homogenize")
-    sv = importlib.import_module("cellhom.solvers")
-    original = sv._power_step_estimate
-    calls = []
-
-    def counted(st, seed):
-        calls.append(seed)
-        return original(st, seed)
-
-    monkeypatch.setattr(hz, "_power_step_estimate", counted)
-    monkeypatch.setattr(sv, "_power_step_estimate", counted)
-    res = ch.homogenize(cell_d, SolveParams(seed=3), formulation="stress-uzawa")
-    assert calls == [3]
-    assert all(r.converged for r in res.per_column_reports)
-
-
 def test_homogenize_threads_identical(cell_d, homog_d):
     res = ch.homogenize(cell_d, threads=4)
     np.testing.assert_array_equal(res.CH, homog_d.CH)
