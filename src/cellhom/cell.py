@@ -109,8 +109,15 @@ class VoxelCell:
                 raise ValueError(f"phase {k} stiffness has non-finite entries")
             if not np.allclose(p, p.T, rtol=0.0, atol=1e-12 * max(1.0, scale)):
                 raise ValueError(f"phase {k} stiffness is not symmetric")
-            if not mandel.is_spd(p):
+            lo, hi = mandel.eigen_range(p)
+            if lo <= 0.0:
                 raise ValueError(f"phase {k} stiffness is not positive definite")
+            # the bound that mandel.invert applies: every phase and, being a
+            # convex combination of them, the mean stiffness stay invertible
+            if lo / hi < mandel.RCOND_LIMIT:
+                raise ValueError(
+                    f"phase {k} stiffness is too ill-conditioned to invert: eigenvalue "
+                    f"ratio {lo / hi:.3e} is below {mandel.RCOND_LIMIT:g}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "phase_of", phase_of)
         object.__setattr__(self, "phases", phases)

@@ -9,8 +9,9 @@ Artifacts written into the configured output directory:
 * ``convergence.csv``  per-solve iteration history: label, iteration,
                     residual, gap (gap only where the solver produces one)
 
-Exit codes: 0 converged and all checks passed, 1 I/O or configuration error,
-2 solver did not converge, 3 a verification check failed.
+Exit codes: 0 converged and all checks passed, 1 I/O, configuration or
+command-line error (an artifact that cannot be written included), 2 solver
+did not converge, 3 a verification check failed.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .homogenize import dual_consistency, homogenize
 from .solvers import (
     NotConverged,
     SolveParams,
-    StepTooLarge,
     solve_strain_driven,
     solve_strain_route,
     solve_stress_driven,
@@ -226,7 +226,7 @@ def run(config: RunConfig, threads: int = 1, quiet: bool = False) -> int:
                 check("hill_mandel", hm, hm <= hm_limit)
                 check("duality_gap_displacement", gap, gap <= gap_limit)
         code = 3 if failures else 0
-    except (NotConverged, StepTooLarge) as exc:
+    except NotConverged as exc:
         report["error"] = str(exc)
         solve_rows.append(("failed", exc.report))
         code = 2
@@ -236,7 +236,11 @@ def run(config: RunConfig, threads: int = 1, quiet: bool = False) -> int:
     if code != 2:
         report["checks_failed"] = failures
     report["wall_time_s"] = time.perf_counter() - t0
-    _write_artifacts(outdir, report, solve_rows, ch=ch_matrix)
+    try:
+        _write_artifacts(outdir, report, solve_rows, ch=ch_matrix)
+    except OSError as exc:
+        print(f"cellhom: {exc}", file=sys.stderr)
+        return 1
     if not quiet and code == 2:
         print(f"cellhom: not converged: {report['error']}", file=sys.stderr)
     elif not quiet:
@@ -258,7 +262,12 @@ def main(argv=None) -> int:
                         help="accepted for compatibility, must be at least 1, "
                              "recorded in report.json; has no effect")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code of a solve that did not
+        # converge; a malformed command line is an input error, so 1
+        return 1 if exc.code else 0
     try:
         config = load_config(args.config)
     except OSError as exc:

@@ -27,7 +27,9 @@ on first use by ``stencil_of(cell)`` and cached on the cell; the module
 functions below go through it. Its kernels are a gather of corner values by
 an index table, dense products with per-phase element matrices, and a
 scatter that sums each node's contributions in ``CORNERS`` order (see
-``Stencil``); the DFT inverses live on the ``rfftn`` half spectrum.
+``Stencil``); the DFT inverses live on the ``rfftn`` half spectrum. The
+core numbers the elements once, phase by phase; quadrature fields keep the
+voxel order above and are permuted at the core's boundary.
 """
 
 from __future__ import annotations
@@ -128,17 +130,6 @@ def corner_table(dims) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def scatter_table(conn: np.ndarray) -> np.ndarray:
-    """Index of every node's contributions in a flat ``(elements * 8, 3)``
-    array of corner forces whose element ``e`` has the nodes ``conn[e]``,
-    shape ``(8, n_nodes)``: entry ``[a, node]`` is ``8 * e + a`` for the
-    element ``e`` that has ``node`` at corner ``a``."""
-    table = np.empty(conn.shape[::-1], dtype=np.int64)
-    for a in range(8):
-        table[a, conn[:, a]] = 8 * np.arange(conn.shape[0]) + a
-    return table
-
-
 def gather_corners(values: np.ndarray, conn: np.ndarray, out=None) -> np.ndarray:
     """Collect the corner-node values of every voxel, shape ``(n_voxels, 8, 3)``,
     into ``out`` if given. ``conn`` is a valid table, so clipping changes
@@ -150,17 +141,15 @@ def gather_corners(values: np.ndarray, conn: np.ndarray, out=None) -> np.ndarray
 class PhaseBlock:
     """Element matrices of one phase, all for row-vector products ``x @ M``.
 
-    ``sel`` picks the phase's voxels (a slice when it fills the cell) and
-    ``rows`` its elements in the core's phase-sorted element order;
-    ``c_rows`` and ``d_rows`` apply the stiffness and compliance to Mandel
-    rows; ``k_rows`` is the element stiffness. The stress of a mean strain
+    ``rows`` are the phase's elements in the core's numbering (its voxels
+    ``order[rows]``); ``c_rows`` and ``d_rows`` apply the stiffness and
+    compliance to Mandel rows; ``k_rows`` is the element stiffness. The stress of a mean strain
     ``macro`` and corner displacements ``ue`` integrates over the phase to
     ``c_vol @ macro + g_mean @ sum(ue)`` (``c_vol`` is the stiffness times
     the phase volume), and ``macro @ g_rows`` is its element force (both
     ``g`` are ``w sum_q C B_q``, the second with ``C`` transposed).
     """
 
-    sel: object
     rows: slice
     c_vol: np.ndarray
     c_rows: np.ndarray
@@ -180,12 +169,12 @@ class Stencil:
     ``p``. Every stiffness application is therefore a gather of the corner
     displacements, one 24x24 product per phase, and a scatter.
 
-    Quadrature fields keep the voxel order (``conn``, ``inv_table``); the
-    stiffness kernels number the elements phase by phase (``conn_k``,
-    ``inv_k``), so each phase's product reads and writes one contiguous
-    block. The scatter adds the 8 contributions of a node in ``CORNERS``
-    order whatever the element numbering. A uniform per-element
-    field thus gives a bit-exactly uniform nodal field, and the zero-mean
+    Element ``i`` is voxel ``order[i]``, the voxels sorted stably by phase,
+    so each phase's product reads and writes one block; ``conn`` and ``inv``
+    are the corner and scatter tables of that numbering. Quadrature fields
+    keep the voxel order, permuted at the boundary. The scatter adds the 8
+    contributions of a node in ``CORNERS`` order, so a uniform per-element
+    field gives a bit-exactly uniform nodal field, and the zero-mean
     projection then cancels it exactly; summing in element order instead
     leaves rounding noise that costs extra PCG iterations on cells where
     the exact answer is a linear field (a homogeneous cell).
@@ -201,12 +190,14 @@ class Stencil:
         self.volume = cell.volume
         self.w = cell.voxel_volume / 8.0
         n = cell.n_voxels
-        self.conn = corner_table(self.dims)
-        self.inv_table = scatter_table(self.conn)
         flat = cell.phase_of.ravel()
-        by_phase = np.argsort(flat, kind="stable")
-        self.conn_k = self.conn[by_phase]
-        self.inv_k = scatter_table(self.conn_k)
+        self.order = np.argsort(flat, kind="stable")
+        self.conn = corner_table(self.dims)[self.order]
+        # inv[a, node] = 8 e + a, the flat corner-force row of the element e
+        # that has node at its corner a
+        self.inv = np.empty((8, n), dtype=np.int64)
+        for a in range(8):
+            self.inv[a, self.conn[:, a]] = 8 * np.arange(n) + a
         self.bmat = strain_tables(cell).transpose(1, 3, 0, 2).reshape(24, 48)
         self.bmat_t_w = self.w * self.bmat.T
         self.cmean = cell.mean_stiffness
@@ -216,16 +207,14 @@ class Stencil:
         bsum = self.w * self.bmat.reshape(24, 8, 6).sum(axis=1).T
         self.phases = []
         start = 0
-        for p, c in enumerate(cell.phases):
-            idx = np.flatnonzero(flat == p)
-            if idx.size:
+        for c, count in zip(cell.phases, np.bincount(flat, minlength=len(cell.phases)).tolist()):
+            if count:
                 self.phases.append(PhaseBlock(
-                    sel=slice(None) if idx.size == n else idx,
-                    rows=slice(start, start + idx.size), c_vol=8.0 * self.w * idx.size * c,
+                    rows=slice(start, start + count), c_vol=8.0 * self.w * count * c,
                     c_rows=np.ascontiguousarray(c.T),
                     d_rows=np.ascontiguousarray(mandel.invert(c).T),
                     k_rows=self.element_stiffness(c), g_mean=c @ bsum, g_rows=c.T @ bsum))
-                start += idx.size
+                start += count
         self._ref_pinv = None
         self._tls = threading.local()
 
@@ -242,40 +231,46 @@ class Stencil:
     # gather / scatter ------------------------------------------------------
 
     def corners(self, phi: np.ndarray) -> np.ndarray:
-        """Corner displacements of every element in voxel order, ``(n_voxels, 24)``."""
+        """Corner displacements of every element, ``(n_voxels, 24)``."""
         return gather_corners(phi, self.conn).reshape(-1, 24)
 
-    def scatter(self, fe: np.ndarray, table: np.ndarray | None = None, work=None) -> np.ndarray:
+    def scatter(self, fe: np.ndarray, work=None) -> np.ndarray:
         """Nodal sum of per-element corner forces ``(n_voxels, 24)``, in
-        ``CORNERS`` order per node; elements in voxel order or in the order
-        of ``table`` (a ``scatter_table``), gathered into ``work`` if given."""
-        table = self.inv_table if table is None else table
-        nodes = np.take(fe.reshape(-1, 3), table, axis=0, out=work, mode="clip")
+        ``CORNERS`` order per node, gathered into ``work`` if given."""
+        nodes = np.take(fe.reshape(-1, 3), self.inv, axis=0, out=work, mode="clip")
         return nodes.sum(axis=0).reshape(self.dims + (3,))
 
     def _work_arrays(self):
-        """The fused kernels' corner gather, element forces and scatter gather,
-        one set per thread, so a cell that a caller's threads share stays safe:
+        """The kernels' corner gather, element forces and scatter gather, plus
+        the first two as one ``(n_voxels, 48)`` array for quadrature rows; one
+        set per thread, so a cell that a caller's threads share stays safe:
         allocated per call, arrays this large are mapped and page-faulted afresh,
         costing more than the products."""
         if not hasattr(self._tls, "arrays"):
             n = self.conn.shape[0]
-            self._tls.arrays = (np.empty((n, 8, 3)), np.empty((n, 24)), np.empty((8, n, 3)))
+            block = np.empty((n, 48))
+            ue, fe = block.reshape(2, n, 24)
+            self._tls.arrays = (ue.reshape(n, 8, 3), fe, np.empty((8, n, 3)), block)
         return self._tls.arrays
 
     def _constitutive(self, f: np.ndarray, rows: str) -> np.ndarray:
         """Apply each phase's 6x6 matrix ``rows`` to its voxels of a
-        quadrature field."""
+        quadrature field, gathered into the work arrays."""
         f = f.reshape(-1, 48)
         out = np.empty(f.shape)
+        block = self._work_arrays()[3]
         for ph in self.phases:
-            out[ph.sel] = (f[ph.sel].reshape(-1, 6) @ getattr(ph, rows)).reshape(-1, 48)
+            sel = self.order[ph.rows]
+            f_ph = np.take(f, sel, axis=0, out=block[ph.rows], mode="clip")
+            out[sel] = (f_ph.reshape(-1, 6) @ getattr(ph, rows)).reshape(-1, 48)
         return out.reshape(self.dims + (8, 6))
 
     # field operations ------------------------------------------------------
 
     def strain_periodic(self, phi: np.ndarray) -> np.ndarray:
-        return (self.corners(phi) @ self.bmat).reshape(self.dims + (8, 6))
+        ue, by_voxel, _, _ = self._work_arrays()
+        by_voxel[self.order] = gather_corners(phi, self.conn, out=ue).reshape(-1, 24)
+        return (by_voxel @ self.bmat).reshape(self.dims + (8, 6))
 
     def strain(self, macro: np.ndarray, phi: np.ndarray) -> np.ndarray:
         e = self.strain_periodic(phi)
@@ -289,7 +284,9 @@ class Stencil:
         return self._constitutive(s, "d_rows")
 
     def divadj(self, s: np.ndarray) -> np.ndarray:
-        return self.scatter(s.reshape(-1, 48) @ self.bmat_t_w)
+        by_voxel, fe, nodes, _ = self._work_arrays()
+        by_voxel = np.matmul(s.reshape(-1, 48), self.bmat_t_w, out=by_voxel.reshape(-1, 24))
+        return self.scatter(np.take(by_voxel, self.order, axis=0, out=fe, mode="clip"), nodes)
 
     def project(self, phi: np.ndarray) -> np.ndarray:
         return phi - node_mean(phi)
@@ -314,11 +311,11 @@ class Stencil:
     # periodic-fluctuation operator ------------------------------------------
 
     def k_phi(self, phi: np.ndarray) -> np.ndarray:
-        ue, fe, nodes = self._work_arrays()
-        ue = gather_corners(phi, self.conn_k, out=ue).reshape(-1, 24)
+        ue, fe, nodes, _ = self._work_arrays()
+        ue = gather_corners(phi, self.conn, out=ue).reshape(-1, 24)
         for ph in self.phases:
             np.matmul(ue[ph.rows], ph.k_rows, out=fe[ph.rows])
-        return self.project(self.scatter(fe, self.inv_k, nodes))
+        return self.project(self.scatter(fe, nodes))
 
     def k_ref_phi(self, phi: np.ndarray) -> np.ndarray:
         return self.project(self.scatter(self.corners(phi) @ self.kref))
@@ -338,15 +335,15 @@ class Stencil:
         """Stiffness of ``(mean strain, fluctuation)``: the cell integral of
         the stress, and its nodal divergence functional."""
         macro, phi = self.unpack(x)
-        ue, fe, nodes = self._work_arrays()
-        ue = gather_corners(phi, self.conn_k, out=ue).reshape(-1, 24)
+        ue, fe, nodes, _ = self._work_arrays()
+        ue = gather_corners(phi, self.conn, out=ue).reshape(-1, 24)
         mean = np.zeros(6)
         for ph in self.phases:
             u, f = ue[ph.rows], fe[ph.rows]
             np.matmul(u, ph.k_rows, out=f)
             f += macro @ ph.g_rows
             mean += ph.c_vol @ macro + ph.g_mean @ u.sum(axis=0)
-        return self.pack(mean, self.project(self.scatter(fe, self.inv_k, nodes)))
+        return self.pack(mean, self.project(self.scatter(fe, nodes)))
 
     # constant-material inverses -----------------------------------------------
 

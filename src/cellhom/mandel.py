@@ -78,11 +78,11 @@ def iso_tensor(lam: float, mu: float) -> np.ndarray:
     return c
 
 
-def is_spd(t: np.ndarray, tol: float = 0.0) -> bool:
-    """True when the symmetrized 6x6 matrix has all eigenvalues > tol."""
+def eigen_range(t: np.ndarray) -> tuple:
+    """Smallest and largest eigenvalue of the symmetrized 6x6 matrix."""
     t = np.asarray(t, dtype=float)
     w = np.linalg.eigvalsh(0.5 * (t + t.T))
-    return bool(w[0] > tol)
+    return float(w[0]), float(w[-1])
 
 
 def invert(t: np.ndarray) -> np.ndarray:
@@ -95,10 +95,10 @@ def invert(t: np.ndarray) -> np.ndarray:
         matrix is not positive definite.
     """
     t = np.asarray(t, dtype=float)
-    w = np.linalg.eigvalsh(0.5 * (t + t.T))
-    if w[0] <= 0.0 or w[0] / w[-1] < RCOND_LIMIT:
+    lo, hi = eigen_range(t)
+    if lo <= 0.0 or lo / hi < RCOND_LIMIT:
         raise SingularTensor(
-            f"cannot invert tensor: eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}]"
+            f"cannot invert tensor: eigenvalue range [{lo:.3e}, {hi:.3e}]"
         )
     inv = np.linalg.inv(t)
     return 0.5 * (inv + inv.T)

@@ -116,12 +116,8 @@ class NotConverged(RuntimeError):
         self.report = report
 
 
-class StepTooLarge(RuntimeError):
+class StepTooLarge(NotConverged):
     """Uzawa gap grew for 10 consecutive fixed steps; carries the report."""
-
-    def __init__(self, message: str, report: SolveReport):
-        super().__init__(message)
-        self.report = report
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,9 @@ def test_voxel_parse_iso_and_order():
      "phase 0: .*'x'"),
     ("CELLVOX 1\n1 1 1 1\nFULL nan" + " 0" * 5 + " 1 0 0 0 0 1 0 0 0 1 0 0 1 0 1\n0",
      "phase 0 .*non-finite"),
+    # SPD, but beyond the conditioning that mandel.invert accepts
+    ("CELLVOX 1\n1 1 1 1\nFULL 1" + " 0" * 5 + " 1 0 0 0 0 1 0 0 0 1 0 0 1 0 1e-15\n0",
+     "phase 0 .*ill-conditioned"),
 ])
 def test_voxel_parse_errors(bad, match):
     with pytest.raises(ValueError, match=match):

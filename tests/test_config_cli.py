@@ -133,6 +133,38 @@ def test_run_uzawa_budget_exits_2_naming_the_budget(tmp_path):
     assert report["solves"][-1]["stop_reason"] == "budget"
 
 
+def test_run_step_too_large_exits_2(tmp_path):
+    vox = tmp_path / "cell.vox"
+    vox.write_text(voxel_text(random_two_phase_cell()), encoding="utf-8")
+    cfg = RunConfig(voxel_path=str(vox), task="solve", formulation="stress-uzawa",
+                    macro_kind="stress", macro_value=[1.0, 0, 0, 0, 0, 0],
+                    uzawa_step=50.0, output_dir=str(tmp_path / "out"))
+    assert run(cfg, quiet=True) == 2
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert "uzawa gap grew" in report["error"]
+    assert report["solves"][-1]["stop_reason"] == "step-too-large"
+
+
+def test_run_unwritable_artifact_exits_1_naming_it(tmp_path, capsys):
+    cfg = _write_inputs(tmp_path, homogeneous_cell(dims=(2, 2, 2)), "task = homogenize\n")
+    (tmp_path / "out" / "report.json").mkdir(parents=True)
+    assert main([str(cfg), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "report.json" in err and "Traceback" not in err
+
+
+def test_run_ill_conditioned_phase_exits_1_naming_it(tmp_path, capsys):
+    vox = tmp_path / "cell.vox"
+    vox.write_text("CELLVOX 1\n2 1 1 2\nISO 1 1\n"
+                   "FULL 1 0 0 0 0 0 1 0 0 0 0 1 0 0 0 1 0 0 1 0 1e-15\n0 1\n",
+                   encoding="utf-8")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"voxel_path = {vox}\noutput_dir = {tmp_path / 'out'}\n", encoding="utf-8")
+    assert main([str(cfg), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "phase 1" in err and "ill-conditioned" in err and "Traceback" not in err
+
+
 def test_run_verify_lists_arrows(tmp_path):
     cfg = _write_inputs(tmp_path, random_two_phase_cell(), "task = verify\n")
     code = main([str(cfg), "--quiet"])
@@ -230,7 +262,7 @@ def test_run_non_finite_modulus_is_input_error(tmp_path, capsys):
     assert "phase 0" in capsys.readouterr().err
 
 
-def test_main_config_errors(tmp_path):
+def test_main_config_errors(tmp_path, capsys):
     assert main([str(tmp_path / "missing.cfg")]) == 1
     bad = tmp_path / "bad.cfg"
     bad.write_text("voxel_path = a\ntol = -3\n", encoding="utf-8")
@@ -238,6 +270,17 @@ def test_main_config_errors(tmp_path):
     good = tmp_path / "good.cfg"
     good.write_text("voxel_path = a\n", encoding="utf-8")
     assert main([str(good), "--threads", "0"]) == 1
+    # usage errors exit 1 with argparse's message, not argparse's 2, which
+    # cellhom reserves for a solve that did not converge
+    capsys.readouterr()
+    for argv, needle in (([str(good), "--threads", "abc"], "invalid int value: 'abc'"),
+                         ([str(good), "--bogus"], "unrecognized arguments: --bogus"),
+                         ([], "the following arguments are required: config")):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert needle in err and "usage: cellhom" in err
+    assert main(["--help"]) == 0
+    assert "usage: cellhom" in capsys.readouterr().out
 
 
 def test_run_negative_seed_exits_1_naming_seed(tmp_path, capsys):

@@ -12,11 +12,13 @@ from cellhom.cell import Lattice, VoxelCell
 from cellhom.fem import (
     LinPerField,
     compatibility_residual,
+    corner_table,
     dual_norm_scale,
     node_mean,
     quad_inner,
     quad_norm,
     stencil_of,
+    strain_tables,
 )
 from cellhom.microstructures import (
     homogeneous_cell,
@@ -288,12 +290,35 @@ def test_uniform_element_field_scatters_to_exactly_uniform_nodes(kernel_cell):
     st = stencil_of(kernel_cell)
     rng = np.random.default_rng(23)
     fe = np.broadcast_to(rng.standard_normal(24), (kernel_cell.n_voxels, 24))
-    for table in (st.inv_table, st.inv_k):
-        nodal = st.scatter(fe, table)
-        np.testing.assert_array_equal(nodal, np.broadcast_to(nodal[0, 0, 0], nodal.shape))
+    nodal = st.scatter(fe)
+    np.testing.assert_array_equal(nodal, np.broadcast_to(nodal[0, 0, 0], nodal.shape))
+    # through the permutation from voxel order to the core's numbering
     s = np.broadcast_to(rng.standard_normal(6), kernel_cell.dims + (8, 6))
     nodal = st.divadj(s)
     np.testing.assert_array_equal(nodal, np.broadcast_to(nodal[0, 0, 0], nodal.shape))
+
+
+def test_quadrature_ops_match_voxel_order_reference(kernel_cell):
+    # the core numbers its elements phase by phase; quadrature fields keep
+    # the voxel order, checked here against products built voxel by voxel
+    st = stencil_of(kernel_cell)
+    n = kernel_cell.n_voxels
+    conn = corner_table(kernel_cell.dims)
+    b = strain_tables(kernel_cell)
+    c = np.stack(kernel_cell.phases)[kernel_cell.phase_of].reshape(n, 6, 6)
+    rng = np.random.default_rng(27)
+    phi = rng.standard_normal(kernel_cell.dims + (3,))
+    s = rng.standard_normal(kernel_cell.dims + (8, 6))
+    sv = s.reshape(n, 8, 6)
+
+    e_ref = np.einsum("qaij,naj->nqi", b, phi.reshape(-1, 3)[conn])
+    assert _rel(st.strain_periodic(phi), e_ref.reshape(s.shape)) <= 1e-14
+    f_ref = np.zeros((n, 3))
+    np.add.at(f_ref, conn, st.w * np.einsum("qaij,nqi->naj", b, sv))
+    assert _rel(st.divadj(s), f_ref.reshape(phi.shape)) <= 1e-14
+    assert _rel(st.stress(s), np.einsum("nij,nqj->nqi", c, sv).reshape(s.shape)) <= 1e-14
+    d = np.linalg.inv(c)
+    assert _rel(st.compliance_stress(s), np.einsum("nij,nqj->nqi", d, sv).reshape(s.shape)) <= 1e-14
 
 
 def test_ref_solve_inverts_reference_operator_on_zero_mean_fields(kernel_cell):
@@ -337,16 +362,22 @@ def test_fused_kernels_allocate_no_element_array():
 
 
 def test_fused_kernels_give_serial_results_on_shared_core():
-    # every thread applies the kernels in its own work arrays
+    # every thread applies the kernels, and permutes quadrature fields, in
+    # its own work arrays
     cell = random_two_phase_cell((8, 8, 8))
     st = stencil_of(cell)
     rng = np.random.default_rng(26)
     xs = [st.pack(rng.standard_normal(6), rng.standard_normal(cell.dims + (3,)))
           for _ in range(6)]
-    expect = [(st.k_ext(x), st.k_phi(st.unpack(x)[1])) for x in xs]
+
+    def once(x):
+        phi = st.unpack(x)[1]
+        return st.k_ext(x), st.k_phi(phi), st.divadj(st.stress(st.strain_periodic(phi)))
+
+    expect = [once(x) for x in xs]
 
     def apply(x):
-        return [(st.k_ext(x), st.k_phi(st.unpack(x)[1])) for _ in range(10)]
+        return [once(x) for _ in range(10)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -355,7 +386,7 @@ def test_fused_kernels_give_serial_results_on_shared_core():
             got = list(pool.map(apply, xs, timeout=120))
     finally:
         sys.setswitchinterval(interval)
-    for pair, runs in zip(expect, got):
+    for want, runs in zip(expect, got):
         for run in runs:
-            np.testing.assert_array_equal(run[0], pair[0])
-            np.testing.assert_array_equal(run[1], pair[1])
+            for a, b in zip(run, want):
+                np.testing.assert_array_equal(a, b)

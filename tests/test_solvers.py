@@ -289,6 +289,7 @@ def test_uzawa_step_too_large(cell_d):
     with pytest.raises(StepTooLarge) as err:
         ch.solve_stress_uzawa(cell_d, s, SolveParams(uzawa_step=50.0))
     assert err.value.report.gap_history
+    assert isinstance(err.value, NotConverged)
 
 
 def test_uzawa_fixed_step_converges(cell_d, probe_solution_d):
