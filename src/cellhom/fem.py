@@ -27,7 +27,8 @@ on first use by ``stencil_of(cell)`` and cached on the cell; the module
 functions below go through it. Its kernels are a gather of corner values by
 an index table, dense products with per-phase element matrices, and a
 scatter that sums each node's contributions in ``CORNERS`` order (see
-``Stencil``); the DFT inverses live on the ``rfftn`` half spectrum. The
+``Stencil``); the DFT inverses live on the ``rfftn`` half spectrum, and on
+small grids the reference inverse is also one dense matrix. The
 core numbers the elements once, phase by phase; quadrature fields keep the
 voxel order above and are permuted at the core's boundary.
 """
@@ -52,6 +53,13 @@ CORNERS = tuple(itertools.product((0, 1), repeat=3))
 _GAUSS_1D = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
 #: Gauss points on the reference unit cube, fixed ordering
 GAUSS_POINTS = tuple(itertools.product(_GAUSS_1D, repeat=3))
+
+#: nodal systems of at most this many unknowns (3 per node) apply the
+#: reference inverse as one dense matrix: on a few voxels the fixed cost of
+#: an ``rfftn``/``irfftn`` pair (about 170 us) exceeds the dense product,
+#: which costs 13 us at 180 and 34 us at 384 unknowns, 176 us against the
+#: pair's 206 at 648, and 4x the pair at 1536 (2 vCPU, one BLAS thread)
+DENSE_REF_MAX_DOF = 512
 
 
 @dataclass
@@ -203,7 +211,6 @@ class Stencil:
         self.cmean = cell.mean_stiffness
         self.cmean_rows = np.ascontiguousarray(self.cmean.T)
         self.cmean_inv = mandel.invert(self.cmean)
-        self.kref = self.element_stiffness(self.cmean)
         bsum = self.w * self.bmat.reshape(24, 8, 6).sum(axis=1).T
         self.phases = []
         start = 0
@@ -317,9 +324,6 @@ class Stencil:
             np.matmul(ue[ph.rows], ph.k_rows, out=fe[ph.rows])
         return self.project(self.scatter(fe, nodes))
 
-    def k_ref_phi(self, phi: np.ndarray) -> np.ndarray:
-        return self.project(self.scatter(self.corners(phi) @ self.kref))
-
     # extended operator on (mean strain, fluctuation) -------------------------
 
     def unpack(self, x: np.ndarray):
@@ -399,7 +403,29 @@ class Stencil:
         z = np.fft.irfftn(zhat, s=self.dims, axes=(1, 2, 3))
         return np.ascontiguousarray(np.moveaxis(z, 0, 3))
 
+    @cached_property
+    def ref_dense(self) -> np.ndarray:
+        """``ref_pinv`` as one dense ``(3N, 3N)`` matrix over the N nodes.
+
+        The inverse is block-circulant: one inverse transform of the blocks
+        gives the 3x3 block ``G(d)`` of every node offset ``d``, and block
+        ``(i, j)`` is ``G((i - j) mod dims)``, placed by an offset table.
+        """
+        g = np.fft.irfftn(self.ref_pinv, s=self.dims, axes=(2, 3, 4)).reshape(9, -1)
+        blocks = np.ascontiguousarray(g.T).reshape(-1, 3, 3)
+        # off[i, j] is the flat index of (i - j) mod dims, built axis by axis
+        # in C order: from the table of the leading axes and that of the next
+        off = np.zeros((1, 1), dtype=np.intp)
+        for n in self.dims:
+            d = (np.arange(n)[:, None] - np.arange(n)) % n
+            off = (off[:, None, :, None] * n + d[:, None, :]).reshape(len(off) * n, -1)
+        return np.take(blocks, off, axis=0).transpose(0, 2, 1, 3).reshape(3 * len(off), -1)
+
     def ref_solve(self, r: np.ndarray) -> np.ndarray:
+        """Apply the reference inverse: by the dense matrix on grids of at
+        most ``DENSE_REF_MAX_DOF`` unknowns, else by DFT blocks."""
+        if r.size <= DENSE_REF_MAX_DOF:
+            return (self.ref_dense @ r.reshape(-1)).reshape(r.shape)
         return self.block_solve(self.ref_pinv, r)
 
     def precond_ext(self, x: np.ndarray) -> np.ndarray:
@@ -413,7 +439,8 @@ def stencil_of(cell: VoxelCell) -> Stencil:
     Cells are immutable, so the core never goes stale. The package starts no
     threads; a caller that shares a cell between its own threads fetches the
     core, and the inverse it will use, before starting them, as neither
-    build is locked.
+    build is locked: ``ref_pinv``, and on grids of at most
+    ``DENSE_REF_MAX_DOF`` unknowns also ``ref_dense``.
     """
     st = vars(cell).get("_stencil")
     if st is None:

@@ -38,7 +38,8 @@ class HomogResult:
     energy product of columns ``i`` and ``j`` against the symmetrized entry:
     ``x`` is the packed ``(mean strain, fluctuation)`` solution and ``Kx``
     its ``Stencil.k_ext``, or for stress-uzawa the strain ``D sigma`` and the
-    weighted stress ``w sigma``. It quantifies the agreement of the
+    weighted stress ``w sigma`` (a column keeps only sigma, and the check
+    forms each ``D sigma`` once more). It quantifies the agreement of the
     averaged-stress and energy definitions of the homogenized tensor.
     """
 
@@ -75,18 +76,19 @@ def homogenize(cell: VoxelCell, params: SolveParams | None = None,
     params = _column_tol(cell, params or SolveParams())
     st = stencil_of(cell)
 
-    columns = []  # (column, x, Kx, report) per basis load; see HomogResult
+    cols, kept, reports = [], [], []  # kept: sigma, or (x, Kx); see HomogResult
     for load in MANDEL_BASIS:
         if formulation == "stress-uzawa":
             sig, _, rep = solve_stress_uzawa(cell, load, params)
-            e = st.compliance_stress(sig)
-            columns.append((cell_average(cell, e), e.ravel(), (st.w * sig).ravel(), rep))
+            cols.append(cell_average(cell, st.compliance_stress(sig)))
+            kept.append(sig)
         else:
             u, rep = solve_strain_driven(cell, load, params)
             x = st.pack(u.macro, u.periodic)
             kx = st.k_ext(x)
-            columns.append((kx[:6] / cell.volume, x, kx, rep))
-    cols, xs, kxs, reports = zip(*columns)
+            cols.append(kx[:6] / cell.volume)
+            kept.append((x, kx))
+        reports.append(rep)
     raw = np.column_stack(cols)
 
     norm = np.linalg.norm(raw)
@@ -98,12 +100,16 @@ def homogenize(cell: VoxelCell, params: SolveParams | None = None,
 
     if formulation == "stress-uzawa":
         ch = mandel.invert(sym)
+        # one strain D sigma_j at a time, against every weighted stress w sigma_i
+        products = np.empty((6, 6))
+        for j, sig_j in enumerate(kept):
+            e_j = st.compliance_stress(sig_j).ravel()
+            products[:, j] = [e_j @ (st.w * sig_i).ravel() for sig_i in kept]
     else:
         ch = sym
-    dh = mandel.invert(ch)
-
-    energy_check = np.abs(np.array([[xj @ kxi for xj in xs] for kxi in kxs]) / cell.volume - sym)
-    return HomogResult(CH=ch, DH=dh, per_column_reports=list(reports),
+        products = np.array([[xj @ kxi for xj, _ in kept] for _, kxi in kept])
+    energy_check = np.abs(products / cell.volume - sym)
+    return HomogResult(CH=ch, DH=mandel.invert(ch), per_column_reports=reports,
                        energy_check=energy_check)
 
 

@@ -24,10 +24,13 @@ volume-averaged stiffness; being block-circulant on the periodic grid it is
 inverted exactly by DFT diagonalization: 3x3 Hermitian blocks per frequency
 on the half spectrum of the real FFT, inverted once by a batched 3x3
 inverse, the zero frequency annihilated, which also enforces the zero-mean
-constraint. The operators the solvers iterate on (``Stencil.k_phi``,
-``Stencil.k_ext``) are fused: per phase, one product of the gathered corner
-displacements with the 24x24 element stiffness, plus the 6x24 mean-strain
-coupling for the stress-driven route.
+constraint. On grids of at most ``fem.DENSE_REF_MAX_DOF`` unknowns the same
+inverse is applied as one dense matrix, built once from those blocks,
+because there a transform pair costs more than the dense product. The
+operators the solvers iterate on (``Stencil.k_phi``, ``Stencil.k_ext``) are
+fused: per phase, one product of the gathered corner displacements with the
+24x24 element stiffness, plus the 6x24 mean-strain coupling for the
+stress-driven route.
 The same DFT block inverse, built for the unit material, gives the
 compatibility residual of ``fem`` by one exact solve. All operators come
 from the cell's one cached core, ``fem.stencil_of(cell)``; ``Stencil`` is

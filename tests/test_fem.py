@@ -10,6 +10,7 @@ import pytest
 import cellhom as ch
 from cellhom.cell import Lattice, VoxelCell
 from cellhom.fem import (
+    DENSE_REF_MAX_DOF,
     LinPerField,
     compatibility_residual,
     corner_table,
@@ -220,7 +221,7 @@ def test_discrete_coercivity_on_zero_mean_fields():
     for _ in range(30):
         y = st.ref_solve(x)  # exact inverse of the constant-material operator
         x = y / np.linalg.norm(y)
-    ritz = float(np.sum(x * st.k_ref_phi(x)))
+    ritz = float(np.sum(x * _k_ref(st, x)))
     assert ritz > 1e-3
 
 
@@ -261,6 +262,11 @@ def _rel(a, b):
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
 
+def _k_ref(st, phi):
+    """The reference operator, assembled here from its element stiffness."""
+    return st.project(st.scatter(st.corners(phi) @ st.element_stiffness(st.cmean)))
+
+
 def test_fused_stiffness_matches_composed_operators(kernel_cell):
     st = stencil_of(kernel_cell)
     rng = np.random.default_rng(22)
@@ -278,7 +284,7 @@ def test_fused_stiffness_matches_composed_operators(kernel_cell):
 def test_element_stiffness_symmetric_with_rigid_null_space(kernel_cell):
     st = stencil_of(kernel_cell)
     assert len(st.phases) == len(kernel_cell.phases)
-    for k in [ph.k_rows for ph in st.phases] + [st.kref]:
+    for k in [ph.k_rows for ph in st.phases] + [st.element_stiffness(st.cmean)]:
         assert np.abs(k - k.T).max() <= 1e-14 * np.abs(k).max()
         lam = np.linalg.eigvalsh(0.5 * (k + k.T))
         # 3 translations + 3 infinitesimal rotations, nothing else
@@ -321,16 +327,43 @@ def test_quadrature_ops_match_voxel_order_reference(kernel_cell):
     assert _rel(st.compliance_stress(s), np.einsum("nij,nqj->nqi", d, sv).reshape(s.shape)) <= 1e-14
 
 
-def test_ref_solve_inverts_reference_operator_on_zero_mean_fields(kernel_cell):
-    st = stencil_of(kernel_cell)
+#: the 8^3 cell is above ``DENSE_REF_MAX_DOF``, the others below it, one of
+#: them with a one-voxel axis
+REF_SOLVE_CELLS = {**KERNEL_CELLS,
+                   "two-phase-5x3x1": lambda: random_two_phase_cell(dims=(5, 3, 1), seed=6),
+                   "two-phase-8x8x8": lambda: random_two_phase_cell(dims=(8, 8, 8), seed=5)}
+
+
+@pytest.mark.parametrize("name", sorted(REF_SOLVE_CELLS))
+def test_ref_solve_inverts_reference_operator_on_zero_mean_fields(name):
+    cell = REF_SOLVE_CELLS[name]()
+    st = stencil_of(cell)
     rng = np.random.default_rng(24)
-    phi = st.project(rng.standard_normal(kernel_cell.dims + (3,)))
-    assert _rel(st.ref_solve(st.k_ref_phi(phi)), phi) <= 1e-12
-    r = st.project(rng.standard_normal(kernel_cell.dims + (3,)))
-    assert _rel(st.k_ref_phi(st.ref_solve(r)), r) <= 1e-12
+    phi = st.project(rng.standard_normal(cell.dims + (3,)))
+    assert _rel(st.ref_solve(_k_ref(st, phi)), phi) <= 1e-12
+    r = st.project(rng.standard_normal(cell.dims + (3,)))
+    assert _rel(_k_ref(st, st.ref_solve(r)), r) <= 1e-12
     # the constant nullspace is annihilated, not amplified
-    const = np.broadcast_to(np.array([1.0, -2.0, 0.5]), kernel_cell.dims + (3,))
+    const = np.broadcast_to(np.array([1.0, -2.0, 0.5]), cell.dims + (3,))
     assert np.abs(st.ref_solve(const)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("name", sorted(REF_SOLVE_CELLS))
+def test_dense_and_dft_reference_inverses_agree(name):
+    # below the cap ref_solve applies the dense matrix, above it the DFT
+    # blocks (and builds no matrix); the two inverses agree on either side
+    cell = REF_SOLVE_CELLS[name]()
+    st = stencil_of(cell)
+    rng = np.random.default_rng(28)
+    r = rng.standard_normal(cell.dims + (3,))
+    by_blocks = st.block_solve(st.ref_pinv, r)
+    assert _rel(st.ref_solve(r), by_blocks) <= 1e-14
+    assert ("ref_dense" in vars(st)) == (3 * cell.n_voxels <= DENSE_REF_MAX_DOF)
+    dense = st.ref_dense @ r.reshape(-1)
+    assert _rel(dense.reshape(r.shape), by_blocks) <= 1e-14
+    const = np.broadcast_to(np.array([1.0, -2.0, 0.5]), cell.dims + (3,))
+    assert np.abs(st.ref_dense @ const.reshape(-1)).max() <= 1e-13
+    assert np.abs(st.block_solve(st.ref_pinv, const)).max() <= 1e-13
 
 
 def test_fused_kernels_allocate_no_element_array():

@@ -2,10 +2,16 @@ import numpy as np
 import pytest
 
 import cellhom as ch
+from cellhom import fem
 from cellhom.cell import Lattice, VoxelCell
 from cellhom.fem import LinPerField, stencil_of
 from cellhom.homogenize import MANDEL_BASIS
-from cellhom.microstructures import homogeneous_cell, random_spd_tensor, random_two_phase_cell
+from cellhom.microstructures import (
+    homogeneous_cell,
+    laminate_cell,
+    random_spd_tensor,
+    random_two_phase_cell,
+)
 from cellhom.solvers import NotConverged, SolveParams
 from test_fem import _three_phase_sheared_cell
 
@@ -155,6 +161,31 @@ def test_homogenize_rejects_asymmetric_assembly(cell_d, monkeypatch):
     monkeypatch.setattr(hz, "solve_strain_driven", crooked)
     with pytest.raises(ch.AsymmetricResult):
         ch.homogenize(cell_d)
+
+
+def _sheared_sweep_cell():
+    # anisotropic two-phase cell on a sheared lattice, like the small cells
+    # of the benchmark sweep
+    rng = np.random.default_rng(43)
+    lat = Lattice(np.array([0.9, 0.0, 0.0]), np.array([0.25, 1.1, 0.0]),
+                  np.array([-0.3, 0.15, 1.2]))
+    phases = [random_spd_tensor(rng, scale=s) for s in (1.0, 3.5)]
+    return VoxelCell((5, 3, 6), rng.integers(0, 2, size=(5, 3, 6)), phases, lat)
+
+
+@pytest.mark.parametrize("make", [laminate_cell, _sheared_sweep_cell],
+                         ids=["fixture-b", "sheared-sweep-5x3x6"])
+def test_dense_reference_inverse_matches_dft_solves(make, monkeypatch):
+    # both cells fall below fem.DENSE_REF_MAX_DOF; a cap of 0 sends every
+    # reference solve through the DFT blocks instead
+    cell = make()
+    assert 3 * cell.n_voxels <= fem.DENSE_REF_MAX_DOF
+    dense = ch.homogenize(cell)
+    monkeypatch.setattr(fem, "DENSE_REF_MAX_DOF", 0)
+    dft = ch.homogenize(make())
+    assert ([r.iterations for r in dense.per_column_reports]
+            == [r.iterations for r in dft.per_column_reports])
+    assert np.linalg.norm(dense.CH - dft.CH) <= 1e-12 * np.linalg.norm(dft.CH)
 
 
 def test_homogenize_rejects_unknown_formulation(cell_d):
