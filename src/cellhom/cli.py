@@ -61,6 +61,8 @@ def _report_of(label: str, rep) -> dict:
         "iterations": rep.iterations,
         "converged": rep.converged,
         "stop_reason": rep.stop_reason,
+        "operator_applications": rep.operator_applications,
+        "preconditioner_applications": rep.preconditioner_applications,
         "final_residual": rep.residual_history[-1],
         "final_energy": rep.final_energy,
     }

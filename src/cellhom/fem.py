@@ -27,10 +27,13 @@ on first use by ``stencil_of(cell)`` and cached on the cell; the module
 functions below go through it. Its kernels are a gather of corner values by
 an index table, dense products with per-phase element matrices, and a
 scatter that sums each node's contributions in ``CORNERS`` order (see
-``Stencil``); the DFT inverses live on the ``rfftn`` half spectrum, and on
-small grids the reference inverse is also one dense matrix. The
-core numbers the elements once, phase by phase; quadrature fields keep the
-voxel order above and are permuted at the core's boundary.
+``Stencil``). The DFT inverses live on the ``rfftn`` half spectrum, and the
+grid size picks how the reference inverse is applied: as one dense matrix
+on the smallest grids (``DENSE_REF_MAX_DOF``), by products with per-axis
+DFT matrices up to ``DFT_MATRIX_MAX_SIDE`` voxels a side, and by
+``rfftn``/``irfftn`` beyond. The core numbers the elements once, phase by
+phase; quadrature fields keep the voxel order above and are permuted at the
+core's boundary.
 """
 
 from __future__ import annotations
@@ -55,11 +58,19 @@ _GAUSS_1D = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
 GAUSS_POINTS = tuple(itertools.product(_GAUSS_1D, repeat=3))
 
 #: nodal systems of at most this many unknowns (3 per node) apply the
-#: reference inverse as one dense matrix: on a few voxels the fixed cost of
-#: an ``rfftn``/``irfftn`` pair (about 170 us) exceeds the dense product,
-#: which costs 13 us at 180 and 34 us at 384 unknowns, 176 us against the
-#: pair's 206 at 648, and 4x the pair at 1536 (2 vCPU, one BLAS thread)
-DENSE_REF_MAX_DOF = 512
+#: reference inverse as one dense matrix, which there beats the DFT-matrix
+#: transforms: 10 against 58 us at 180 unknowns, 38-44 against 40-66 us at
+#: 450, but 52-63 against 42-52 us at 480 and 157 against 47 us at 648
+#: (2 vCPU, one BLAS thread)
+DENSE_REF_MAX_DOF = 450
+
+#: grids whose longest side is at most this apply the DFT block inverses by
+#: products with per-axis DFT matrices, longer ones by ``rfftn``/``irfftn``:
+#: one ``block_solve`` took 76 against 191 us at 6^3, 442 against 557 us at
+#: 16^3 and 17.3 against 21.6 ms at 48^3, but 49.1 against 40.2 ms at 64^3
+#: (2 vCPU, one BLAS thread); from 50 to 60 a side the matrices led by 5-11%,
+#: within this host's drift
+DFT_MATRIX_MAX_SIDE = 48
 
 
 @dataclass
@@ -145,6 +156,34 @@ def gather_corners(values: np.ndarray, conn: np.ndarray, out=None) -> np.ndarray
     return np.take(values.reshape(-1, 3), conn, axis=0, out=out, mode="clip")
 
 
+def dft_matrices(dims) -> tuple:
+    """Per-axis DFT matrices of the ``rfftn``/``irfftn`` pair over ``dims``.
+
+    Returns ``(fwd, f2, f1, f2_inv, f1_inv, inv)``. ``f1`` and ``f2`` are the
+    complex DFT matrices of the first two axes and ``f*_inv`` their inverses,
+    ``conj(f) / n``. On the last axis ``x @ fwd`` is the half spectrum as
+    interleaved (real, imaginary) pairs, the columns ``cos`` and ``-sin`` of
+    each frequency, and ``zr @ inv`` is its real inverse: rows ``w cos / n``
+    and ``-w sin / n``, with ``w`` 1 at the zero and Nyquist terms (whose
+    imaginary parts it drops, as ``irfft`` does) and 2 elsewhere. Angles are
+    reduced modulo the period before the trigonometric functions.
+    """
+    def full(n):
+        k = np.arange(n)
+        return np.exp(-2j * np.pi * (np.outer(k, k) % n) / n)
+
+    n3 = dims[2]
+    k = np.arange(n3 // 2 + 1)
+    ang = 2.0 * np.pi * (np.outer(np.arange(n3), k) % n3) / n3
+    cos, sin = np.cos(ang), np.sin(ang)
+    sin[:, 2 * k == n3] = 0.0  # the Nyquist term, exact as the zero term is
+    w = np.where((k == 0) | (2 * k == n3), 1.0, 2.0) / n3
+    fwd = np.stack([cos, -sin], axis=2).reshape(n3, -1)
+    inv = np.stack([w * cos, -w * sin], axis=1).T.reshape(-1, n3)
+    f2, f1 = full(dims[1]), full(dims[0])
+    return fwd, f2, f1, np.conj(f2) / dims[1], np.conj(f1) / dims[0], inv
+
+
 @dataclass(frozen=True)
 class PhaseBlock:
     """Element matrices of one phase, all for row-vector products ``x @ M``.
@@ -223,6 +262,7 @@ class Stencil:
                     k_rows=self.element_stiffness(c), g_mean=c @ bsum, g_rows=c.T @ bsum))
                 start += count
         self._ref_pinv = None
+        self._dft = dft_matrices(self.dims) if max(self.dims) <= DFT_MATRIX_MAX_SIDE else None
         self._tls = threading.local()
 
     @property
@@ -392,16 +432,33 @@ class Stencil:
     def block_solve(self, pinv: np.ndarray, r: np.ndarray) -> np.ndarray:
         """Apply the half-spectrum inverse blocks ``pinv`` to a nodal field.
 
-        The transforms run on the component-first copy of ``r``, where each
-        component is one contiguous grid: about twice as fast as transforming
-        the three interleaved components in place.
+        On grids of at most ``DFT_MATRIX_MAX_SIDE`` voxels a side the
+        transforms are products with per-axis DFT matrices (``dft_matrices``),
+        and the last-axis products read and write the component-last nodal
+        layout directly; on a few voxels ``rfftn`` spends far more on its
+        per-line overhead than the products cost. Longer grids transform by
+        ``rfftn``/``irfftn`` the component-first copy of ``r``, where each
+        component is one contiguous grid.
         """
-        rhat = np.fft.rfftn(np.ascontiguousarray(np.moveaxis(r, 3, 0)), axes=(1, 2, 3))
+        n1, n2, n3 = self.dims
+        if self._dft is None:
+            rhat = np.fft.rfftn(np.ascontiguousarray(np.moveaxis(r, 3, 0)), axes=(1, 2, 3))
+        else:
+            fwd, f2, f1, f2_inv, f1_inv, inv = self._dft
+            rhat = np.matmul(r.reshape(n1 * n2, n3, 3).transpose(2, 0, 1), fwd)
+            rhat = f2 @ rhat.view(complex).reshape(3, n1, n2, -1)
+            rhat = (f1 @ rhat.reshape(3, n1, -1)).reshape(rhat.shape)
         zhat = pinv[:, 0] * rhat[0]
         zhat += pinv[:, 1] * rhat[1]
         zhat += pinv[:, 2] * rhat[2]
-        z = np.fft.irfftn(zhat, s=self.dims, axes=(1, 2, 3))
-        return np.ascontiguousarray(np.moveaxis(z, 0, 3))
+        if self._dft is None:
+            z = np.fft.irfftn(zhat, s=self.dims, axes=(1, 2, 3))
+            return np.ascontiguousarray(np.moveaxis(z, 0, 3))
+        zhat = f2_inv @ (f1_inv @ zhat.reshape(3, n1, -1)).reshape(zhat.shape)
+        z = np.empty(r.shape)
+        np.matmul(zhat.reshape(3, n1 * n2, -1).view(float), inv,
+                  out=z.reshape(n1 * n2, n3, 3).transpose(2, 0, 1))
+        return z
 
     @cached_property
     def ref_dense(self) -> np.ndarray:
@@ -438,9 +495,11 @@ def stencil_of(cell: VoxelCell) -> Stencil:
 
     Cells are immutable, so the core never goes stale. The package starts no
     threads; a caller that shares a cell between its own threads fetches the
-    core, and the inverse it will use, before starting them, as neither
-    build is locked: ``ref_pinv``, and on grids of at most
-    ``DENSE_REF_MAX_DOF`` unknowns also ``ref_dense``.
+    core, and the inverse it will use, before starting them, as none of the
+    lazy builds is locked: ``ref_pinv`` and ``unit_pinv``, and on grids of at
+    most ``DENSE_REF_MAX_DOF`` unknowns also ``ref_dense``. The DFT matrices
+    of grids of at most ``DFT_MATRIX_MAX_SIDE`` voxels a side are built with
+    the core.
     """
     st = vars(cell).get("_stencil")
     if st is None:
@@ -474,8 +533,10 @@ def quad_norm(cell: VoxelCell, f: np.ndarray) -> float:
 
 
 def node_mean(values: np.ndarray) -> np.ndarray:
-    """Mean nodal value per component."""
-    return values.mean(axis=(0, 1, 2))
+    """Mean nodal value per component, as one BLAS product: at 16^3 it takes
+    9 us where ``mean(axis=(0, 1, 2))`` took 92 (8 against 21 us at 8^3)."""
+    flat = values.reshape(-1, 3)
+    return np.ones(len(flat)) @ flat / len(flat)
 
 
 def node_centroid(cell: VoxelCell) -> np.ndarray:

@@ -26,11 +26,14 @@ on the half spectrum of the real FFT, inverted once by a batched 3x3
 inverse, the zero frequency annihilated, which also enforces the zero-mean
 constraint. On grids of at most ``fem.DENSE_REF_MAX_DOF`` unknowns the same
 inverse is applied as one dense matrix, built once from those blocks,
-because there a transform pair costs more than the dense product. The
-operators the solvers iterate on (``Stencil.k_phi``, ``Stencil.k_ext``) are
-fused: per phase, one product of the gathered corner displacements with the
-24x24 element stiffness, plus the 6x24 mean-strain coupling for the
-stress-driven route.
+because there a transform pair costs more than the dense product. Up to
+``fem.DFT_MATRIX_MAX_SIDE`` voxels a side the transforms are products with
+per-axis DFT matrices, cheaper there than ``rfftn``/``irfftn``, which take
+the longer grids. The operators the solvers iterate on (``Stencil.k_phi``,
+``Stencil.k_ext``) are fused: per phase, one product of the gathered corner
+displacements with the 24x24 element stiffness, plus the 6x24 mean-strain
+coupling for the stress-driven route. Each ``SolveReport`` counts the
+applications of both.
 The same DFT block inverse, built for the unit material, gives the
 compatibility residual of ``fem`` by one exact solve. All operators come
 from the cell's one cached core, ``fem.stencil_of(cell)``; ``Stencil`` is
@@ -100,7 +103,10 @@ class SolveReport:
     """Per-solve record; ``stop_reason`` says why the iteration ended:
     ``converged``, ``budget`` (``max_iter`` spent), ``breakdown`` (PCG met a
     non-positive curvature or preconditioned residual product) or
-    ``step-too-large`` (the gap of a fixed-step Uzawa solve kept growing)."""
+    ``step-too-large`` (the gap of a fixed-step Uzawa solve kept growing).
+    ``operator_applications`` counts the solve's ``k_phi``/``k_ext`` calls
+    and ``preconditioner_applications`` its ``ref_solve``/``precond_ext``
+    calls, set-up and final correction included; all counts are ``int``."""
 
     iterations: int
     residual_history: list
@@ -109,6 +115,8 @@ class SolveReport:
     gap_history: list = field(default_factory=list)
     energy_history: list = field(default_factory=list)
     stop_reason: str = "converged"
+    operator_applications: int = 0
+    preconditioner_applications: int = 0
 
 
 class NotConverged(RuntimeError):
@@ -151,20 +159,24 @@ def _pcg(op, m_inv, b, tol, max_iter, energy_offset=0.0, hook=None):
     history = [1.0]
     energies = [energy_offset]
     p = None
-    it = 0
+    it = n_op = n_prec = 0
     stop_reason = "budget"
     while True:
-        # the residual test needs no z, so a converged solve spends no m_inv
-        # on it; "not >" stops on a NaN residual too, unconverged
-        z = None if hook is None else m_inv(r)
-        stop = (not history[-1] > tol) if hook is None else bool(hook(x, r, z, energies[-1]))
+        if hook is None:
+            # the residual test needs no z, so a converged solve spends no
+            # m_inv on it; "not >" stops on a NaN residual too, unconverged
+            z, stop = None, not history[-1] > tol
+        else:
+            z, n_prec = m_inv(r), n_prec + 1
+            stop = bool(hook(x, r, z, energies[-1]))
         if stop or it >= max_iter:
             break
-        z = m_inv(r) if z is None else z
+        if z is None:
+            z, n_prec = m_inv(r), n_prec + 1
         rz_new = float(np.vdot(r, z))
         p = z if p is None else z + (rz_new / rz) * p
         rz = rz_new
-        kp = op(p)
+        kp, n_op = op(p), n_op + 1
         pkp = float(np.vdot(p, kp))
         if pkp <= 0.0 or rz <= 0.0:
             stop_reason = "breakdown"  # rounding noise at an unconverged iterate
@@ -178,7 +190,8 @@ def _pcg(op, m_inv, b, tol, max_iter, energy_offset=0.0, hook=None):
     converged = stop and (hook is not None or history[-1] <= tol)
     return x, SolveReport(it, history, energies[-1], converged,
                           energy_history=energies,
-                          stop_reason="converged" if converged else stop_reason)
+                          stop_reason="converged" if converged else stop_reason,
+                          operator_applications=n_op, preconditioner_applications=n_prec)
 
 
 def _not_converged(solve: str, report: SolveReport) -> NotConverged:
@@ -209,6 +222,7 @@ def solve_strain_driven(cell: VoxelCell, macro_strain, params: SolveParams | Non
     mean, load = st.unpack(st.k_ext(st.pack(a, np.zeros(cell.dims + (3,)))))
     sol, report = _pcg(st.k_phi, st.ref_solve, -load, params.tol, params.max_iter,
                        energy_offset=0.5 * float(a @ mean))
+    report.operator_applications += 1  # the load
     u = LinPerField(a, st.project(sol))
     if not report.converged:
         raise _not_converged("strain-driven", report)
@@ -234,6 +248,7 @@ def solve_stress_driven(cell: VoxelCell, macro_stress, params: SolveParams | Non
     x = st.pack(w.macro, w.periodic)
     report.final_energy = (0.5 * float(x @ st.k_ext(x))
                            - st.volume * float(s_target @ w.macro))
+    report.operator_applications += 2  # the mean-stress correction and energy
     if not report.converged:
         raise _not_converged("stress-driven", report)
     return w, report
@@ -320,10 +335,13 @@ def solve_stress_uzawa(cell: VoxelCell, macro_stress, params: SolveParams | None
         energies: list = []
         streak = it = 0
 
-        def stopped(reason):
-            """Report of an unconverged stop at the current iterate."""
-            return SolveReport(it, history, compl, False, gap_history=gaps,
-                               energy_history=energies, stop_reason=reason)
+        def report_at(reason):
+            """Report of a stop at the current iterate; every pass, this one
+            included, applies ``k_ext`` and ``precond_ext`` once."""
+            return SolveReport(it, history, compl, reason == "converged", gap_history=gaps,
+                               energy_history=energies, stop_reason=reason,
+                               operator_applications=it + 1,
+                               preconditioner_applications=it + 1)
 
         while True:
             kx = st.k_ext(x)
@@ -341,15 +359,14 @@ def solve_stress_uzawa(cell: VoxelCell, macro_stress, params: SolveParams | None
                 if streak >= 10:
                     raise StepTooLarge(
                         f"uzawa gap grew for {streak} consecutive iterations "
-                        f"(step {params.uzawa_step:.3e})", stopped("step-too-large"))
+                        f"(step {params.uzawa_step:.3e})", report_at("step-too-large"))
             else:
                 streak = 0
             if it >= params.max_iter:
-                raise _not_converged("uzawa", stopped("budget"))
+                raise _not_converged("uzawa", report_at("budget"))
             x += params.uzawa_step * z
             it += 1
-        report = SolveReport(it, history, compl, True, gap_history=gaps,
-                             energy_history=energies)
+        report = report_at("converged")
         x_j = x
 
     macro, phi = st.unpack(x)

@@ -434,3 +434,16 @@ def test_report_records_stop_reason(tmp_path):
     assert main([str(cfg), "--quiet"]) == 2
     solves = json.loads((tmp_path / "out" / "report.json").read_text())["solves"]
     assert solves[-1]["label"] == "failed" and solves[-1]["stop_reason"] == "budget"
+
+
+def test_report_records_application_counts(tmp_path):
+    # a homogenization column applies the operator once for its load and
+    # once per iteration, the preconditioner once per iteration
+    cfg = _write_inputs(tmp_path, random_two_phase_cell(), "task = homogenize\n")
+    assert main([str(cfg), "--quiet"]) == 0
+    solves = json.loads((tmp_path / "out" / "report.json").read_text())["solves"]
+    columns = [s for s in solves if s["label"].startswith("column_")]
+    assert len(columns) == 6
+    for s in columns:
+        assert s["operator_applications"] == s["iterations"] + 1
+        assert s["preconditioner_applications"] == s["iterations"]

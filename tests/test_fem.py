@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 
 import cellhom as ch
+from cellhom import fem
 from cellhom.cell import Lattice, VoxelCell
 from cellhom.fem import (
     DENSE_REF_MAX_DOF,
+    DFT_MATRIX_MAX_SIDE,
     LinPerField,
+    Stencil,
     compatibility_residual,
     corner_table,
     dual_norm_scale,
@@ -327,11 +330,20 @@ def test_quadrature_ops_match_voxel_order_reference(kernel_cell):
     assert _rel(st.compliance_stress(s), np.einsum("nij,nqj->nqi", d, sv).reshape(s.shape)) <= 1e-14
 
 
-#: the 8^3 cell is above ``DENSE_REF_MAX_DOF``, the others below it, one of
-#: them with a one-voxel axis
-REF_SOLVE_CELLS = {**KERNEL_CELLS,
-                   "two-phase-5x3x1": lambda: random_two_phase_cell(dims=(5, 3, 1), seed=6),
-                   "two-phase-8x8x8": lambda: random_two_phase_cell(dims=(8, 8, 8), seed=5)}
+#: the kernel cells and 5x3x1 (a one-voxel axis) are below
+#: ``DENSE_REF_MAX_DOF``, the others above it; 5x7x9 has an odd and 9x6x8 an
+#: even last side, and the 2x2 cells sit at ``DFT_MATRIX_MAX_SIDE`` and one
+#: voxel past it, so both ``block_solve`` branches run
+REF_SOLVE_CELLS = {
+    **KERNEL_CELLS,
+    "two-phase-5x3x1": lambda: random_two_phase_cell(dims=(5, 3, 1), seed=6),
+    "two-phase-8x8x8": lambda: random_two_phase_cell(dims=(8, 8, 8), seed=5),
+    "two-phase-5x7x9": lambda: random_two_phase_cell(dims=(5, 7, 9), seed=8),
+    "two-phase-9x6x8": lambda: random_two_phase_cell(dims=(9, 6, 8), seed=9),
+    "two-phase-2x2xcap": lambda: random_two_phase_cell(dims=(2, 2, DFT_MATRIX_MAX_SIDE), seed=10),
+    "two-phase-2x2xcap+1": lambda: random_two_phase_cell(
+        dims=(2, 2, DFT_MATRIX_MAX_SIDE + 1), seed=11),
+}
 
 
 @pytest.mark.parametrize("name", sorted(REF_SOLVE_CELLS))
@@ -349,14 +361,22 @@ def test_ref_solve_inverts_reference_operator_on_zero_mean_fields(name):
 
 
 @pytest.mark.parametrize("name", sorted(REF_SOLVE_CELLS))
-def test_dense_and_dft_reference_inverses_agree(name):
+def test_dense_and_dft_reference_inverses_agree(name, monkeypatch):
     # below the cap ref_solve applies the dense matrix, above it the DFT
-    # blocks (and builds no matrix); the two inverses agree on either side
+    # blocks (and builds no matrix); the two inverses agree on either side,
+    # and so do the two transforms of the DFT blocks: per-axis DFT matrices
+    # up to DFT_MATRIX_MAX_SIDE, rfftn/irfftn past it
     cell = REF_SOLVE_CELLS[name]()
     st = stencil_of(cell)
     rng = np.random.default_rng(28)
     r = rng.standard_normal(cell.dims + (3,))
     by_blocks = st.block_solve(st.ref_pinv, r)
+    matrices = max(cell.dims) <= DFT_MATRIX_MAX_SIDE
+    assert (st._dft is not None) == matrices
+    monkeypatch.setattr(fem, "DFT_MATRIX_MAX_SIDE", 0 if matrices else max(cell.dims))
+    other = Stencil(cell)
+    assert (other._dft is None) == matrices
+    assert _rel(other.block_solve(st.ref_pinv, r), by_blocks) <= 1e-14
     assert _rel(st.ref_solve(r), by_blocks) <= 1e-14
     assert ("ref_dense" in vars(st)) == (3 * cell.n_voxels <= DENSE_REF_MAX_DOF)
     dense = st.ref_dense @ r.reshape(-1)
@@ -364,6 +384,7 @@ def test_dense_and_dft_reference_inverses_agree(name):
     const = np.broadcast_to(np.array([1.0, -2.0, 0.5]), cell.dims + (3,))
     assert np.abs(st.ref_dense @ const.reshape(-1)).max() <= 1e-13
     assert np.abs(st.block_solve(st.ref_pinv, const)).max() <= 1e-13
+    assert np.abs(other.block_solve(st.ref_pinv, const)).max() <= 1e-13
 
 
 def test_fused_kernels_allocate_no_element_array():

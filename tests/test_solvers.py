@@ -299,6 +299,28 @@ def test_uzawa_fixed_step_converges(cell_d, probe_solution_d):
     assert rep.converged
 
 
+def test_application_counts_are_builtin_ints_on_every_route(cell_d, probe_solution_d):
+    # report.json goes through json.dumps, which rejects numpy integers; each
+    # route's counts exceed its iteration count by its set-up and final
+    # applications: (operator, preconditioner)
+    s = probe_solution_d["S"]
+    auto = ch.solve_stress_uzawa(cell_d, s, SolveParams(tol=1e-8))[2]
+    fixed = ch.solve_stress_uzawa(cell_d, s, SolveParams(tol=1e-8, uzawa_step=0.8))[2]
+    with pytest.raises(StepTooLarge) as err:
+        ch.solve_stress_uzawa(cell_d, s, SolveParams(uzawa_step=50.0))
+    routes = {
+        "strain-driven": (probe_solution_d["rep_u"], 1, 0),
+        "stress-driven": (probe_solution_d["rep_w"], 2, 0),
+        "uzawa-auto": (auto, 0, 1),
+        "uzawa-fixed-step": (fixed, 1, 1),
+        "uzawa-step-too-large": (err.value.report, 1, 1),
+    }
+    for name, (rep, extra_op, extra_prec) in routes.items():
+        counts = (rep.iterations, rep.operator_applications, rep.preconditioner_applications)
+        assert all(type(c) is int for c in counts), name
+        assert counts[1:] == (rep.iterations + extra_op, rep.iterations + extra_prec), name
+
+
 def test_strain_route_strain_driven_homogeneous():
     cell = homogeneous_cell()
     e, rep = ch.solve_strain_route(
