@@ -46,9 +46,10 @@ class Lattice:
         """3x3 matrix with the generators as columns."""
         return np.column_stack([self.g1, self.g2, self.g3])
 
-    @property
+    @cached_property
     def volume(self) -> float:
-        return float(abs(np.linalg.det(np.column_stack([self.g1, self.g2, self.g3]))))
+        """Cell volume, ``|det G|``, computed once: the generators are read-only."""
+        return float(abs(np.linalg.det(self.matrix)))
 
     @classmethod
     def unit_cube(cls) -> "Lattice":
@@ -107,7 +108,7 @@ class VoxelCell:
             scale = abs(p).max()
             if not math.isfinite(scale):
                 raise ValueError(f"phase {k} stiffness has non-finite entries")
-            if not np.allclose(p, p.T, rtol=0.0, atol=1e-12 * max(1.0, scale)):
+            if not abs(p - p.T).max() <= 1e-12 * max(1.0, scale):
                 raise ValueError(f"phase {k} stiffness is not symmetric")
             lo, hi = mandel.eigen_range(p)
             if lo <= 0.0:
@@ -149,9 +150,14 @@ class VoxelCell:
         return self._phase_mean(self.phases)
 
     @cached_property
+    def phase_compliances(self) -> tuple:
+        """Compliance (inverse stiffness) of every phase, each inverted once."""
+        return tuple(_read_only(mandel.invert(p)) for p in self.phases)
+
+    @cached_property
     def mean_compliance(self) -> np.ndarray:
         """Volume average of the compliance (the harmonic-bound source)."""
-        return self._phase_mean([mandel.invert(p) for p in self.phases])
+        return self._phase_mean(self.phase_compliances)
 
 
 def cell_average(cell: VoxelCell, f: np.ndarray) -> np.ndarray:

@@ -33,7 +33,9 @@ on the smallest grids (``DENSE_REF_MAX_DOF``), by products with per-axis
 DFT matrices up to ``DFT_MATRIX_MAX_SIDE`` voxels a side, and by
 ``rfftn``/``irfftn`` beyond. The core numbers the elements once, phase by
 phase; quadrature fields keep the voxel order above and are permuted at the
-core's boundary.
+core's boundary. Its set-up does each piece of work once per cell, by array
+expressions over the corners and Gauss points rather than loops, and reads
+the cell's cached volume and phase compliances.
 """
 
 from __future__ import annotations
@@ -97,21 +99,20 @@ class LinPerField:
 
 
 def shape_gradients(cell: VoxelCell) -> np.ndarray:
-    """Physical shape-function gradients, shape ``(8 gauss, 8 corners, 3)``."""
+    """Physical shape-function gradients, shape ``(8 gauss, 8 corners, 3)``.
+
+    The trilinear shape function of corner ``a`` is the product over the
+    axes of ``xi`` or ``1 - xi``; its derivative along axis ``d`` puts the
+    sign ``2 a_d - 1`` in place of factor ``d``. A factor of +-1 is exact, so
+    the order of the products does not change the result.
+    """
     jac = cell.lattice.matrix @ np.diag([1.0 / n for n in cell.dims])
     jinv_t = np.linalg.inv(jac).T
-    grad = np.zeros((8, 8, 3))
-    for qi, xi in enumerate(GAUSS_POINTS):
-        for ai, a in enumerate(CORNERS):
-            g = np.zeros(3)
-            for d in range(3):
-                val = 2.0 * a[d] - 1.0
-                for dd in range(3):
-                    if dd != d:
-                        val *= xi[dd] if a[dd] else 1.0 - xi[dd]
-                g[d] = val
-            grad[qi, ai] = jinv_t @ g
-    return grad
+    xi = np.array(GAUSS_POINTS)[:, None, :]
+    a = np.array(CORNERS)
+    factors = np.repeat(np.where(a == 1, xi, 1.0 - xi)[:, :, None, :], 3, axis=2)
+    factors[:, :, range(3), range(3)] = 2.0 * a - 1.0  # (gauss, corner, d, factor)
+    return factors.prod(axis=3) @ jinv_t.T
 
 
 def strain_tables(cell: VoxelCell) -> np.ndarray:
@@ -141,12 +142,9 @@ def corner_table(dims) -> np.ndarray:
     ``CORNERS`` order; node ``(i, j, k)`` is the corner at the low end of
     voxel ``(i, j, k)``, and indices wrap periodically.
     """
-    idx = np.indices(dims).reshape(3, -1)
-    cols = []
-    for a in CORNERS:
-        i, j, k = ((idx[d] + a[d]) % dims[d] for d in range(3))
-        cols.append((i * dims[1] + j) * dims[2] + k)
-    return np.stack(cols, axis=1)
+    n = np.array(dims)[:, None, None]
+    i, j, k = (np.indices(dims).reshape(3, -1, 1) + np.array(CORNERS).T[:, None, :]) % n
+    return (i * dims[1] + j) * dims[2] + k
 
 
 def gather_corners(values: np.ndarray, conn: np.ndarray, out=None) -> np.ndarray:
@@ -226,6 +224,13 @@ class Stencil:
     leaves rounding noise that costs extra PCG iterations on cells where
     the exact answer is a linear field (a homogeneous cell).
 
+    The constructor builds the tables, the element matrices of every
+    present phase and, on grids of at most ``DFT_MATRIX_MAX_SIDE`` voxels a
+    side, the DFT matrices; the inverse blocks, the dense inverse and the
+    condition bounds are built on first use. Per step, ``k_phi`` and
+    ``k_ext`` subtract the nodal mean from their fresh result in place, by
+    one product with a kept ones vector.
+
     Obtain it through ``stencil_of(cell)``, which builds one per cell.
     """
 
@@ -243,8 +248,8 @@ class Stencil:
         # inv[a, node] = 8 e + a, the flat corner-force row of the element e
         # that has node at its corner a
         self.inv = np.empty((8, n), dtype=np.int64)
-        for a in range(8):
-            self.inv[a, self.conn[:, a]] = 8 * np.arange(n) + a
+        self.inv[np.arange(8), self.conn] = np.arange(8 * n).reshape(n, 8)
+        self._ones = np.ones(n)  # the node count equals the voxel count
         self.bmat = strain_tables(cell).transpose(1, 3, 0, 2).reshape(24, 48)
         self.bmat_t_w = self.w * self.bmat.T
         self.cmean = cell.mean_stiffness
@@ -253,12 +258,12 @@ class Stencil:
         bsum = self.w * self.bmat.reshape(24, 8, 6).sum(axis=1).T
         self.phases = []
         start = 0
-        for c, count in zip(cell.phases, np.bincount(flat, minlength=len(cell.phases)).tolist()):
+        counts = np.bincount(flat, minlength=len(cell.phases)).tolist()
+        for c, d, count in zip(cell.phases, cell.phase_compliances, counts):
             if count:
                 self.phases.append(PhaseBlock(
                     rows=slice(start, start + count), c_vol=8.0 * self.w * count * c,
-                    c_rows=np.ascontiguousarray(c.T),
-                    d_rows=np.ascontiguousarray(mandel.invert(c).T),
+                    c_rows=np.ascontiguousarray(c.T), d_rows=np.ascontiguousarray(d.T),
                     k_rows=self.element_stiffness(c), g_mean=c @ bsum, g_rows=c.T @ bsum))
                 start += count
         self._ref_pinv = None
@@ -336,7 +341,14 @@ class Stencil:
         return self.scatter(np.take(by_voxel, self.order, axis=0, out=fe, mode="clip"), nodes)
 
     def project(self, phi: np.ndarray) -> np.ndarray:
-        return phi - node_mean(phi)
+        """``phi`` less its mean nodal value (``node_mean``)."""
+        return self._center(phi.copy())
+
+    def _center(self, f: np.ndarray) -> np.ndarray:
+        """Subtract the mean nodal value of the contiguous field ``f`` in place."""
+        flat = f.reshape(-1, 3)
+        flat -= self._ones @ flat / len(flat)
+        return f
 
     @cached_property
     def phase_bounds(self) -> tuple:
@@ -362,7 +374,7 @@ class Stencil:
         ue = gather_corners(phi, self.conn, out=ue).reshape(-1, 24)
         for ph in self.phases:
             np.matmul(ue[ph.rows], ph.k_rows, out=fe[ph.rows])
-        return self.project(self.scatter(fe, nodes))
+        return self._center(self.scatter(fe, nodes))
 
     # extended operator on (mean strain, fluctuation) -------------------------
 
@@ -387,7 +399,19 @@ class Stencil:
             np.matmul(u, ph.k_rows, out=f)
             f += macro @ ph.g_rows
             mean += ph.c_vol @ macro + ph.g_mean @ u.sum(axis=0)
-        return self.pack(mean, self.project(self.scatter(fe, nodes)))
+        return self.pack(mean, self._center(self.scatter(fe, nodes)))
+
+    def mean_strain_load(self, macro: np.ndarray):
+        """``unpack(k_ext(pack(macro, 0)))``, without gathering and
+        multiplying the zero fluctuation: the mean stress integral
+        ``sum_p c_vol macro`` and the nodal functional of the element forces
+        ``macro @ g_rows``."""
+        _, fe, nodes, _ = self._work_arrays()
+        mean = np.zeros(6)
+        for ph in self.phases:
+            fe[ph.rows] = macro @ ph.g_rows
+            mean += ph.c_vol @ macro
+        return mean, self._center(self.scatter(fe, nodes))
 
     # constant-material inverses -----------------------------------------------
 
@@ -468,15 +492,19 @@ class Stencil:
         gives the 3x3 block ``G(d)`` of every node offset ``d``, and block
         ``(i, j)`` is ``G((i - j) mod dims)``, placed by an offset table.
         """
-        g = np.fft.irfftn(self.ref_pinv, s=self.dims, axes=(2, 3, 4)).reshape(9, -1)
-        blocks = np.ascontiguousarray(g.T).reshape(-1, 3, 3)
+        g = np.fft.irfftn(self.ref_pinv, s=self.dims, axes=(2, 3, 4))
         # off[i, j] is the flat index of (i - j) mod dims, built axis by axis
         # in C order: from the table of the leading axes and that of the next
         off = np.zeros((1, 1), dtype=np.intp)
         for n in self.dims:
             d = (np.arange(n)[:, None] - np.arange(n)) % n
             off = (off[:, None, :, None] * n + d[:, None, :]).reshape(len(off) * n, -1)
-        return np.take(blocks, off, axis=0).transpose(0, 2, 1, 3).reshape(3 * len(off), -1)
+        # row a N + m of ``rows`` is row a of G(m), so one take of the rows
+        # a N + off[i, j] lays the blocks out in the (3N, 3N) order directly
+        nodes = len(off)
+        rows = np.ascontiguousarray(g.reshape(3, 3, nodes).transpose(0, 2, 1)).reshape(-1, 3)
+        idx = off[:, None, :] + nodes * np.arange(3)[:, None]
+        return np.take(rows, idx, axis=0).reshape(3 * nodes, -1)
 
     def ref_solve(self, r: np.ndarray) -> np.ndarray:
         """Apply the reference inverse: by the dense matrix on grids of at
@@ -496,9 +524,10 @@ def stencil_of(cell: VoxelCell) -> Stencil:
     Cells are immutable, so the core never goes stale. The package starts no
     threads; a caller that shares a cell between its own threads fetches the
     core, and the inverse it will use, before starting them, as none of the
-    lazy builds is locked: ``ref_pinv`` and ``unit_pinv``, and on grids of at
-    most ``DENSE_REF_MAX_DOF`` unknowns also ``ref_dense``. The DFT matrices
-    of grids of at most ``DFT_MATRIX_MAX_SIDE`` voxels a side are built with
+    lazy builds is locked: ``ref_pinv``, ``unit_pinv``, ``phase_bounds``
+    and ``dual_scale``, and on grids of at most ``DENSE_REF_MAX_DOF`` unknowns
+    also ``ref_dense``. The tables, element matrices and the DFT matrices of
+    grids of at most ``DFT_MATRIX_MAX_SIDE`` voxels a side are built with
     the core.
     """
     st = vars(cell).get("_stencil")

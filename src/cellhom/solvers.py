@@ -105,8 +105,9 @@ class SolveReport:
     non-positive curvature or preconditioned residual product) or
     ``step-too-large`` (the gap of a fixed-step Uzawa solve kept growing).
     ``operator_applications`` counts the solve's ``k_phi``/``k_ext`` calls
-    and ``preconditioner_applications`` its ``ref_solve``/``precond_ext``
-    calls, set-up and final correction included; all counts are ``int``."""
+    and its mean-strain load (``mean_strain_load``), and
+    ``preconditioner_applications`` its ``ref_solve``/``precond_ext`` calls,
+    set-up and final correction included; all counts are ``int``."""
 
     iterations: int
     residual_history: list
@@ -151,7 +152,7 @@ def _pcg(op, m_inv, b, tol, max_iter, energy_offset=0.0, hook=None):
     the test ``|r| <= tol |b|``.
     """
     x = np.zeros_like(b)
-    bnorm = float(np.linalg.norm(b))
+    bnorm = math.sqrt(np.vdot(b, b))
     if bnorm == 0.0:
         return x, SolveReport(0, [0.0], energy_offset, True,
                               energy_history=[energy_offset])
@@ -185,7 +186,7 @@ def _pcg(op, m_inv, b, tol, max_iter, energy_offset=0.0, hook=None):
         x += alpha * p
         r -= alpha * kp
         it += 1
-        history.append(float(np.linalg.norm(r)) / bnorm)
+        history.append(math.sqrt(np.vdot(r, r)) / bnorm)
         energies.append(energies[-1] - 0.5 * alpha * rz)
     converged = stop and (hook is not None or history[-1] <= tol)
     return x, SolveReport(it, history, energies[-1], converged,
@@ -219,7 +220,7 @@ def solve_strain_driven(cell: VoxelCell, macro_strain, params: SolveParams | Non
     a = np.asarray(macro_strain, dtype=float)
     st = stencil_of(cell)
     # the stiffness of (a, 0) gives the load of the mean strain and its energy
-    mean, load = st.unpack(st.k_ext(st.pack(a, np.zeros(cell.dims + (3,)))))
+    mean, load = st.mean_strain_load(a)
     sol, report = _pcg(st.k_phi, st.ref_solve, -load, params.tol, params.max_iter,
                        energy_offset=0.5 * float(a @ mean))
     report.operator_applications += 1  # the load

@@ -106,6 +106,23 @@ def test_cell_rejects_non_spd_phase():
         VoxelCell((1, 1, 1), np.zeros((1, 1, 1), dtype=int), [c])
 
 
+@pytest.mark.parametrize("scale", [0.5, 700.0])
+def test_phase_symmetry_gate(scale):
+    # the gate allows an asymmetry of 1e-12 max(1, largest entry): half of
+    # it is accepted, twice it rejected with a message naming the phase
+    c = ch.iso_tensor(0.2 * scale, 0.4 * scale)  # largest entry 2 mu + lam = scale
+    tol = 1e-12 * max(1.0, scale)
+    grid = np.array([0, 1]).reshape(2, 1, 1)
+    for factor, ok in ((0.5, True), (2.0, False)):
+        skew = c.copy()
+        skew[1, 0] += factor * tol
+        if ok:
+            VoxelCell((2, 1, 1), grid, [ch.iso_tensor(1.0, 1.0), skew])
+        else:
+            with pytest.raises(ValueError, match="phase 1 stiffness is not symmetric"):
+                VoxelCell((2, 1, 1), grid, [ch.iso_tensor(1.0, 1.0), skew])
+
+
 def test_cell_is_frozen():
     grid = np.zeros((2, 1, 1), dtype=np.int64)
     cell = VoxelCell((2, 1, 1), grid, [ch.iso_tensor(1.0, 1.0), ch.iso_tensor(0.0, 1.5)])
@@ -115,7 +132,7 @@ def test_cell_is_frozen():
         cell.phase_of[1, 0, 0] = 1
     with pytest.raises(ValueError, match="read-only"):
         cell.phases[0][3, 3] = 6.0
-    for mean in (cell.mean_stiffness, cell.mean_compliance):
+    for mean in (cell.mean_stiffness, cell.mean_compliance, *cell.phase_compliances):
         with pytest.raises(ValueError, match="read-only"):
             mean[3, 3] = 6.0
     with pytest.raises(dataclasses.FrozenInstanceError):

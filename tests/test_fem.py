@@ -10,6 +10,7 @@ import pytest
 import cellhom as ch
 from cellhom import fem
 from cellhom.cell import Lattice, VoxelCell
+from cellhom.checks import _dense_shape_gradients
 from cellhom.fem import (
     DENSE_REF_MAX_DOF,
     DFT_MATRIX_MAX_SIDE,
@@ -328,6 +329,49 @@ def test_quadrature_ops_match_voxel_order_reference(kernel_cell):
     assert _rel(st.stress(s), np.einsum("nij,nqj->nqi", c, sv).reshape(s.shape)) <= 1e-14
     d = np.linalg.inv(c)
     assert _rel(st.compliance_stress(s), np.einsum("nij,nqj->nqi", d, sv).reshape(s.shape)) <= 1e-14
+
+
+def test_shape_gradients_match_scalar_loops(kernel_cell):
+    # the dense oracle's own scalar loops are the reference of the array
+    # expression; both apply the same inverse Jacobian, so they agree to rounding
+    corners, grads = _dense_shape_gradients(kernel_cell)
+    assert corners == list(fem.CORNERS)
+    ref = np.array(grads)
+    got = fem.shape_gradients(kernel_cell)
+    assert got.shape == (8, 8, 3)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=8 * np.finfo(float).eps * np.abs(ref).max())
+
+
+def test_corner_table_matches_voxel_loop(kernel_cell):
+    dims = kernel_cell.dims
+    ref = [[np.ravel_multi_index(tuple((v + np.array(a)) % dims), dims) for a in fem.CORNERS]
+           for v in np.ndindex(*dims)]
+    np.testing.assert_array_equal(corner_table(dims), ref)
+
+
+def test_ref_dense_places_the_offset_blocks(kernel_cell):
+    # block (i, j) of the dense inverse is G((i - j) mod dims), the inverse
+    # transform of the half-spectrum blocks at the node offset
+    st = stencil_of(kernel_cell)
+    g = np.fft.irfftn(st.ref_pinv, s=st.dims, axes=(2, 3, 4))
+    nodes = list(np.ndindex(*st.dims))
+    ref = np.empty((3 * len(nodes),) * 2)
+    for i, ni in enumerate(nodes):
+        for j, nj in enumerate(nodes):
+            ref[3 * i:3 * i + 3, 3 * j:3 * j + 3] = g[(..., *np.mod(np.subtract(ni, nj), st.dims))]
+    np.testing.assert_array_equal(st.ref_dense, ref)
+
+
+def test_mean_strain_load_is_the_stiffness_of_the_mean_strain(kernel_cell):
+    # the load skips gathering the zero fluctuation but is bit for bit the
+    # extended stiffness of (a, 0); test_homogeneous_cell_needs_no_iteration
+    # checks that it still cancels exactly on a homogeneous cell
+    st = stencil_of(kernel_cell)
+    for a in np.random.default_rng(29).standard_normal((3, 6)):
+        mean, load = st.mean_strain_load(a)
+        want_mean, want_load = st.unpack(st.k_ext(st.pack(a, np.zeros(kernel_cell.dims + (3,)))))
+        np.testing.assert_array_equal(mean, want_mean)
+        np.testing.assert_array_equal(load, want_load)
 
 
 #: the kernel cells and 5x3x1 (a one-voxel axis) are below
