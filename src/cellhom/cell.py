@@ -151,8 +151,11 @@ class VoxelCell:
 
     @cached_property
     def phase_compliances(self) -> tuple:
-        """Compliance (inverse stiffness) of every phase, each inverted once."""
-        return tuple(_read_only(mandel.invert(p)) for p in self.phases)
+        """Compliance (inverse stiffness) of every phase, each inverted once,
+        symmetrized as ``mandel.invert`` does; ``__post_init__`` has already
+        checked the eigenvalue range that ``mandel.invert`` would check."""
+        inverses = [np.linalg.inv(p) for p in self.phases]
+        return tuple(_read_only(0.5 * (d + d.T)) for d in inverses)
 
     @cached_property
     def mean_compliance(self) -> np.ndarray:

@@ -224,12 +224,11 @@ class Stencil:
     leaves rounding noise that costs extra PCG iterations on cells where
     the exact answer is a linear field (a homogeneous cell).
 
-    The constructor builds the tables, the element matrices of every
-    present phase and, on grids of at most ``DFT_MATRIX_MAX_SIDE`` voxels a
-    side, the DFT matrices; the inverse blocks, the dense inverse and the
-    condition bounds are built on first use. Per step, ``k_phi`` and
-    ``k_ext`` subtract the nodal mean from their fresh result in place, by
-    one product with a kept ones vector.
+    The constructor builds the tables and the element matrices of every
+    present phase; the DFT matrices, the inverse blocks, the dense inverse,
+    the condition bounds and the gap factors are built on first use. Per
+    step, ``k_phi`` and ``k_ext`` subtract the nodal mean from their fresh
+    result in place, by one product with a kept ones vector.
 
     Obtain it through ``stencil_of(cell)``, which builds one per cell.
     """
@@ -267,7 +266,6 @@ class Stencil:
                     k_rows=self.element_stiffness(c), g_mean=c @ bsum, g_rows=c.T @ bsum))
                 start += count
         self._ref_pinv = None
-        self._dft = dft_matrices(self.dims) if max(self.dims) <= DFT_MATRIX_MAX_SIDE else None
         self._tls = threading.local()
 
     @property
@@ -359,6 +357,45 @@ class Stencil:
         linv = np.linalg.inv(np.linalg.cholesky(self.cmean))
         eig = [np.linalg.eigvalsh(linv @ ph.c_rows.T @ linv.T) for ph in self.phases]
         return float(min(e[0] for e in eig)), float(max(e[-1] for e in eig))
+
+    @cached_property
+    def gap_factors(self) -> list:
+        """Per present phase, ``(R^T, Q, M)`` of ``correction_gap``.
+
+        With ``D_p = L L^T``, ``W`` (48x24) stacks ``sqrt(w) L^T C0 B_q`` and
+        ``M`` (48x6) stacks ``sqrt(w) L^T`` over the Gauss points, so an
+        element with corner values ``u`` and mean misfit ``m`` adds ``1/2
+        |W u + M m|^2`` to the gap; ``W = Q R`` is a thin QR.
+        """
+        bq = self.bmat.reshape(24, 8, 6).transpose(1, 2, 0)
+        factors = []
+        for ph in self.phases:
+            lt = np.sqrt(self.w) * np.linalg.cholesky(ph.d_rows.T).T
+            q, r = np.linalg.qr((lt @ self.cmean @ bq).reshape(48, 24))
+            factors.append((np.ascontiguousarray(r.T), q, np.tile(lt, (8, 1))))
+        return factors
+
+    def correction_gap(self, m: np.ndarray, phi: np.ndarray) -> float:
+        """``1/2 integral D tau.tau`` of ``tau = -(C0 e(phi) + m)``, from the
+        corner values of ``phi`` without forming ``tau``.
+
+        Per phase, with the rows ``U`` of its elements' corner values,
+        ``c = Q^T M m`` and ``s = M m - Q c`` (``gap_factors``), the sum of
+        ``1/2 |W u + M m|^2`` over its ``n`` elements is ``1/2 (|U R^T + 1
+        c^T|^2 + n |s|^2)``: a sum of squares, so it is never negative, it is
+        exactly 0 at zero input, and no large energies cancel in it.
+        """
+        ue, fe, _, _ = self._work_arrays()
+        ue = gather_corners(phi, self.conn, out=ue).reshape(-1, 24)
+        total = 0.0
+        for ph, (rt, q, mfac) in zip(self.phases, self.gap_factors):
+            mm = mfac @ m
+            c = q.T @ mm
+            s = mm - q @ c
+            t = np.matmul(ue[ph.rows], rt, out=fe[ph.rows])
+            t += c
+            total += float(np.vdot(t, t)) + len(t) * float(s @ s)
+        return 0.5 * total
 
     @cached_property
     def dual_scale(self) -> float:
@@ -453,6 +490,13 @@ class Stencil:
         of the least-squares fit by symmetric gradients)."""
         return self.circulant_pinv(np.eye(6))
 
+    @cached_property
+    def _dft(self):
+        """``dft_matrices`` of the grid, or None past ``DFT_MATRIX_MAX_SIDE``
+        voxels a side; built on the first ``block_solve``, which grids of at
+        most ``DENSE_REF_MAX_DOF`` unknowns run only for ``unit_pinv``."""
+        return dft_matrices(self.dims) if max(self.dims) <= DFT_MATRIX_MAX_SIDE else None
+
     def block_solve(self, pinv: np.ndarray, r: np.ndarray) -> np.ndarray:
         """Apply the half-spectrum inverse blocks ``pinv`` to a nodal field.
 
@@ -524,11 +568,10 @@ def stencil_of(cell: VoxelCell) -> Stencil:
     Cells are immutable, so the core never goes stale. The package starts no
     threads; a caller that shares a cell between its own threads fetches the
     core, and the inverse it will use, before starting them, as none of the
-    lazy builds is locked: ``ref_pinv``, ``unit_pinv``, ``phase_bounds``
-    and ``dual_scale``, and on grids of at most ``DENSE_REF_MAX_DOF`` unknowns
-    also ``ref_dense``. The tables, element matrices and the DFT matrices of
-    grids of at most ``DFT_MATRIX_MAX_SIDE`` voxels a side are built with
-    the core.
+    lazy builds is locked: ``ref_pinv``, ``unit_pinv``, ``phase_bounds``,
+    ``gap_factors``, ``dual_scale`` and the DFT matrices of ``block_solve``,
+    and on grids of at most ``DENSE_REF_MAX_DOF`` unknowns also
+    ``ref_dense``. The tables and element matrices are built with the core.
     """
     st = vars(cell).get("_stencil")
     if st is None:
@@ -553,7 +596,7 @@ def div_adjoint(cell: VoxelCell, s: np.ndarray) -> np.ndarray:
 def quad_inner(cell: VoxelCell, f: np.ndarray, g: np.ndarray) -> float:
     """L2 inner product of two quadrature fields."""
     w = cell.voxel_volume / 8.0
-    return float(w * np.sum(f * g))
+    return float(w * np.vdot(f, g))
 
 
 def quad_norm(cell: VoxelCell, f: np.ndarray) -> float:

@@ -9,8 +9,10 @@ Three routes are provided:
   return;
 * ``solve_stress_uzawa``: alternating closed-form stress minimization and
   preconditioned displacement ascent on the stress-displacement Lagrangian,
-  stopped by the duality gap, which is the complementary energy of one
-  correction stress per iteration.
+  stopped by the duality gap, the complementary energy of the correction
+  stress, which each iteration evaluates as a per-phase sum of squares over
+  the element corner values (``Stencil.correction_gap``) without forming
+  that stress; it is formed once, for the returned stress.
 
 The CG routes, and the Uzawa route with the AUTO step, run one loop,
 ``_pcg``: textbook preconditioned CG from a zero start with the
@@ -149,7 +151,9 @@ def _pcg(op, m_inv, b, tol, max_iter, energy_offset=0.0, hook=None):
 
     ``hook(x, r, z, energy)``, called at every iterate with the ``z =
     m_inv(r)`` the next direction uses, returns whether to stop, in place of
-    the test ``|r| <= tol |b|``.
+    the test ``|r| <= tol |b|``. The loop updates ``x``, ``r`` and the
+    direction (the first one is ``z`` itself) in place, so a hook copies
+    whatever it keeps.
     """
     x = np.zeros_like(b)
     bnorm = math.sqrt(np.vdot(b, b))
@@ -157,6 +161,7 @@ def _pcg(op, m_inv, b, tol, max_iter, energy_offset=0.0, hook=None):
         return x, SolveReport(0, [0.0], energy_offset, True,
                               energy_history=[energy_offset])
     r = b.copy()
+    step = np.empty_like(b)  # alpha p, then alpha K p
     history = [1.0]
     energies = [energy_offset]
     p = None
@@ -175,7 +180,11 @@ def _pcg(op, m_inv, b, tol, max_iter, energy_offset=0.0, hook=None):
         if z is None:
             z, n_prec = m_inv(r), n_prec + 1
         rz_new = float(np.vdot(r, z))
-        p = z if p is None else z + (rz_new / rz) * p
+        if p is None:
+            p = z
+        else:
+            p *= rz_new / rz
+            p += z
         rz = rz_new
         kp, n_op = op(p), n_op + 1
         pkp = float(np.vdot(p, kp))
@@ -183,8 +192,8 @@ def _pcg(op, m_inv, b, tol, max_iter, energy_offset=0.0, hook=None):
             stop_reason = "breakdown"  # rounding noise at an unconverged iterate
             break
         alpha = rz / pkp
-        x += alpha * p
-        r -= alpha * kp
+        x += np.multiply(p, alpha, out=step)
+        r -= np.multiply(kp, alpha, out=step)
         it += 1
         history.append(math.sqrt(np.vdot(r, r)) / bnorm)
         energies.append(energies[-1] - 0.5 * alpha * rz)
@@ -255,14 +264,20 @@ def solve_stress_driven(cell: VoxelCell, macro_stress, params: SolveParams | Non
     return w, report
 
 
-def _correction(st: Stencil, r: np.ndarray, z: np.ndarray):
-    """Correction stress ``tau = -C0 e(z_phi) - r[:6] / V`` and gap ``1/2
-    integral D tau.tau`` of the Uzawa iterate with residual ``r = b - K x``
-    and ``z = M^-1 r``; ``C e(x) - tau`` is admissible exactly."""
+def _correction(st: Stencil, r6: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Correction stress ``tau = -C0 e(z_phi) - r[:6] / V`` of the Uzawa
+    iterate with residual ``r = b - K x`` and ``z = M^-1 r``; ``C e(x) -
+    tau`` is admissible exactly."""
     tau = st.strain_periodic(st.unpack(z)[1]) @ st.cmean_rows
-    tau += r[:6] / st.volume
+    tau += r6 / st.volume
     np.negative(tau, out=tau)
-    return tau, 0.5 * float(np.sum(st.compliance_stress(tau) * tau)) * st.w
+    return tau
+
+
+def _gap(st: Stencil, r: np.ndarray, z: np.ndarray) -> float:
+    """``1/2 integral D tau.tau`` of the ``_correction`` stress of ``(r,
+    z)``, by ``Stencil.correction_gap`` without forming ``tau``."""
+    return st.correction_gap(r[:6] / st.volume, st.unpack(z)[1])
 
 
 def solve_stress_uzawa(cell: VoxelCell, macro_stress, params: SolveParams | None = None):
@@ -278,10 +293,14 @@ def solve_stress_uzawa(cell: VoxelCell, macro_stress, params: SolveParams | None
     Because ``integral e(x).C0 e(psi) = phi.K0 psi = phi.(K x)_phi``,
     expanding the complementary energy of ``C e(x) - tau`` against the
     displacement energy ``E = 1/2 x.Kx - b.x`` gives ``compl + E = 1/2
-    integral D tau.tau``: the gap is that one quadratic form, nonnegative by
-    construction, not the difference of two O(1) energies, so it carries no
-    cancellation error. Convergence requires both the gap (relative to the
-    complementary energy) and the equilibrium residual to fall below ``tol``.
+    integral D tau.tau``. ``Stencil.correction_gap`` evaluates that integral
+    from the corner values of ``psi`` and the mean misfit by per-phase
+    element factors, as a sum of squares: nonnegative by construction,
+    exactly 0 at zero input, and not the difference of two O(1) energies,
+    so no cancellation error enters it; no quadrature field is formed per
+    iteration, and ``tau`` is formed once, at return. Convergence requires
+    both the gap (relative to the complementary energy) and the equilibrium
+    residual to fall below ``tol``.
 
     With ``uzawa_step = "auto"`` the displacement steps are those of
     ``_pcg`` (Uzawa's algorithm with conjugate-gradient directions). The gap
@@ -310,16 +329,17 @@ def solve_stress_uzawa(cell: VoxelCell, macro_stress, params: SolveParams | None
     bnorm = float(np.linalg.norm(b))
     gaps: list = []
     if params.uzawa_step == "auto":
-        x_j = tau = None
+        x_j = r_j = z_j = None
         best = compl = np.inf
         energy_prev = 0.0
 
         def gap_test(x, r, z, energy):
-            nonlocal x_j, tau, best, compl, energy_prev
-            tau_k, gap = _correction(st, r, z)
+            nonlocal x_j, r_j, z_j, best, compl, energy_prev
+            gap = _gap(st, r, z)
             best -= energy_prev - energy
             if gap <= best:
-                best, x_j, tau, compl = gap, x.copy(), tau_k, gap - energy
+                best, compl = gap, gap - energy
+                x_j, r_j, z_j = x.copy(), r[:6].copy(), z.copy()
             gaps.append(best)
             energy_prev = energy
             return (best <= params.tol * max(compl, 1e-300)
@@ -330,6 +350,7 @@ def solve_stress_uzawa(cell: VoxelCell, macro_stress, params: SolveParams | None
         report.gap_history, report.final_energy = gaps, compl
         if not report.converged:
             raise _not_converged("uzawa", report)
+        tau = _correction(st, r_j, z_j)
     else:
         x = np.zeros_like(b)
         history: list = []
@@ -348,7 +369,7 @@ def solve_stress_uzawa(cell: VoxelCell, macro_stress, params: SolveParams | None
             kx = st.k_ext(x)
             r = b - kx
             z = st.precond_ext(r)
-            tau, gap = _correction(st, r, z)
+            gap = _gap(st, r, z)
             energies.append(0.5 * float(x @ kx) - float(b @ x))
             compl = gap - energies[-1]
             history.append(float(np.linalg.norm(r)) / bnorm)
@@ -368,7 +389,7 @@ def solve_stress_uzawa(cell: VoxelCell, macro_stress, params: SolveParams | None
             x += params.uzawa_step * z
             it += 1
         report = report_at("converged")
-        x_j = x
+        x_j, tau = x, _correction(st, r[:6], z)
 
     macro, phi = st.unpack(x)
     v = project_zero_mean(cell, LinPerField(macro, st.project(phi)))

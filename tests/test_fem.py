@@ -31,6 +31,7 @@ from cellhom.microstructures import (
     random_spd_tensor,
     random_two_phase_cell,
 )
+from cellhom.solvers import _correction, _gap
 
 
 def _random_field(cell, seed):
@@ -374,6 +375,35 @@ def test_mean_strain_load_is_the_stiffness_of_the_mean_strain(kernel_cell):
         np.testing.assert_array_equal(load, want_load)
 
 
+#: the kernel cells, a sheared cell of FULL phases and a contrast-1000 cell
+GAP_CELLS = {
+    **KERNEL_CELLS,
+    "random-sheared-3x4x5": lambda: random_cell((3, 4, 5), seed=3, lattice=Lattice(
+        np.array([1.1, 0.0, 0.0]), np.array([0.3, 0.9, 0.0]), np.array([-0.2, 0.25, 1.2]))),
+    "contrast-1000-6x6x6": lambda: random_two_phase_cell(
+        (6, 6, 6), 5, (1.0, 1.0), (1000.0, 1000.0), 0.1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAP_CELLS))
+def test_correction_gap_is_the_complementary_energy_of_the_correction(name):
+    # the element form of the Uzawa gap against 1/2 integral D tau.tau of the
+    # quadrature field tau that _correction forms
+    cell = GAP_CELLS[name]()
+    st = stencil_of(cell)
+    rng = np.random.default_rng(30)
+    zero = np.zeros(6 + 3 * cell.n_voxels)
+    assert _gap(st, zero, zero) == 0.0
+    for scale_r, scale_z in ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (1e-9, 1e3)):
+        r = scale_r * rng.standard_normal(zero.shape)
+        z = scale_z * rng.standard_normal(zero.shape)
+        tau = _correction(st, r[:6], z)
+        want = 0.5 * st.w * float(np.sum(st.compliance_stress(tau) * tau))
+        got = _gap(st, r, z)
+        assert got >= 0.0
+        assert abs(got - want) <= 1e-13 * want
+
+
 #: the kernel cells and 5x3x1 (a one-voxel axis) are below
 #: ``DENSE_REF_MAX_DOF``, the others above it; 5x7x9 has an odd and 9x6x8 an
 #: even last side, and the 2x2 cells sit at ``DFT_MATRIX_MAX_SIDE`` and one
@@ -429,6 +459,19 @@ def test_dense_and_dft_reference_inverses_agree(name, monkeypatch):
     assert np.abs(st.ref_dense @ const.reshape(-1)).max() <= 1e-13
     assert np.abs(st.block_solve(st.ref_pinv, const)).max() <= 1e-13
     assert np.abs(other.block_solve(st.ref_pinv, const)).max() <= 1e-13
+
+
+def test_displacement_solves_build_neither_dft_matrices_nor_gap_factors():
+    # on a dense-inverse grid only block_solve (compatibility_residual) needs
+    # the DFT matrices, and only the Uzawa route needs the gap factors
+    cell = random_two_phase_cell()
+    st = stencil_of(cell)
+    ch.homogenize(cell)
+    assert "_dft" not in vars(st) and "gap_factors" not in vars(st)
+    ch.solve_stress_uzawa(cell, cell.mean_stiffness @ np.ones(6))
+    assert "_dft" not in vars(st) and "gap_factors" in vars(st)
+    compatibility_residual(cell, ch.sym_gradient(cell, _random_field(cell, 31)))
+    assert "_dft" in vars(st)
 
 
 def test_fused_kernels_allocate_no_element_array():
