@@ -52,7 +52,6 @@ ENERGY_CHECK_LIMIT = 1e-8      # x Frobenius norm of CH
 BOUND_MARGIN_LIMIT = -1e-8     # x Frobenius norm of CH, eigenvalue floor
 GAP_FACTOR = 10.0              # x solver tolerance, relative gap at optima
 INVERSE_PAIR_LIMIT = 1e-8      # |CH DH - I|
-ARROW_TOL = 1e-7               # equivalence-matrix residuals
 
 
 def _report_of(label: str, rep) -> dict:
@@ -187,7 +186,7 @@ def run(config: RunConfig, threads: int = 1, quiet: bool = False) -> int:
             if config.task == "verify":
                 consist = dual_consistency(cell, result, params)
                 check("dual_consistency", consist, consist <= 1e-7)
-                arrows = equivalence_matrix(cell, params, tol=ARROW_TOL)
+                arrows = equivalence_matrix(cell, params)
                 report["arrows"] = [
                     {"name": a.name, "residual": a.residual, "tol": a.tol,
                      "passed": a.passed} for a in arrows

@@ -21,15 +21,16 @@ holds to rounding by construction; the continuous minus-divergence sign is
 absorbed into this dual pairing.
 
 Every operator application (strain B, stiffness C, compliance D, adjoint
-B^T, the fused element stiffness and the DFT block inverses of
-constant-material operators) is a method of one ``Stencil`` per cell, built
-on first use by ``stencil_of(cell)`` and cached on the cell; the module
-functions below go through it. Its kernels are a gather of corner values by
-an index table, dense products with per-phase element matrices, and a
-scatter that sums each node's contributions in ``CORNERS`` order (see
-``Stencil``). The DFT inverses live on the ``rfftn`` half spectrum, and the
-grid size picks how the reference inverse is applied: as one dense matrix
-on the smallest grids (``DENSE_REF_MAX_DOF``), by products with per-axis
+B^T, the fused element stiffness, the DFT block inverses of
+constant-material operators and the admissible-stress correction) is a
+method of one ``Stencil`` per cell, built on first use by
+``stencil_of(cell)`` and cached on the cell; the module functions below go
+through it. Its kernels are a gather of corner values by an index table,
+dense products with per-phase element matrices, and a scatter that sums
+each node's contributions in ``CORNERS`` order (see ``Stencil``). The DFT
+inverses live on the ``rfftn`` half spectrum, and the grid size picks how
+the reference inverse is applied: as one dense matrix on the smallest
+grids (``DENSE_REF_MAX_DOF``), by products with per-axis
 DFT matrices up to ``DFT_MATRIX_MAX_SIDE`` voxels a side, and by
 ``rfftn``/``irfftn`` beyond. The core numbers the elements once, phase by
 phase; quadrature fields keep the voxel order above and are permuted at the
@@ -375,9 +376,15 @@ class Stencil:
             factors.append((np.ascontiguousarray(r.T), q, np.tile(lt, (8, 1))))
         return factors
 
+    def correction(self, m: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        """Correction stress ``tau = -(C0 e(phi) + m)``, the dual form of the
+        Green-operator projection: with ``phi = ref_solve(divadj(s))`` and ``m
+        = cell_average(s) - S``, ``s + tau`` is admissible with mean ``S``."""
+        return -(self.strain_periodic(phi) @ self.cmean_rows + m)
+
     def correction_gap(self, m: np.ndarray, phi: np.ndarray) -> float:
-        """``1/2 integral D tau.tau`` of ``tau = -(C0 e(phi) + m)``, from the
-        corner values of ``phi`` without forming ``tau``.
+        """``1/2 integral D tau.tau`` of the ``correction`` stress ``tau``,
+        from the corner values of ``phi`` without forming ``tau``.
 
         Per phase, with the rows ``U`` of its elements' corner values,
         ``c = Q^T M m`` and ``s = M m - Q c`` (``gap_factors``), the sum of

@@ -12,7 +12,8 @@ Three routes are provided:
   stopped by the duality gap, the complementary energy of the correction
   stress, which each iteration evaluates as a per-phase sum of squares over
   the element corner values (``Stencil.correction_gap``) without forming
-  that stress; it is formed once, for the returned stress.
+  that stress; it is formed once, for the returned stress, which comes with
+  the displacement that ``solve_stress_driven`` returns.
 
 The CG routes, and the Uzawa route with the AUTO step, run one loop,
 ``_pcg``: textbook preconditioned CG from a zero start with the
@@ -251,10 +252,7 @@ def solve_stress_driven(cell: VoxelCell, macro_stress, params: SolveParams | Non
     st = stencil_of(cell)
     b = st.pack(st.volume * s_target, np.zeros(cell.dims + (3,)))
     sol, report = _pcg(st.k_ext, st.precond_ext, b, params.tol, params.max_iter)
-    mean_sig = st.k_ext(sol)[:6] / st.volume
-    macro, phi = st.unpack(sol)
-    macro = macro + st.cmean_inv @ (s_target - mean_sig)
-    w = project_zero_mean(cell, LinPerField(macro, phi))
+    w = _readout(cell, st, sol, s_target - st.k_ext(sol)[:6] / st.volume)
     x = st.pack(w.macro, w.periodic)
     report.final_energy = (0.5 * float(x @ st.k_ext(x))
                            - st.volume * float(s_target @ w.macro))
@@ -264,20 +262,11 @@ def solve_stress_driven(cell: VoxelCell, macro_stress, params: SolveParams | Non
     return w, report
 
 
-def _correction(st: Stencil, r6: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Correction stress ``tau = -C0 e(z_phi) - r[:6] / V`` of the Uzawa
-    iterate with residual ``r = b - K x`` and ``z = M^-1 r``; ``C e(x) -
-    tau`` is admissible exactly."""
-    tau = st.strain_periodic(st.unpack(z)[1]) @ st.cmean_rows
-    tau += r6 / st.volume
-    np.negative(tau, out=tau)
-    return tau
-
-
-def _gap(st: Stencil, r: np.ndarray, z: np.ndarray) -> float:
-    """``1/2 integral D tau.tau`` of the ``_correction`` stress of ``(r,
-    z)``, by ``Stencil.correction_gap`` without forming ``tau``."""
-    return st.correction_gap(r[:6] / st.volume, st.unpack(z)[1])
+def _readout(cell: VoxelCell, st: Stencil, x: np.ndarray, misfit: np.ndarray) -> LinPerField:
+    """Zero-mean displacement of the stress-driven iterate ``x``, its mean
+    strain corrected by ``cmean^-1`` times the misfit ``S - mean stress``."""
+    macro, phi = st.unpack(x)
+    return project_zero_mean(cell, LinPerField(macro + st.cmean_inv @ misfit, phi))
 
 
 def solve_stress_uzawa(cell: VoxelCell, macro_stress, params: SolveParams | None = None):
@@ -311,10 +300,11 @@ def solve_stress_uzawa(cell: VoxelCell, macro_stress, params: SolveParams | None
     ``uzawa_step`` is a fixed step along the preconditioned residual, which
     raises ``StepTooLarge`` when the gap grows for 10 consecutive iterations.
 
-    Returns ``(sigma, v, report)``: the admissible stress (of iterate ``j``),
-    the zero-mean last displacement, and the report with the gap history;
-    ``final_energy`` is the complementary energy of ``sigma``. The dual
-    multiplier of the underlying Lagrangian is ``-v``.
+    Returns ``(sigma, w, report)``: the admissible stress (of iterate ``j``),
+    the ``solve_stress_driven`` displacement of the last iterate (the strain
+    of ``j`` can be off by about 1e-8 even at ``tol = 1e-12``), and the report
+    with the gap history; ``final_energy`` is the complementary energy of
+    ``sigma``. The dual multiplier of the underlying Lagrangian is ``-w``.
     """
     params = params or SolveParams()
     s_target = np.asarray(macro_stress, dtype=float)
@@ -329,17 +319,18 @@ def solve_stress_uzawa(cell: VoxelCell, macro_stress, params: SolveParams | None
     bnorm = float(np.linalg.norm(b))
     gaps: list = []
     if params.uzawa_step == "auto":
-        x_j = r_j = z_j = None
+        x_j = m_j = psi_j = m = None
         best = compl = np.inf
         energy_prev = 0.0
 
         def gap_test(x, r, z, energy):
-            nonlocal x_j, r_j, z_j, best, compl, energy_prev
-            gap = _gap(st, r, z)
+            nonlocal x_j, m_j, psi_j, m, best, compl, energy_prev
+            m, psi = r[:6] / st.volume, st.unpack(z)[1]
+            gap = st.correction_gap(m, psi)
             best -= energy_prev - energy
             if gap <= best:
                 best, compl = gap, gap - energy
-                x_j, r_j, z_j = x.copy(), r[:6].copy(), z.copy()
+                x_j, m_j, psi_j = x.copy(), m, psi.copy()
             gaps.append(best)
             energy_prev = energy
             return (best <= params.tol * max(compl, 1e-300)
@@ -350,7 +341,6 @@ def solve_stress_uzawa(cell: VoxelCell, macro_stress, params: SolveParams | None
         report.gap_history, report.final_energy = gaps, compl
         if not report.converged:
             raise _not_converged("uzawa", report)
-        tau = _correction(st, r_j, z_j)
     else:
         x = np.zeros_like(b)
         history: list = []
@@ -369,7 +359,8 @@ def solve_stress_uzawa(cell: VoxelCell, macro_stress, params: SolveParams | None
             kx = st.k_ext(x)
             r = b - kx
             z = st.precond_ext(r)
-            gap = _gap(st, r, z)
+            m, psi = r[:6] / st.volume, st.unpack(z)[1]
+            gap = st.correction_gap(m, psi)
             energies.append(0.5 * float(x @ kx) - float(b @ x))
             compl = gap - energies[-1]
             history.append(float(np.linalg.norm(r)) / bnorm)
@@ -389,11 +380,11 @@ def solve_stress_uzawa(cell: VoxelCell, macro_stress, params: SolveParams | None
             x += params.uzawa_step * z
             it += 1
         report = report_at("converged")
-        x_j, tau = x, _correction(st, r[:6], z)
+        x_j, m_j, psi_j = x, m, psi
 
-    macro, phi = st.unpack(x)
-    v = project_zero_mean(cell, LinPerField(macro, st.project(phi)))
-    return st.stress(st.strain_ext(x_j)) - tau, v, report
+    # the last residual's mean part is the misfit, so the readout costs no k_ext
+    sigma = st.stress(st.strain_ext(x_j)) - st.correction(m_j, psi_j)
+    return sigma, _readout(cell, st, x, m), report
 
 
 def solve_strain_route(cell: VoxelCell, load: MacroLoad,

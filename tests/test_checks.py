@@ -12,6 +12,7 @@ from cellhom.microstructures import (
     random_two_phase_cell,
 )
 from cellhom.solvers import SolveParams, Stencil
+from test_fem import GAP_CELLS, REF_SOLVE_CELLS
 
 
 def test_hill_mandel_at_converged_solution(cell_d, probe_solution_d):
@@ -134,12 +135,20 @@ def test_dense_reference_shear_oracle():
     assert mean[5] == pytest.approx(2.0 * mu_h * a12 * SQRT2, rel=1e-12)
 
 
-def test_random_equilibrated_stress_is_feasible(cell_d):
+#: fixture d, the reference-inverse cells of test_fem (dense, DFT-matrix and
+#: rfftn inverses), its sheared cell and its contrast-1000 cell
+PROJECTION_CELLS = {"fixture-d": random_two_phase_cell, **REF_SOLVE_CELLS, **GAP_CELLS}
+
+
+@pytest.mark.parametrize("name", sorted(PROJECTION_CELLS))
+def test_random_equilibrated_stress_is_feasible(name):
+    # one exact projection: admissible to rounding, not to a solver tolerance
+    cell = PROJECTION_CELLS[name]()
     rng = np.random.default_rng(52)
     s = rng.standard_normal(6)
-    sig = ch.random_equilibrated_stress(cell_d, s, rng)
-    ok, div_res, mean_res = ch.is_equilibrated(cell_d, sig, s, 1e-7)
-    assert ok, (div_res, mean_res)
+    sig = ch.random_equilibrated_stress(cell, s, rng)
+    ok, div_res, mean_res = ch.is_equilibrated(cell, sig, s, 1e-7)
+    assert ok and div_res <= 1e-14 and mean_res <= 1e-13, (div_res, mean_res)
 
 
 def test_constitutive_stress_admissible_at_solver_tolerance(cell_d, probe_solution_d):

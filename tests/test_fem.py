@@ -31,7 +31,6 @@ from cellhom.microstructures import (
     random_spd_tensor,
     random_two_phase_cell,
 )
-from cellhom.solvers import _correction, _gap
 
 
 def _random_field(cell, seed):
@@ -388,18 +387,19 @@ GAP_CELLS = {
 @pytest.mark.parametrize("name", sorted(GAP_CELLS))
 def test_correction_gap_is_the_complementary_energy_of_the_correction(name):
     # the element form of the Uzawa gap against 1/2 integral D tau.tau of the
-    # quadrature field tau that _correction forms
+    # quadrature field tau that Stencil.correction forms
     cell = GAP_CELLS[name]()
     st = stencil_of(cell)
     rng = np.random.default_rng(30)
     zero = np.zeros(6 + 3 * cell.n_voxels)
-    assert _gap(st, zero, zero) == 0.0
+    assert st.correction_gap(zero[:6], st.unpack(zero)[1]) == 0.0
     for scale_r, scale_z in ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (1e-9, 1e3)):
         r = scale_r * rng.standard_normal(zero.shape)
         z = scale_z * rng.standard_normal(zero.shape)
-        tau = _correction(st, r[:6], z)
+        m, psi = r[:6] / st.volume, st.unpack(z)[1]
+        tau = st.correction(m, psi)
         want = 0.5 * st.w * float(np.sum(st.compliance_stress(tau) * tau))
-        got = _gap(st, r, z)
+        got = st.correction_gap(m, psi)
         assert got >= 0.0
         assert abs(got - want) <= 1e-13 * want
 

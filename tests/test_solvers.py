@@ -8,6 +8,7 @@ from cellhom.fem import LinPerField, quad_norm
 from cellhom.mandel import SQRT2
 from cellhom.microstructures import homogeneous_cell, random_two_phase_cell
 from cellhom.solvers import NotConverged, SolveParams, Stencil, StepTooLarge, _pcg
+from test_fem import GAP_CELLS
 
 
 def test_params_validation():
@@ -253,18 +254,27 @@ def test_uzawa_auto_step_does_not_overshoot(seed):
     assert (np.diff(gaps) <= 0.0).all()
 
 
-def test_uzawa_agrees_with_stress_driven(cell_d, probe_solution_d):
-    s = probe_solution_d["S"]
-    sig_uz, v_uz, rep = ch.solve_stress_uzawa(cell_d, s, SolveParams(tol=1e-9))
-    st = Stencil(cell_d)
-    sig_ref = st.stress(ch.sym_gradient(cell_d, probe_solution_d["w"]))
-    assert quad_norm(cell_d, sig_uz - sig_ref) <= 1e-6 * quad_norm(cell_d, sig_ref)
-    ok, div_res, mean_res = ch.is_equilibrated(cell_d, sig_uz, s, 1e-9)
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+@pytest.mark.parametrize("name", ["a", "b", "c", "d", "random-sheared-3x4x5",
+                                  "contrast-1000-6x6x6"])
+def test_uzawa_agrees_with_stress_driven(name, tol, request):
+    # fixtures a-d, then the sheared cell of FULL phases and the contrast-1000
+    # cell of test_fem
+    cell = request.getfixturevalue(f"cell_{name}") if len(name) == 1 else GAP_CELLS[name]()
+    s = cell.mean_stiffness @ PROBE_STRAIN
+    params = SolveParams(tol=tol)
+    w, rep_w = ch.solve_stress_driven(cell, s, params)
+    sig_uz, w_uz, rep = ch.solve_stress_uzawa(cell, s, params)
+    e_ref = ch.sym_gradient(cell, w)
+    sig_ref = Stencil(cell).stress(e_ref)
+    assert quad_norm(cell, sig_uz - sig_ref) <= 1e-6 * quad_norm(cell, sig_ref)
+    ok, div_res, mean_res = ch.is_equilibrated(cell, sig_uz, s, tol)
     assert ok, (div_res, mean_res)
-    # the returned displacement matches the stress-driven one
-    e_uz = ch.sym_gradient(cell_d, v_uz)
-    e_ref = ch.sym_gradient(cell_d, probe_solution_d["w"])
-    assert quad_norm(cell_d, e_uz - e_ref) <= 1e-6 * quad_norm(cell_d, e_ref)
+    # both walk the same Krylov iterates, and the Uzawa route returns the
+    # displacement readout of the stress-driven solve at the last one
+    assert rep.iterations == rep_w.iterations
+    e_uz = ch.sym_gradient(cell, w_uz)
+    assert quad_norm(cell, e_uz - e_ref) <= 1e-14 * quad_norm(cell, e_ref)
 
 
 def test_uzawa_saddle_inequalities(cell_d, probe_solution_d):
