@@ -163,8 +163,9 @@ def run(config: RunConfig, threads: int = 1, quiet: bool = False) -> int:
             pair = float(np.linalg.norm(result.CH @ result.DH - np.eye(6)))
             check("inverse_pair", pair, pair <= INVERSE_PAIR_LIMIT)
 
-            # probe pair: Hill-Mandel at the strain-driven solution, both
-            # duality gaps at the stress-driven one
+            # probe pair: Hill-Mandel at the strain-driven solution, which
+            # verify's equivalence matrix checks too, and both duality gaps at
+            # the stress-driven one
             u, rep_u = solve_strain_driven(cell, PROBE_STRAIN, params)
             solve_rows.append(("probe_strain", rep_u))
             hm = hill_mandel_residual(cell, u, st.stress(sym_gradient(cell, u)))
@@ -186,7 +187,7 @@ def run(config: RunConfig, threads: int = 1, quiet: bool = False) -> int:
             if config.task == "verify":
                 consist = dual_consistency(cell, result, params)
                 check("dual_consistency", consist, consist <= 1e-7)
-                arrows = equivalence_matrix(cell, params)
+                arrows = equivalence_matrix(cell, u, params)
                 report["arrows"] = [
                     {"name": a.name, "residual": a.residual, "tol": a.tol,
                      "passed": a.passed} for a in arrows

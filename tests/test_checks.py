@@ -2,10 +2,16 @@ import numpy as np
 import pytest
 
 import cellhom as ch
-from cellhom.checks import SingularSystem, dense_reference_strain, equivalence_matrix
+from cellhom.checks import (
+    PROBE_STRAIN,
+    SingularSystem,
+    dense_reference_strain,
+    equivalence_matrix,
+)
 from cellhom.fem import LinPerField, quad_norm
 from cellhom.mandel import SQRT2
 from cellhom.microstructures import (
+    cubic_inclusion_cell,
     homogeneous_cell,
     laminate_cell,
     random_cell,
@@ -172,8 +178,23 @@ def test_average_product_identity_scales_with_admissibility(cell_d):
         assert ch.hill_mandel_residual(cell_d, v, sig) <= 10.0 * tau
 
 
-def test_equivalence_matrix_passes_on_fixture_d(cell_d):
-    arrows = equivalence_matrix(cell_d)
+#: fixtures a-d, the sheared cell of test_fem and a contrast-1000 cell
+EQUIVALENCE_CELLS = {
+    "a": homogeneous_cell,
+    "b": laminate_cell,
+    "c": cubic_inclusion_cell,
+    "d": random_two_phase_cell,
+    "random-sheared-3x4x5": GAP_CELLS["random-sheared-3x4x5"],
+    "contrast-1000-6x6x6-fraction-0.2": lambda: random_two_phase_cell(
+        (6, 6, 6), seed=5, phase_b=(1000.0, 1000.0), fraction=0.2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_CELLS))
+def test_equivalence_matrix_passes_on_probe_solution(name):
+    cell = EQUIVALENCE_CELLS[name]()
+    u_a, _ = ch.solve_strain_driven(cell, PROBE_STRAIN)
+    arrows = equivalence_matrix(cell, u_a)
     assert len(arrows) >= 12
     failing = [(a.name, a.residual) for a in arrows if not a.passed]
     assert not failing, failing

@@ -247,6 +247,31 @@ def test_run_homogenize_solves_each_probe_once(tmp_path, monkeypatch):
     assert labels[6:] == ["probe_strain", "probe_stress", "probe_strain_route"]
 
 
+def test_run_verify_solves_the_probe_strain_twice(tmp_path, monkeypatch):
+    # the run's probe solve, and the strain route's; the equivalence matrix
+    # checks the run's solution instead of solving the probe strain again
+    import cellhom.checks as checks
+    import cellhom.cli as cli
+    import cellhom.solvers as solvers
+
+    calls = []
+
+    def counting(cell, macro_strain, *args, **kwargs):
+        calls.append(np.array_equal(macro_strain, checks.PROBE_STRAIN))
+        return strain_driven(cell, macro_strain, *args, **kwargs)
+
+    strain_driven = solvers.solve_strain_driven
+    monkeypatch.setattr(solvers, "solve_strain_driven", counting)
+    monkeypatch.setattr(cli, "solve_strain_driven", counting)
+    monkeypatch.setattr(checks, "solve_strain_driven", counting, raising=False)
+    cfg = _write_inputs(tmp_path, random_two_phase_cell(), "task = verify\n")
+    assert main([str(cfg), "--quiet"]) == 0
+    assert sum(calls) == 2
+    labels = [s["label"] for s in json.loads(
+        (tmp_path / "out" / "report.json").read_text())["solves"]]
+    assert labels[6:] == ["probe_strain", "probe_stress", "probe_strain_route"]
+
+
 def test_run_missing_voxel_is_io_error(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("voxel_path = /nonexistent/cell.vox\n", encoding="utf-8")
