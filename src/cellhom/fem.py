@@ -229,7 +229,10 @@ class Stencil:
     present phase; the DFT matrices, the inverse blocks, the dense inverse,
     the condition bounds and the gap factors are built on first use. Per
     step, ``k_phi`` and ``k_ext`` subtract the nodal mean from their fresh
-    result in place, by one product with a kept ones vector.
+    result in place, by one product with a kept ones vector. ``k_phi`` and
+    ``ref_solve`` also take a stack of fields along a leading axis, the
+    columns of a lockstep solve, and give each field the bits of a call on
+    it alone.
 
     Obtain it through ``stencil_of(cell)``, which builds one per cell.
     """
@@ -413,12 +416,63 @@ class Stencil:
 
     # periodic-fluctuation operator ------------------------------------------
 
+    def _stack_tables(self, k: int):
+        """Corner and scatter tables of a stack of ``k`` nodal fields, the
+        element blocks of each phase's product, and the corner gather, element
+        forces and scatter gather of ``k_phi`` on it.
+
+        Stacked element ``k s + j c + t`` is element ``s + t`` of field ``j``,
+        for the phase whose elements are ``s:s + c``: ordered by phase, then
+        field, so each phase's product is one block over all the fields. A
+        stack of one uses the core's own tables and work arrays. The tables
+        are built on first use and kept per thread with the work arrays; they
+        are plain arrays, holding no reference back to the core.
+        """
+        stacks = getattr(self._tls, "stacks", None)
+        if stacks is None:
+            stacks = self._tls.stacks = {}
+        if k not in stacks:
+            if k == 1:
+                conn, inv, (ue, fe, nodes, _) = self.conn, self.inv, self._work_arrays()
+            else:
+                n = len(self.conn)
+                shift = n * np.arange(k)[:, None, None]
+                conn = np.concatenate([(self.conn[ph.rows] + shift).reshape(-1, 8)
+                                       for ph in self.phases])
+                inv = np.empty((8, k * n), dtype=np.int64)
+                inv[np.arange(8), conn] = np.arange(8 * k * n).reshape(k * n, 8)
+                ue, fe, nodes = (np.empty((k * n, 8, 3)), np.empty((k * n, 24)),
+                                 np.empty((8, k * n, 3)))
+            # numpy multiplies a single row as a vector, rounding unlike a
+            # block, so a phase of one element keeps one product per field
+            blocks = []
+            for ph in self.phases:
+                start, stop = k * ph.rows.start, k * ph.rows.stop
+                step = 1 if stop - start == k else stop - start
+                blocks += [(slice(i, i + step), ph.k_rows) for i in range(start, stop, step)]
+            stacks[k] = (conn, inv, blocks, ue, fe, nodes)
+        return stacks[k]
+
     def k_phi(self, phi: np.ndarray) -> np.ndarray:
-        ue, fe, nodes, _ = self._work_arrays()
-        ue = gather_corners(phi, self.conn, out=ue).reshape(-1, 24)
-        for ph in self.phases:
-            np.matmul(ue[ph.rows], ph.k_rows, out=fe[ph.rows])
-        return self._center(self.scatter(fe, nodes))
+        """Fluctuation stiffness of one nodal field, or of each field of a
+        stack along a leading axis.
+
+        One gather by the stacked corner table (``_stack_tables``), one
+        product per phase over all the fields, one scatter gather and one sum
+        over the 8 corners, then each field loses its own nodal mean, by one
+        vector-matrix product per field. Every row goes through the
+        operations of a call on its field alone, so each field of a stack
+        equals that call bit for bit.
+        """
+        n = len(self.conn)
+        conn, inv, blocks, ue, fe, nodes = self._stack_tables(phi.size // (3 * n))
+        ue = gather_corners(phi, conn, out=ue).reshape(-1, 24)
+        for rows, k_rows in blocks:
+            np.matmul(ue[rows], k_rows, out=fe[rows])
+        f = np.take(fe.reshape(-1, 3), inv, axis=0, out=nodes, mode="clip").sum(axis=0)
+        f = f.reshape(-1, n, 3)
+        f -= (self._ones @ f / n)[:, None]
+        return f.reshape(phi.shape)
 
     # extended operator on (mean strain, fluctuation) -------------------------
 
@@ -505,7 +559,8 @@ class Stencil:
         return dft_matrices(self.dims) if max(self.dims) <= DFT_MATRIX_MAX_SIDE else None
 
     def block_solve(self, pinv: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """Apply the half-spectrum inverse blocks ``pinv`` to a nodal field.
+        """Apply the half-spectrum inverse blocks ``pinv`` to a nodal field
+        (or to a stack of one field, whose shape the result keeps).
 
         On grids of at most ``DFT_MATRIX_MAX_SIDE`` voxels a side the
         transforms are products with per-axis DFT matrices (``dft_matrices``),
@@ -517,7 +572,8 @@ class Stencil:
         """
         n1, n2, n3 = self.dims
         if self._dft is None:
-            rhat = np.fft.rfftn(np.ascontiguousarray(np.moveaxis(r, 3, 0)), axes=(1, 2, 3))
+            rhat = np.fft.rfftn(np.ascontiguousarray(np.moveaxis(r.reshape(n1, n2, n3, 3), 3, 0)),
+                                axes=(1, 2, 3))
         else:
             fwd, f2, f1, f2_inv, f1_inv, inv = self._dft
             rhat = np.matmul(r.reshape(n1 * n2, n3, 3).transpose(2, 0, 1), fwd)
@@ -528,7 +584,7 @@ class Stencil:
         zhat += pinv[:, 2] * rhat[2]
         if self._dft is None:
             z = np.fft.irfftn(zhat, s=self.dims, axes=(1, 2, 3))
-            return np.ascontiguousarray(np.moveaxis(z, 0, 3))
+            return np.ascontiguousarray(np.moveaxis(z, 0, 3)).reshape(r.shape)
         zhat = f2_inv @ (f1_inv @ zhat.reshape(3, n1, -1)).reshape(zhat.shape)
         z = np.empty(r.shape)
         np.matmul(zhat.reshape(3, n1 * n2, -1).view(float), inv,
@@ -558,11 +614,18 @@ class Stencil:
         return np.take(rows, idx, axis=0).reshape(3 * nodes, -1)
 
     def ref_solve(self, r: np.ndarray) -> np.ndarray:
-        """Apply the reference inverse: by the dense matrix on grids of at
-        most ``DENSE_REF_MAX_DOF`` unknowns, else by DFT blocks."""
-        if r.size <= DENSE_REF_MAX_DOF:
-            return (self.ref_dense @ r.reshape(-1)).reshape(r.shape)
-        return self.block_solve(self.ref_pinv, r)
+        """Apply the reference inverse to one nodal field, or to each field of
+        a stack along a leading axis: by the dense matrix on grids of at most
+        ``DENSE_REF_MAX_DOF`` unknowns, else by DFT blocks. A stack takes one
+        matrix-vector product per field; one product with all the fields
+        would be faster, but it rounds differently, while this way each field
+        equals a call on it alone bit for bit."""
+        dof = 3 * len(self.conn)
+        if dof <= DENSE_REF_MAX_DOF:
+            return np.matmul(self.ref_dense, r.reshape(-1, dof, 1)).reshape(r.shape)
+        if r.size == dof:
+            return self.block_solve(self.ref_pinv, r)
+        return np.stack([self.block_solve(self.ref_pinv, field) for field in r])
 
     def precond_ext(self, x: np.ndarray) -> np.ndarray:
         macro, phi = self.unpack(x)
@@ -579,6 +642,9 @@ def stencil_of(cell: VoxelCell) -> Stencil:
     ``gap_factors``, ``dual_scale`` and the DFT matrices of ``block_solve``,
     and on grids of at most ``DENSE_REF_MAX_DOF`` unknowns also
     ``ref_dense``. The tables and element matrices are built with the core.
+    The kernels' work arrays, and the tables of a stack of fields
+    (``_stack_tables``, built by the first ``k_phi`` of a stack of that
+    size), are kept per thread, so they need no such care.
     """
     st = vars(cell).get("_stencil")
     if st is None:

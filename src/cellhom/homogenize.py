@@ -6,10 +6,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import mandel
+from . import fem, mandel
 from .cell import VoxelCell, cell_average
 from .fem import LinPerField, stencil_of
-from .solvers import SolveParams, solve_strain_driven, solve_stress_driven, solve_stress_uzawa
+from .solvers import (SolveParams, solve_strain_driven, solve_strain_stack, solve_stress_driven,
+                      solve_stress_uzawa)
 
 #: orthonormal Mandel basis: three unit normal strains, three normalized shears
 MANDEL_BASIS = np.eye(6)
@@ -64,8 +65,16 @@ def homogenize(cell: VoxelCell, params: SolveParams | None = None,
     Mandel basis strain. With the Uzawa formulation the compliance is
     assembled first from six basis mean stresses and then inverted.
 
-    The columns are solved one after another. ``threads`` is accepted and
-    ignored; it is kept so that callers passing it keep working.
+    On grids of at most ``fem.DENSE_REF_MAX_DOF`` nodal unknowns the six
+    displacement (or strain) columns are solved in lockstep, as one stack
+    (``solve_strain_stack``): each operator and preconditioner call serves
+    all six, so its per-call overhead, which dominates on such grids, is
+    paid once. On larger grids, where a stack of six no longer pays, and on
+    the Uzawa formulation, the columns are solved one after another. Either
+    way each column, and so the result, is bit for bit the same, in one
+    thread.
+    ``threads`` is accepted and ignored; it is kept so that callers passing
+    it keep working.
 
     Raises ``AsymmetricResult`` when the assembled matrix is asymmetric
     beyond ``ASYMMETRY_LIMIT`` (a solver or assembly bug) and propagates
@@ -77,18 +86,23 @@ def homogenize(cell: VoxelCell, params: SolveParams | None = None,
     st = stencil_of(cell)
 
     cols, kept, reports = [], [], []  # kept: sigma, or (x, Kx); see HomogResult
-    for load in MANDEL_BASIS:
-        if formulation == "stress-uzawa":
+    if formulation == "stress-uzawa":
+        for load in MANDEL_BASIS:
             sig, _, rep = solve_stress_uzawa(cell, load, params)
             cols.append(cell_average(cell, st.compliance_stress(sig)))
             kept.append(sig)
+            reports.append(rep)
+    else:
+        if 3 * cell.n_voxels <= fem.DENSE_REF_MAX_DOF:
+            solved = solve_strain_stack(cell, MANDEL_BASIS, params)
         else:
-            u, rep = solve_strain_driven(cell, load, params)
+            solved = (solve_strain_driven(cell, load, params) for load in MANDEL_BASIS)
+        for u, rep in solved:
             x = st.pack(u.macro, u.periodic)
             kx = st.k_ext(x)
             cols.append(kx[:6] / cell.volume)
             kept.append((x, kx))
-        reports.append(rep)
+            reports.append(rep)
     raw = np.column_stack(cols)
 
     norm = np.linalg.norm(raw)

@@ -20,7 +20,11 @@ The CG routes, and the Uzawa route with the AUTO step, run one loop,
 Fletcher-Reeves beta, whose iterates equal those of Polak-Ribiere CG in
 exact arithmetic because the preconditioner is fixed and SPD. The energy of
 every iterate is read off the CG scalars, so the loop keeps no running
-``K x``; the Uzawa route stops it on the duality gap through a hook.
+``K x``; the Uzawa route stops it on the duality gap through a hook. The
+loop iterates a stack of right-hand sides in lockstep, as independent CGs
+that share each operator and preconditioner call: ``solve_strain_stack``
+solves several mean strains so, each with the bits of its own solve, and
+every other route passes a stack of one.
 
 The preconditioner is the constant-coefficient operator built from the
 volume-averaged stiffness; being block-circulant on the periodic grid it is
@@ -139,70 +143,140 @@ class StepTooLarge(NotConverged):
 # preconditioned conjugate gradients
 
 
+def _dots(a, b) -> list:
+    """``float(np.vdot(a[i], b[i]))`` for every column ``i`` of two stacks.
+    Several columns take one batched product, cheaper than a ``vdot`` each:
+    numpy computes each row-by-column product by the BLAS dot that
+    ``np.vdot`` calls, so each value is the same bit for bit."""
+    if len(a) == 1:
+        return [float(np.vdot(a, b))]
+    return np.matmul(a.reshape(len(a), 1, -1), b.reshape(len(b), -1, 1)).ravel().tolist()
+
+
 def _pcg(op, m_inv, b, tol, max_iter, energy_offset=0.0, hook=None):
-    """Textbook preconditioned CG from ``x = 0`` on arrays of any shape.
+    """Textbook preconditioned CG from ``x = 0``, run on each right-hand
+    side ``b[i]`` of a stack along the leading axis of ``b``.
 
     ``op`` applies the SPD operator and ``m_inv`` the inverse of the SPD
-    preconditioner. Returns (x, report). Beta is Fletcher-Reeves,
+    preconditioner, each to the whole stack at once, and the column ``i`` of
+    their result must equal their application to ``b[i]`` alone. Returns
+    ``(x, reports)``, one report per column. Beta is Fletcher-Reeves,
     ``r.z_new / r.z_old``; with a fixed SPD preconditioner the new residual
     is conjugate to the old one, so the iterates are those of Polak-Ribiere
     CG in exact arithmetic. The recorded energies ``1/2 x.Kx - b.x`` plus
-    ``energy_offset`` come from the CG scalars: as ``p.r = r.z``, each step
-    lowers the energy by ``alpha r.z / 2``.
+    ``energy_offset`` (a number, or a list of one per column) come from the CG
+    scalars: as ``p.r = r.z``, each step lowers the energy by ``alpha r.z /
+    2``.
 
-    ``hook(x, r, z, energy)``, called at every iterate with the ``z =
-    m_inv(r)`` the next direction uses, returns whether to stop, in place of
-    the test ``|r| <= tol |b|``. The loop updates ``x``, ``r`` and the
-    direction (the first one is ``z`` itself) in place, so a hook copies
-    whatever it keeps.
+    The columns are independent CGs that share the calls of ``op`` and
+    ``m_inv``: each keeps its own scalars, as Python floats, its own stop
+    test, counts and report, so it takes the iterates, and the bits, of a
+    solve on its own. A column that stops is frozen: its ``x``, ``r`` and
+    histories no longer change, while the others go on; the stack is still
+    applied whole, and an application counts once for each column still
+    iterating.
+
+    ``hook(x, r, z, energy)``, allowed only with one column, is called at
+    every iterate with that column's arrays and the ``z = m_inv(r)`` the
+    next direction uses, and returns whether to stop, in place of the test
+    ``|r| <= tol |b|``. The loop updates ``x``, ``r`` and the direction (the
+    first one is ``z`` itself) in place, so a hook copies whatever it keeps.
     """
+    if hook is not None and len(b) != 1:
+        raise ValueError("a _pcg hook takes one column")
+    k = len(b)
+    shape = (k,) + (1,) * (b.ndim - 1)
+
+    def per_column(values):
+        """Scalars, one per column, as a factor of the stack."""
+        return values[0] if k == 1 else np.array(values).reshape(shape)
+
+    def mask(active):
+        """Where the in-place updates act: on the columns still iterating, so
+        that the frozen ones keep their bits (everywhere while all iterate)."""
+        if len(active) == k:
+            return True
+        going = np.zeros(shape, dtype=bool)
+        going.reshape(k)[active] = True
+        return going
+
     x = np.zeros_like(b)
-    bnorm = math.sqrt(np.vdot(b, b))
-    if bnorm == 0.0:
-        return x, SolveReport(0, [0.0], energy_offset, True,
-                              energy_history=[energy_offset])
     r = b.copy()
     step = np.empty_like(b)  # alpha p, then alpha K p
-    history = [1.0]
-    energies = [energy_offset]
+    bnorm = [math.sqrt(d) for d in _dots(b, b)]
+    energies = [[e] for e in (energy_offset if isinstance(energy_offset, list)
+                              else [energy_offset] * k)]
+    # a zero right-hand side is solved by x = 0, with no iteration
+    history = [[1.0] if bn else [0.0] for bn in bnorm]
+    stop = [not bn for bn in bnorm]
+    stop_reason = ["budget"] * k
+    it, n_op, n_prec = [0] * k, [0] * k, [0] * k
+    active = [i for i in range(k) if not stop[i]]
+    going = mask(active)
     p = None
-    it = n_op = n_prec = 0
-    stop_reason = "budget"
-    while True:
+    while active:
         if hook is None:
             # the residual test needs no z, so a converged solve spends no
             # m_inv on it; "not >" stops on a NaN residual too, unconverged
-            z, stop = None, not history[-1] > tol
+            z = None
+            for i in active:
+                stop[i] = not history[i][-1] > tol
         else:
-            z, n_prec = m_inv(r), n_prec + 1
-            stop = bool(hook(x, r, z, energies[-1]))
-        if stop or it >= max_iter:
+            z, n_prec[0] = m_inv(r), n_prec[0] + 1
+            stop[0] = bool(hook(x[0], r[0], z[0], energies[0][-1]))
+        still = [i for i in active if not stop[i] and it[i] < max_iter]
+        if not still:
             break
+        if len(still) < len(active):
+            active, going = still, mask(still)
         if z is None:
-            z, n_prec = m_inv(r), n_prec + 1
-        rz_new = float(np.vdot(r, z))
+            z = m_inv(r)
+            for i in active:
+                n_prec[i] += 1
+        rz_new = _dots(r, z)
         if p is None:
             p = z
         else:
-            p *= rz_new / rz
-            p += z
+            # a frozen column's factors go unused
+            beta = [rz_new[i] / rz[i] if i in active else 0.0 for i in range(k)]
+            np.multiply(p, per_column(beta), out=p, where=going)
+            np.add(p, z, out=p, where=going)
         rz = rz_new
-        kp, n_op = op(p), n_op + 1
-        pkp = float(np.vdot(p, kp))
-        if pkp <= 0.0 or rz <= 0.0:
-            stop_reason = "breakdown"  # rounding noise at an unconverged iterate
-            break
-        alpha = rz / pkp
-        x += np.multiply(p, alpha, out=step)
-        r -= np.multiply(kp, alpha, out=step)
-        it += 1
-        history.append(math.sqrt(np.vdot(r, r)) / bnorm)
-        energies.append(energies[-1] - 0.5 * alpha * rz)
-    converged = stop and (hook is not None or history[-1] <= tol)
-    return x, SolveReport(it, history, energies[-1], converged,
-                          energy_history=energies,
-                          stop_reason="converged" if converged else stop_reason,
-                          operator_applications=n_op, preconditioner_applications=n_prec)
+        kp = op(p)
+        pkp = _dots(p, kp)
+        for i in active:
+            n_op[i] += 1
+        broken = [i for i in active if pkp[i] <= 0.0 or rz[i] <= 0.0]
+        if broken:
+            for i in broken:
+                stop_reason[i] = "breakdown"  # rounding noise at an unconverged iterate
+            active = [i for i in active if i not in broken]
+            going = mask(active)
+        alpha = [rz[i] / pkp[i] if i in active else 0.0 for i in range(k)]
+        factor = per_column(alpha)
+        np.add(x, np.multiply(p, factor, out=step, where=going), out=x, where=going)
+        np.subtract(r, np.multiply(kp, factor, out=step, where=going), out=r, where=going)
+        rr = _dots(r, r)
+        for i in active:
+            it[i] += 1
+            history[i].append(math.sqrt(rr[i]) / bnorm[i])
+            energies[i].append(energies[i][-1] - 0.5 * alpha[i] * rz[i])
+    reports = []
+    for i in range(k):
+        converged = stop[i] and (hook is not None or history[i][-1] <= tol)
+        reports.append(SolveReport(
+            it[i], history[i], energies[i][-1], converged, energy_history=energies[i],
+            stop_reason="converged" if converged else stop_reason[i],
+            operator_applications=n_op[i], preconditioner_applications=n_prec[i]))
+    return x, reports
+
+
+def _pcg_one(op, m_inv, b, tol, max_iter, hook=None):
+    """``_pcg`` on the one right-hand side ``b``, for an operator and
+    preconditioner that apply to one vector: returns ``(x, report)``."""
+    x, reports = _pcg(lambda v: op(v[0])[None], lambda v: m_inv(v[0])[None], b[None],
+                      tol, max_iter, hook=hook)
+    return x[0], reports[0]
 
 
 def _not_converged(solve: str, report: SolveReport) -> NotConverged:
@@ -226,18 +300,37 @@ def solve_strain_driven(cell: VoxelCell, macro_strain, params: SolveParams | Non
     residual of the equilibrium equations is below ``tol`` relative to the
     load produced by the mean strain.
     """
+    return solve_strain_stack(cell, np.asarray(macro_strain, dtype=float)[None], params)[0]
+
+
+def solve_strain_stack(cell: VoxelCell, macro_strains, params: SolveParams | None = None):
+    """``solve_strain_driven`` of each mean strain of a stack (one per row),
+    in lockstep: one ``_pcg`` over the stack, so that one ``k_phi`` and one
+    ``ref_solve`` call per iteration serve all the columns.
+
+    Returns a list of ``(u, report)``, each bit for bit what
+    ``solve_strain_driven`` returns for its strain. When columns fail to
+    converge, raises the ``NotConverged`` of the one of lowest index, which
+    a solve of one column after another would have raised first.
+    """
     params = params or SolveParams()
-    a = np.asarray(macro_strain, dtype=float)
+    strains = np.asarray(macro_strains, dtype=float)
     st = stencil_of(cell)
     # the stiffness of (a, 0) gives the load of the mean strain and its energy
-    mean, load = st.mean_strain_load(a)
-    sol, report = _pcg(st.k_phi, st.ref_solve, -load, params.tol, params.max_iter,
-                       energy_offset=0.5 * float(a @ mean))
-    report.operator_applications += 1  # the load
-    u = LinPerField(a, st.project(sol))
-    if not report.converged:
-        raise _not_converged("strain-driven", report)
-    return u, report
+    b = np.empty((len(strains),) + cell.dims + (3,))
+    offsets = []
+    for a, b_a in zip(strains, b):
+        mean, load = st.mean_strain_load(a)
+        np.negative(load, out=b_a)
+        offsets.append(0.5 * float(a @ mean))
+    sols, reports = _pcg(st.k_phi, st.ref_solve, b, params.tol, params.max_iter,
+                         energy_offset=offsets)
+    for report in reports:
+        report.operator_applications += 1  # the load
+        if not report.converged:
+            raise _not_converged("strain-driven", report)
+    return [(LinPerField(a, st.project(sol)), report)
+            for a, sol, report in zip(strains, sols, reports)]
 
 
 def solve_stress_driven(cell: VoxelCell, macro_stress, params: SolveParams | None = None):
@@ -251,7 +344,7 @@ def solve_stress_driven(cell: VoxelCell, macro_stress, params: SolveParams | Non
     s_target = np.asarray(macro_stress, dtype=float)
     st = stencil_of(cell)
     b = st.pack(st.volume * s_target, np.zeros(cell.dims + (3,)))
-    sol, report = _pcg(st.k_ext, st.precond_ext, b, params.tol, params.max_iter)
+    sol, report = _pcg_one(st.k_ext, st.precond_ext, b, params.tol, params.max_iter)
     w = _readout(cell, st, sol, s_target - st.k_ext(sol)[:6] / st.volume)
     x = st.pack(w.macro, w.periodic)
     report.final_energy = (0.5 * float(x @ st.k_ext(x))
@@ -336,8 +429,8 @@ def solve_stress_uzawa(cell: VoxelCell, macro_stress, params: SolveParams | None
             return (best <= params.tol * max(compl, 1e-300)
                     and float(np.linalg.norm(r)) <= params.tol * bnorm)
 
-        x, report = _pcg(st.k_ext, st.precond_ext, b, params.tol, params.max_iter,
-                         hook=gap_test)
+        x, report = _pcg_one(st.k_ext, st.precond_ext, b, params.tol, params.max_iter,
+                             hook=gap_test)
         report.gap_history, report.final_energy = gaps, compl
         if not report.converged:
             raise _not_converged("uzawa", report)

@@ -27,6 +27,7 @@ from cellhom.fem import (
 )
 from cellhom.microstructures import (
     homogeneous_cell,
+    laminate_cell,
     random_cell,
     random_spd_tensor,
     random_two_phase_cell,
@@ -402,6 +403,69 @@ def test_correction_gap_is_the_complementary_energy_of_the_correction(name):
         got = st.correction_gap(m, psi)
         assert got >= 0.0
         assert abs(got - want) <= 1e-13 * want
+
+
+def _one_voxel_phase_cell():
+    # a phase of one element, whose product numpy takes as a vector product
+    rng = np.random.default_rng(33)
+    grid = np.zeros((3, 4, 5), dtype=np.int64)
+    grid[1, 2, 3] = 1
+    return VoxelCell((3, 4, 5), grid, [random_spd_tensor(rng), random_spd_tensor(rng, scale=3.0)])
+
+
+#: cells that ``homogenize`` solves in lockstep, all of at most
+#: ``DENSE_REF_MAX_DOF`` unknowns: fixtures a, b and d, the sheared cell of
+#: FULL phases on CI's lattice, a contrast-1000 cell and a one-voxel phase
+LOCKSTEP_CELLS = {
+    "fixture-a": homogeneous_cell,
+    "fixture-b": laminate_cell,
+    "fixture-d": random_two_phase_cell,
+    "random-sheared-3x4x5": GAP_CELLS["random-sheared-3x4x5"],
+    "contrast-1000-4x4x4": lambda: random_two_phase_cell(
+        (4, 4, 4), seed=5, phase_b=(1000.0, 1000.0), fraction=0.2),
+    "one-voxel-phase-3x4x5": _one_voxel_phase_cell,
+}
+
+
+@pytest.mark.parametrize("name", [*sorted(LOCKSTEP_CELLS), "two-phase-8x8x8"])
+def test_stacked_kernels_equal_single_field_calls(name):
+    # k_phi and ref_solve on a stack of six fields give, field by field, the
+    # bits of six calls on one field, and a stack of one those of its field;
+    # the 8^3 cell is past the dense cap, so ref_solve stacks DFT solves
+    if name in LOCKSTEP_CELLS:
+        cell = LOCKSTEP_CELLS[name]()
+        assert 3 * cell.n_voxels <= DENSE_REF_MAX_DOF
+    else:
+        cell = random_two_phase_cell(dims=(8, 8, 8), seed=5)
+    st = stencil_of(cell)
+    fields = np.random.default_rng(32).standard_normal((6,) + cell.dims + (3,))
+    for kernel in (st.k_phi, st.ref_solve):
+        stacked = kernel(fields)
+        assert stacked.shape == fields.shape
+        for field, got in zip(fields, stacked):
+            np.testing.assert_array_equal(got, kernel(field))
+        np.testing.assert_array_equal(kernel(fields[:1])[0], kernel(fields[0]))
+
+
+def test_stacked_tables_are_kept_per_thread_without_a_cycle():
+    # the stacked tables live with the work arrays, so a stack applied again
+    # builds nothing, and with the cyclic collector off the core still dies
+    # with its cell
+    cell = random_two_phase_cell()
+    st = stencil_of(cell)
+    fields = np.random.default_rng(34).standard_normal((6,) + cell.dims + (3,))
+    first = st.k_phi(fields)
+    tables = st._stack_tables(6)
+    np.testing.assert_array_equal(st.k_phi(fields), first)
+    assert st._stack_tables(6) is tables
+    gc.disable()
+    try:
+        ch.homogenize(cell)
+        core = weakref.ref(st)
+        del cell, st, tables
+        assert core() is None
+    finally:
+        gc.enable()
 
 
 #: the kernel cells and 5x3x1 (a one-voxel axis) are below

@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ import cellhom as ch
 from cellhom import fem
 from cellhom.cell import Lattice, VoxelCell
 from cellhom.fem import LinPerField, stencil_of
-from cellhom.homogenize import MANDEL_BASIS
+from cellhom.homogenize import MANDEL_BASIS, _column_tol
 from cellhom.microstructures import (
     homogeneous_cell,
     laminate_cell,
@@ -13,7 +16,7 @@ from cellhom.microstructures import (
     random_two_phase_cell,
 )
 from cellhom.solvers import NotConverged, SolveParams
-from test_fem import _three_phase_sheared_cell
+from test_fem import LOCKSTEP_CELLS, _three_phase_sheared_cell
 
 
 def test_homogeneous_identity_iso():
@@ -145,22 +148,85 @@ def test_homogenize_propagates_not_converged(cell_d):
 
 
 def test_homogenize_rejects_asymmetric_assembly(cell_d, monkeypatch):
-    # corrupt one column solve so the symmetry gate sees an assembly bug
+    # corrupt one column solve so the symmetry gate sees an assembly bug;
+    # fixture d is small enough that its six columns are solved as one stack
     import importlib
 
     hz = importlib.import_module("cellhom.homogenize")
-    original = hz.solve_strain_driven
+    original = hz.solve_strain_stack
 
-    def crooked(cell, macro, params=None, **kw):
-        u, rep = original(cell, macro, params, **kw)
-        if macro[0] == 1.0:
-            u.periodic = u.periodic + 1e-3 * np.sin(
-                np.arange(u.periodic.size).reshape(u.periodic.shape))
-        return u, rep
+    def crooked(cell, macros, params=None, **kw):
+        solved = original(cell, macros, params, **kw)
+        for macro, (u, _) in zip(macros, solved):
+            if macro[0] == 1.0:
+                u.periodic = u.periodic + 1e-3 * np.sin(
+                    np.arange(u.periodic.size).reshape(u.periodic.shape))
+        return solved
 
-    monkeypatch.setattr(hz, "solve_strain_driven", crooked)
+    monkeypatch.setattr(hz, "solve_strain_stack", crooked)
     with pytest.raises(ch.AsymmetricResult):
         ch.homogenize(cell_d)
+
+
+#: per-column iteration counts of the lockstep cells whose counts are pinned
+LOCKSTEP_COUNTS = {
+    "fixture-a": [0, 0, 0, 0, 0, 0],
+    "fixture-b": [1, 2, 0, 0, 1, 1],
+    "contrast-1000-4x4x4": [117, 118, 117, 118, 118, 118],
+}
+
+
+@pytest.mark.parametrize("name", ["fixture-a", "fixture-b", "contrast-1000-4x4x4",
+                                  "random-sheared-3x4x5"])
+def test_lockstep_columns_equal_one_column_solves(name):
+    # the six columns, solved as one stack, report what six solves of one
+    # column report, and CH is bit for bit the tensor those solves assemble
+    cell = LOCKSTEP_CELLS[name]()
+    assert 3 * cell.n_voxels <= fem.DENSE_REF_MAX_DOF
+    result = ch.homogenize(cell)
+    params = _column_tol(cell, SolveParams())
+    st = stencil_of(cell)
+    cols = []
+    for a, rep in zip(MANDEL_BASIS, result.per_column_reports):
+        u, one = ch.solve_strain_driven(cell, a, params)
+        for attr in ("iterations", "residual_history", "energy_history", "stop_reason",
+                     "operator_applications", "preconditioner_applications"):
+            assert getattr(rep, attr) == getattr(one, attr), attr
+        cols.append(st.k_ext(st.pack(u.macro, u.periodic))[:6] / cell.volume)
+    raw = np.column_stack(cols)
+    assert result.CH.tobytes() == (0.5 * (raw + raw.T)).tobytes()
+    if name in LOCKSTEP_COUNTS:
+        assert [rep.iterations for rep in result.per_column_reports] == LOCKSTEP_COUNTS[name]
+
+
+@pytest.mark.parametrize("make, column", [(random_two_phase_cell, 0), (laminate_cell, 1)],
+                         ids=["fixture-d", "fixture-b"])
+def test_lockstep_raises_the_lowest_failing_column(make, column):
+    # with one iteration every column of fixture d fails, and on fixture b
+    # only column 1 (which needs two): either way the stacked solve raises
+    # what a solve of that column alone raises, as the one-at-a-time loop did
+    cell = make()
+    params = SolveParams(max_iter=1)
+    with pytest.raises(NotConverged) as stacked:
+        ch.homogenize(cell, params)
+    one_column = _column_tol(cell, params)
+    for a in MANDEL_BASIS[:column]:
+        ch.solve_strain_driven(cell, a, one_column)
+    with pytest.raises(NotConverged) as alone:
+        ch.solve_strain_driven(cell, MANDEL_BASIS[column], one_column)
+    assert str(stacked.value) == str(alone.value)
+    assert dataclasses.asdict(stacked.value.report) == dataclasses.asdict(alone.value.report)
+
+
+@pytest.mark.parametrize("name", ["fixture-a", "fixture-b"])
+def test_lockstep_zero_loads_raise_no_warning(name):
+    # fixture a has six zero loads and fixture b two: their columns stop at
+    # x = 0 while the others iterate, with no division by their zero norms
+    cell = LOCKSTEP_CELLS[name]()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = ch.homogenize(cell)
+    assert all(rep.converged for rep in result.per_column_reports)
 
 
 def _sheared_sweep_cell():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -100,8 +102,9 @@ def test_pcg_energy_recurrence_matches_iterates():
     offset = 0.75
 
     def run(max_iter):
-        return _pcg(lambda v: a @ v, lambda v: v / d, b, 1e-14, max_iter,
-                    energy_offset=offset)
+        x, (rep,) = _pcg(lambda v: v @ a, lambda v: v / d, b[None], 1e-14, max_iter,
+                         energy_offset=offset)
+        return x[0], rep
 
     x, rep = run(100)
     assert rep.converged
@@ -125,7 +128,7 @@ def test_not_converged_carries_report(cell_d):
 
 
 def test_pcg_reports_breakdown():
-    _, rep = _pcg(lambda v: -v, lambda v: v, np.ones(4), 1e-9, 10)
+    _, (rep,) = _pcg(lambda v: -v, lambda v: v, np.ones((1, 4)), 1e-9, 10)
     assert rep.stop_reason == "breakdown"
     assert not rep.converged and rep.iterations == 0
 
@@ -144,7 +147,7 @@ def test_pcg_hook_sees_every_iterate_at_no_extra_preconditioner_cost():
         calls.append(v.copy())
         return v / d
 
-    x, rep = _pcg(lambda v: a @ v, m_inv, b, 1e-12, 100)
+    x, (rep,) = _pcg(lambda v: v @ a, m_inv, b[None], 1e-12, 100)
     assert rep.converged and len(calls) == rep.iterations
     calls.clear()
     seen = []
@@ -154,10 +157,51 @@ def test_pcg_hook_sees_every_iterate_at_no_extra_preconditioner_cost():
         seen.append(energy)
         return float(np.linalg.norm(r)) / float(np.linalg.norm(b)) <= 1e-12
 
-    x_hook, rep_hook = _pcg(lambda v: a @ v, m_inv, b, 1e-12, 100, hook=hook)
+    x_hook, (rep_hook,) = _pcg(lambda v: v @ a, m_inv, b[None], 1e-12, 100, hook=hook)
     assert rep_hook.converged and rep_hook.iterations == rep.iterations
     assert len(calls) == rep.iterations + 1 and seen == rep_hook.energy_history
     np.testing.assert_array_equal(x_hook, x)
+
+
+def _column_system(i, rng):
+    g = rng.standard_normal((10, 10))
+    a = g @ g.T + (10.0 + 5.0 * i) * np.eye(10)
+    return (-a if i == 3 else a), np.diag(a).copy()  # column 3 is not positive
+
+
+@pytest.mark.parametrize("max_iter", [100, 4])
+def test_pcg_columns_in_lockstep_equal_solves_of_one(max_iter):
+    # four columns share each call: column 2 has a zero load, column 3 breaks
+    # down on its first step, and at max_iter 4 the others spend the budget;
+    # each column's bits and report are those of a solve of that column alone
+    rng = np.random.default_rng(12)
+    mats, diags = zip(*(_column_system(i, rng) for i in range(4)))
+    b = rng.standard_normal((4, 10))
+    b[2] = 0.0
+    offsets = [0.5, -1.0, 2.0, 0.25]
+
+    def solve(cols):
+        def op(v):
+            return np.stack([vi @ mats[c] for vi, c in zip(v, cols)])
+
+        d = np.stack([diags[c] for c in cols])
+        return _pcg(op, lambda v: v / d, b[cols], 1e-12, max_iter,
+                    energy_offset=[offsets[c] for c in cols])
+
+    x, reports = solve([0, 1, 2, 3])
+    assert [rep.stop_reason for rep in reports] == (
+        ["converged", "converged", "converged", "breakdown"] if max_iter == 100
+        else ["budget", "budget", "converged", "breakdown"])
+    for c in range(4):
+        x_one, (rep_one,) = solve([c])
+        np.testing.assert_array_equal(x[c], x_one[0])
+        assert dataclasses.asdict(reports[c]) == dataclasses.asdict(rep_one)
+        assert type(reports[c].converged) is bool
+
+
+def test_pcg_hook_takes_one_column():
+    with pytest.raises(ValueError):
+        _pcg(lambda v: v, lambda v: v, np.ones((2, 3)), 1e-9, 10, hook=lambda *a: True)
 
 
 def test_stress_driven_homogeneous():
@@ -318,8 +362,11 @@ def test_application_counts_are_builtin_ints_on_every_route(cell_d, probe_soluti
     fixed = ch.solve_stress_uzawa(cell_d, s, SolveParams(tol=1e-8, uzawa_step=0.8))[2]
     with pytest.raises(StepTooLarge) as err:
         ch.solve_stress_uzawa(cell_d, s, SolveParams(uzawa_step=50.0))
+    # a column of a lockstep homogenize counts as a strain-driven solve
+    lockstep = ch.homogenize(cell_d).per_column_reports[1]
     routes = {
         "strain-driven": (probe_solution_d["rep_u"], 1, 0),
+        "strain-driven-lockstep": (lockstep, 1, 0),
         "stress-driven": (probe_solution_d["rep_w"], 2, 0),
         "uzawa-auto": (auto, 0, 1),
         "uzawa-fixed-step": (fixed, 1, 1),
@@ -328,6 +375,7 @@ def test_application_counts_are_builtin_ints_on_every_route(cell_d, probe_soluti
     for name, (rep, extra_op, extra_prec) in routes.items():
         counts = (rep.iterations, rep.operator_applications, rep.preconditioner_applications)
         assert all(type(c) is int for c in counts), name
+        assert type(rep.converged) is bool, name
         assert counts[1:] == (rep.iterations + extra_op, rep.iterations + extra_prec), name
 
 
