@@ -229,10 +229,10 @@ class Stencil:
     present phase; the DFT matrices, the inverse blocks, the dense inverse,
     the condition bounds and the gap factors are built on first use. Per
     step, ``k_phi`` and ``k_ext`` subtract the nodal mean from their fresh
-    result in place, by one product with a kept ones vector. ``k_phi`` and
-    ``ref_solve`` also take a stack of fields along a leading axis, the
-    columns of a lockstep solve, and give each field the bits of a call on
-    it alone.
+    result in place, by one product with a kept ones vector. ``k_phi``, and
+    ``ref_solve`` where ``uses_ref_dense``, also take a stack of fields along
+    a leading axis, the columns of a lockstep solve, and give each field the
+    bits of a call on it alone.
 
     Obtain it through ``stencil_of(cell)``, which builds one per cell.
     """
@@ -270,6 +270,8 @@ class Stencil:
                     k_rows=self.element_stiffness(c), g_mean=c @ bsum, g_rows=c.T @ bsum))
                 start += count
         self._ref_pinv = None
+        # whether ref_solve applies the dense inverse ref_dense, not DFT blocks
+        self.uses_ref_dense = 3 * n <= DENSE_REF_MAX_DOF
         self._tls = threading.local()
 
     @property
@@ -289,10 +291,13 @@ class Stencil:
         return gather_corners(phi, self.conn).reshape(-1, 24)
 
     def scatter(self, fe: np.ndarray, work=None) -> np.ndarray:
-        """Nodal sum of per-element corner forces ``(n_voxels, 24)``, in
-        ``CORNERS`` order per node, gathered into ``work`` if given."""
-        nodes = np.take(fe.reshape(-1, 3), self.inv, axis=0, out=work, mode="clip")
-        return nodes.sum(axis=0).reshape(self.dims + (3,))
+        """Nodal sum of per-element corner forces ``(n_voxels, 24)``, or of
+        each field's of a stack ``(k, n_voxels, 24)``, in ``CORNERS`` order
+        per node, gathered into ``work`` if given."""
+        lead = fe.shape[:-2]
+        inv = self._stack(*lead)[1] if lead else self.inv
+        nodes = np.take(fe.reshape(-1, 3), inv, axis=0, out=work, mode="clip")
+        return nodes.sum(axis=0).reshape(lead + self.dims + (3,))
 
     def _work_arrays(self):
         """The kernels' corner gather, element forces and scatter gather, plus
@@ -347,9 +352,15 @@ class Stencil:
         return self._center(phi.copy())
 
     def _center(self, f: np.ndarray) -> np.ndarray:
-        """Subtract the mean nodal value of the contiguous field ``f`` in place."""
-        flat = f.reshape(-1, 3)
-        flat -= self._ones @ flat / len(flat)
+        """Subtract the mean nodal value of the contiguous field ``f``, or of
+        each field of a stack, in place."""
+        n = len(self._ones)
+        if f.size == 3 * n:
+            flat = f.reshape(-1, 3)
+            flat -= self._ones @ flat / n
+        else:
+            flat = f.reshape(-1, n, 3)
+            flat -= (self._ones @ flat / n)[:, None]
         return f
 
     @cached_property
@@ -416,63 +427,54 @@ class Stencil:
 
     # periodic-fluctuation operator ------------------------------------------
 
-    def _stack_tables(self, k: int):
+    def _stack(self, k: int):
         """Corner and scatter tables of a stack of ``k`` nodal fields, the
-        element blocks of each phase's product, and the corner gather, element
-        forces and scatter gather of ``k_phi`` on it.
+        corner gather, element forces and scatter gather of ``k_phi`` on it,
+        and each phase's product as ``(corners, K_e^T, forces)`` views.
 
-        Stacked element ``k s + j c + t`` is element ``s + t`` of field ``j``,
-        for the phase whose elements are ``s:s + c``: ordered by phase, then
-        field, so each phase's product is one block over all the fields. A
-        stack of one uses the core's own tables and work arrays. The tables
-        are built on first use and kept per thread with the work arrays; they
-        are plain arrays, holding no reference back to the core.
+        Stacked element ``j n + e`` is element ``e`` of field ``j``, and
+        stacked node ``j n + m`` node ``m`` of field ``j``, for ``n`` voxels;
+        the forces have shape ``(k, n, 24)``, or ``(n, 24)`` for one field,
+        which uses the core's own tables and work arrays. Built on first use
+        and kept per thread with the work arrays, as plain arrays that hold
+        no reference back to the core.
         """
         stacks = getattr(self._tls, "stacks", None)
         if stacks is None:
             stacks = self._tls.stacks = {}
         if k not in stacks:
+            n = len(self.conn)
             if k == 1:
                 conn, inv, (ue, fe, nodes, _) = self.conn, self.inv, self._work_arrays()
             else:
-                n = len(self.conn)
-                shift = n * np.arange(k)[:, None, None]
-                conn = np.concatenate([(self.conn[ph.rows] + shift).reshape(-1, 8)
-                                       for ph in self.phases])
-                inv = np.empty((8, k * n), dtype=np.int64)
-                inv[np.arange(8), conn] = np.arange(8 * k * n).reshape(k * n, 8)
-                ue, fe, nodes = (np.empty((k * n, 8, 3)), np.empty((k * n, 24)),
-                                 np.empty((8, k * n, 3)))
-            # numpy multiplies a single row as a vector, rounding unlike a
-            # block, so a phase of one element keeps one product per field
-            blocks = []
-            for ph in self.phases:
-                start, stop = k * ph.rows.start, k * ph.rows.stop
-                step = 1 if stop - start == k else stop - start
-                blocks += [(slice(i, i + step), ph.k_rows) for i in range(start, stop, step)]
-            stacks[k] = (conn, inv, blocks, ue, fe, nodes)
+                shift = n * np.arange(k)[:, None]
+                conn = (self.conn + shift[:, None]).reshape(-1, 8)
+                inv = (self.inv[:, None] + 8 * shift).reshape(8, -1)
+                ue, fe = np.empty((k * n, 8, 3)), np.empty((k, n, 24))
+                nodes = np.empty((8, k * n, 3))
+            u = ue.reshape(fe.shape)
+            products = [(u[..., ph.rows, :], ph.k_rows, fe[..., ph.rows, :]) for ph in self.phases]
+            stacks[k] = (conn, inv, ue, fe, nodes, products)
         return stacks[k]
 
     def k_phi(self, phi: np.ndarray) -> np.ndarray:
         """Fluctuation stiffness of one nodal field, or of each field of a
         stack along a leading axis.
 
-        One gather by the stacked corner table (``_stack_tables``), one
-        product per phase over all the fields, one scatter gather and one sum
-        over the 8 corners, then each field loses its own nodal mean, by one
-        vector-matrix product per field. Every row goes through the
-        operations of a call on its field alone, so each field of a stack
-        equals that call bit for bit.
+        One gather by the stacked corner table (``_stack``), one product
+        per phase, one scatter gather and one sum over the 8 corners, then
+        each field loses its own nodal mean. The product and the mean take
+        each field through the BLAS call, of the same shape, that a call on
+        it alone makes, and the gathers and the sum act element by element,
+        so each field of a stack equals that call bit for bit, on a BLAS
+        that rounds a call alike wherever its operands sit (checked with
+        numpy's bundled OpenBLAS).
         """
-        n = len(self.conn)
-        conn, inv, blocks, ue, fe, nodes = self._stack_tables(phi.size // (3 * n))
-        ue = gather_corners(phi, conn, out=ue).reshape(-1, 24)
-        for rows, k_rows in blocks:
-            np.matmul(ue[rows], k_rows, out=fe[rows])
-        f = np.take(fe.reshape(-1, 3), inv, axis=0, out=nodes, mode="clip").sum(axis=0)
-        f = f.reshape(-1, n, 3)
-        f -= (self._ones @ f / n)[:, None]
-        return f.reshape(phi.shape)
+        conn, _, ue, fe, nodes, products = self._stack(phi.size // (3 * len(self.conn)))
+        gather_corners(phi, conn, out=ue)
+        for u, k_rows, f in products:
+            np.matmul(u, k_rows, out=f)
+        return self._center(self.scatter(fe, nodes)).reshape(phi.shape)
 
     # extended operator on (mean strain, fluctuation) -------------------------
 
@@ -614,18 +616,18 @@ class Stencil:
         return np.take(rows, idx, axis=0).reshape(3 * nodes, -1)
 
     def ref_solve(self, r: np.ndarray) -> np.ndarray:
-        """Apply the reference inverse to one nodal field, or to each field of
-        a stack along a leading axis: by the dense matrix on grids of at most
-        ``DENSE_REF_MAX_DOF`` unknowns, else by DFT blocks. A stack takes one
-        matrix-vector product per field; one product with all the fields
-        would be faster, but it rounds differently, while this way each field
-        equals a call on it alone bit for bit."""
-        dof = 3 * len(self.conn)
-        if dof <= DENSE_REF_MAX_DOF:
-            return np.matmul(self.ref_dense, r.reshape(-1, dof, 1)).reshape(r.shape)
-        if r.size == dof:
-            return self.block_solve(self.ref_pinv, r)
-        return np.stack([self.block_solve(self.ref_pinv, field) for field in r])
+        """Apply the reference inverse to a nodal field: by the dense matrix
+        where ``uses_ref_dense``, else by DFT blocks. The dense inverse also
+        takes a stack of fields along a leading axis, by one matrix-vector
+        product per field, the call a field alone makes; one product with
+        all the fields would be faster, but it rounds differently. The DFT
+        blocks take a stack of one."""
+        if self.uses_ref_dense:
+            dense = self.ref_dense
+            if r.size == len(dense):
+                return (dense @ r.reshape(-1)).reshape(r.shape)
+            return np.matmul(dense, r.reshape(-1, len(dense), 1)).reshape(r.shape)
+        return self.block_solve(self.ref_pinv, r)
 
     def precond_ext(self, x: np.ndarray) -> np.ndarray:
         macro, phi = self.unpack(x)
@@ -643,8 +645,8 @@ def stencil_of(cell: VoxelCell) -> Stencil:
     and on grids of at most ``DENSE_REF_MAX_DOF`` unknowns also
     ``ref_dense``. The tables and element matrices are built with the core.
     The kernels' work arrays, and the tables of a stack of fields
-    (``_stack_tables``, built by the first ``k_phi`` of a stack of that
-    size), are kept per thread, so they need no such care.
+    (``_stack``, built by the first ``k_phi`` of a stack of that size), are
+    kept per thread, so they need no such care.
     """
     st = vars(cell).get("_stencil")
     if st is None:

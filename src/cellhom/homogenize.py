@@ -6,11 +6,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import fem, mandel
+from . import mandel
 from .cell import VoxelCell, cell_average
 from .fem import LinPerField, stencil_of
-from .solvers import (SolveParams, solve_strain_driven, solve_strain_stack, solve_stress_driven,
-                      solve_stress_uzawa)
+from .solvers import SolveParams, solve_strain_stack, solve_stress_driven, solve_stress_uzawa
 
 #: orthonormal Mandel basis: three unit normal strains, three normalized shears
 MANDEL_BASIS = np.eye(6)
@@ -65,14 +64,13 @@ def homogenize(cell: VoxelCell, params: SolveParams | None = None,
     Mandel basis strain. With the Uzawa formulation the compliance is
     assembled first from six basis mean stresses and then inverted.
 
-    On grids of at most ``fem.DENSE_REF_MAX_DOF`` nodal unknowns the six
-    displacement (or strain) columns are solved in lockstep, as one stack
-    (``solve_strain_stack``): each operator and preconditioner call serves
-    all six, so its per-call overhead, which dominates on such grids, is
-    paid once. On larger grids, where a stack of six no longer pays, and on
-    the Uzawa formulation, the columns are solved one after another. Either
-    way each column, and so the result, is bit for bit the same, in one
-    thread.
+    The six displacement (or strain) columns are one ``solve_strain_stack``:
+    on grids where the preconditioner is the dense inverse (at most
+    ``fem.DENSE_REF_MAX_DOF`` nodal unknowns) they are solved in lockstep,
+    so each operator and preconditioner call, whose per-call overhead
+    dominates on such grids, serves all six; on larger grids, and with the
+    Uzawa formulation, the columns are solved one after another. Either way
+    each column, and so the result, is bit for bit the same, in one thread.
     ``threads`` is accepted and ignored; it is kept so that callers passing
     it keep working.
 
@@ -93,11 +91,7 @@ def homogenize(cell: VoxelCell, params: SolveParams | None = None,
             kept.append(sig)
             reports.append(rep)
     else:
-        if 3 * cell.n_voxels <= fem.DENSE_REF_MAX_DOF:
-            solved = solve_strain_stack(cell, MANDEL_BASIS, params)
-        else:
-            solved = (solve_strain_driven(cell, load, params) for load in MANDEL_BASIS)
-        for u, rep in solved:
+        for u, rep in solve_strain_stack(cell, MANDEL_BASIS, params):
             x = st.pack(u.macro, u.periodic)
             kx = st.k_ext(x)
             cols.append(kx[:6] / cell.volume)

@@ -23,8 +23,9 @@ every iterate is read off the CG scalars, so the loop keeps no running
 ``K x``; the Uzawa route stops it on the duality gap through a hook. The
 loop iterates a stack of right-hand sides in lockstep, as independent CGs
 that share each operator and preconditioner call: ``solve_strain_stack``
-solves several mean strains so, each with the bits of its own solve, and
-every other route passes a stack of one.
+solves several mean strains so where the preconditioner is the dense
+inverse, each with the bits of its own solve, and every other route passes
+a stack of one.
 
 The preconditioner is the constant-coefficient operator built from the
 volume-averaged stiffness; being block-circulant on the periodic grid it is
@@ -143,17 +144,13 @@ class StepTooLarge(NotConverged):
 # preconditioned conjugate gradients
 
 
-def _dots(a, b) -> list:
-    """``float(np.vdot(a[i], b[i]))`` for every column ``i`` of two stacks.
-    Several columns take one batched product, cheaper than a ``vdot`` each:
-    numpy computes each row-by-column product by the BLAS dot that
-    ``np.vdot`` calls, so each value is the same bit for bit."""
-    if len(a) == 1:
-        return [float(np.vdot(a, b))]
-    return np.matmul(a.reshape(len(a), 1, -1), b.reshape(len(b), -1, 1)).ravel().tolist()
+def _ratio_going(num, den, going):
+    """``num / den`` of the columns going, and 0 for the stopped ones,
+    without dividing by their scalars, which may be 0."""
+    return np.divide(num, den, out=np.zeros(np.shape(num)), where=going)
 
 
-def _pcg(op, m_inv, b, tol, max_iter, energy_offset=0.0, hook=None):
+def _pcg(op, m_inv, b, tol, max_iter, energy_offsets=None, hook=None):
     """Textbook preconditioned CG from ``x = 0``, run on each right-hand
     side ``b[i]`` of a stack along the leading axis of ``b``.
 
@@ -164,15 +161,18 @@ def _pcg(op, m_inv, b, tol, max_iter, energy_offset=0.0, hook=None):
     ``r.z_new / r.z_old``; with a fixed SPD preconditioner the new residual
     is conjugate to the old one, so the iterates are those of Polak-Ribiere
     CG in exact arithmetic. The recorded energies ``1/2 x.Kx - b.x`` plus
-    ``energy_offset`` (a number, or a list of one per column) come from the CG
-    scalars: as ``p.r = r.z``, each step lowers the energy by ``alpha r.z /
-    2``.
+    the column's entry of ``energy_offsets`` (default 0) come from the CG
+    scalars: as ``p.r = r.z``, each step lowers the energy by
+    ``alpha r.z / 2``.
 
     The columns are independent CGs that share the calls of ``op`` and
-    ``m_inv``: each keeps its own scalars, as Python floats, its own stop
-    test, counts and report, so it takes the iterates, and the bits, of a
-    solve on its own. A column that stops is frozen: its ``x``, ``r`` and
-    histories no longer change, while the others go on; the stack is still
+    ``m_inv``: each has its own scalars (Python floats for a stack of one,
+    else one array entry per column), stop test, counts and report, so it
+    takes the iterates, and the bits, of a solve on its own. A column that
+    stops is frozen: its histories end and its further steps are zero,
+    which leave its ``x`` bit for bit (``x`` starts at +0 and never holds
+    -0; its direction stays finite unless the column stopped unconverged on
+    a non-finite residual), while the others go on. The stack is still
     applied whole, and an application counts once for each column still
     iterating.
 
@@ -182,92 +182,93 @@ def _pcg(op, m_inv, b, tol, max_iter, energy_offset=0.0, hook=None):
     ``|r| <= tol |b|``. The loop updates ``x``, ``r`` and the direction (the
     first one is ``z`` itself) in place, so a hook copies whatever it keeps.
     """
-    if hook is not None and len(b) != 1:
-        raise ValueError("a _pcg hook takes one column")
     k = len(b)
-    shape = (k,) + (1,) * (b.ndim - 1)
+    if k == 1:
+        energy = 0.0 if energy_offsets is None else float(energy_offsets[0])
+        sqrt, count = math.sqrt, int
 
-    def per_column(values):
-        """Scalars, one per column, as a factor of the stack."""
-        return values[0] if k == 1 else np.array(values).reshape(shape)
+        def dots(u, v):
+            return float(np.vdot(u, v))
+    else:
+        if hook is not None:
+            raise ValueError("a _pcg hook takes one column")
+        shape = (k,) + (1,) * (b.ndim - 1)  # a factor per column, over its field
+        energy = np.zeros(shape) if energy_offsets is None else \
+            np.array(energy_offsets, dtype=float).reshape(shape)
+        sqrt, count = np.sqrt, np.count_nonzero
 
-    def mask(active):
-        """Where the in-place updates act: on the columns still iterating, so
-        that the frozen ones keep their bits (everywhere while all iterate)."""
-        if len(active) == k:
-            return True
-        going = np.zeros(shape, dtype=bool)
-        going.reshape(k)[active] = True
-        return going
+        def dots(u, v):
+            # numpy takes each row-by-column product by the BLAS dot that
+            # np.vdot calls, so each is bit for bit a column's own vdot
+            return np.matmul(u.reshape(k, 1, -1), v.reshape(k, -1, 1)).reshape(shape)
 
     x = np.zeros_like(b)
     r = b.copy()
     step = np.empty_like(b)  # alpha p, then alpha K p
-    bnorm = [math.sqrt(d) for d in _dots(b, b)]
-    energies = [[e] for e in (energy_offset if isinstance(energy_offset, list)
-                              else [energy_offset] * k)]
+    bnorm = sqrt(dots(b, b))
     # a zero right-hand side is solved by x = 0, with no iteration
-    history = [[1.0] if bn else [0.0] for bn in bnorm]
-    stop = [not bn for bn in bnorm]
-    stop_reason = ["budget"] * k
-    it, n_op, n_prec = [0] * k, [0] * k, [0] * k
-    active = [i for i in range(k) if not stop[i]]
-    going = mask(active)
+    going = bnorm > 0.0
+    res = going * 1.0  # |r| / |b|
+    broke, stop = going & False, True
+    history, energies = [res], [energy]
+    steps = []  # which columns took each step; those going took every one
     p = None
-    while active:
+    while True:
         if hook is None:
             # the residual test needs no z, so a converged solve spends no
             # m_inv on it; "not >" stops on a NaN residual too, unconverged
-            z = None
-            for i in active:
-                stop[i] = not history[i][-1] > tol
-        else:
-            z, n_prec[0] = m_inv(r), n_prec[0] + 1
-            stop[0] = bool(hook(x[0], r[0], z[0], energies[0][-1]))
-        still = [i for i in active if not stop[i] and it[i] < max_iter]
-        if not still:
+            z, going = None, going & (res > tol)
+        elif going:
+            z = m_inv(r)
+            stop = bool(hook(x[0], r[0], z[0], energy))
+            going = not stop
+        live = count(going)
+        if not live or len(steps) >= max_iter:
             break
-        if len(still) < len(active):
-            active, going = still, mask(still)
         if z is None:
             z = m_inv(r)
-            for i in active:
-                n_prec[i] += 1
-        rz_new = _dots(r, z)
+        rz_new = dots(r, z)
         if p is None:
             p = z
         else:
-            # a frozen column's factors go unused
-            beta = [rz_new[i] / rz[i] if i in active else 0.0 for i in range(k)]
-            np.multiply(p, per_column(beta), out=p, where=going)
-            np.add(p, z, out=p, where=going)
+            p *= rz_new / rz if live == k else _ratio_going(rz_new, rz, going)
+            p += z
         rz = rz_new
         kp = op(p)
-        pkp = _dots(p, kp)
-        for i in active:
-            n_op[i] += 1
-        broken = [i for i in active if pkp[i] <= 0.0 or rz[i] <= 0.0]
-        if broken:
-            for i in broken:
-                stop_reason[i] = "breakdown"  # rounding noise at an unconverged iterate
-            active = [i for i in active if i not in broken]
-            going = mask(active)
-        alpha = [rz[i] / pkp[i] if i in active else 0.0 for i in range(k)]
-        factor = per_column(alpha)
-        np.add(x, np.multiply(p, factor, out=step, where=going), out=x, where=going)
-        np.subtract(r, np.multiply(kp, factor, out=step, where=going), out=r, where=going)
-        rr = _dots(r, r)
-        for i in active:
-            it[i] += 1
-            history[i].append(math.sqrt(rr[i]) / bnorm[i])
-            energies[i].append(energies[i][-1] - 0.5 * alpha[i] * rz[i])
+        pkp = dots(p, kp)
+        broken = going & ((pkp <= 0.0) | (rz <= 0.0))
+        if count(broken):  # rounding noise at an unconverged iterate
+            broke, going = broke | broken, going ^ broken
+            live = count(going)
+            if not live:
+                break
+        alpha = rz / pkp if live == k else _ratio_going(rz, pkp, going)
+        x += np.multiply(p, alpha, out=step)
+        r -= np.multiply(kp, alpha, out=step)
+        steps.append(going)
+        rnorm = sqrt(dots(r, r))
+        res = rnorm / bnorm if live == k else _ratio_going(rnorm, bnorm, going)
+        energy = energy - 0.5 * alpha * rz
+        history.append(res)
+        energies.append(energy)
+    its = sum(steps, going * 0)
+    if k == 1:
+        columns = [(its, broke, history, energies)]
+    else:
+        columns = zip(*np.reshape([its, broke], (2, k)).tolist(),
+                      *np.reshape([history, energies], (2, -1, k)).transpose(0, 2, 1).tolist())
     reports = []
-    for i in range(k):
-        converged = stop[i] and (hook is not None or history[i][-1] <= tol)
+    for n_it, broken, hist, ens in columns:
+        hist, ens = hist[:n_it + 1], ens[:n_it + 1]
+        converged = stop if hook is not None else hist[-1] <= tol
+        # each step applies op and m_inv once, a breakdown op once more, and
+        # with a hook m_inv also serves the last stop test
+        n_op = n_it + broken
         reports.append(SolveReport(
-            it[i], history[i], energies[i][-1], converged, energy_history=energies[i],
-            stop_reason="converged" if converged else stop_reason[i],
-            operator_applications=n_op[i], preconditioner_applications=n_prec[i]))
+            n_it, hist, ens[-1], converged, energy_history=ens,
+            stop_reason="converged" if converged else "breakdown" if broken else "budget",
+            operator_applications=n_op,
+            preconditioner_applications=n_op if hook is None else n_it + (bnorm > 0.0)))
     return x, reports
 
 
@@ -304,9 +305,13 @@ def solve_strain_driven(cell: VoxelCell, macro_strain, params: SolveParams | Non
 
 
 def solve_strain_stack(cell: VoxelCell, macro_strains, params: SolveParams | None = None):
-    """``solve_strain_driven`` of each mean strain of a stack (one per row),
-    in lockstep: one ``_pcg`` over the stack, so that one ``k_phi`` and one
-    ``ref_solve`` call per iteration serve all the columns.
+    """``solve_strain_driven`` of each mean strain of a stack (one per row).
+
+    Where ``ref_solve`` applies the dense inverse
+    (``Stencil.uses_ref_dense``), the strains are solved in lockstep: one
+    ``_pcg`` over the stack, so that one ``k_phi`` and one ``ref_solve``
+    call per iteration serve all the columns. On larger grids, where a
+    stack no longer pays, each strain is one ``solve_strain_driven``.
 
     Returns a list of ``(u, report)``, each bit for bit what
     ``solve_strain_driven`` returns for its strain. When columns fail to
@@ -316,6 +321,8 @@ def solve_strain_stack(cell: VoxelCell, macro_strains, params: SolveParams | Non
     params = params or SolveParams()
     strains = np.asarray(macro_strains, dtype=float)
     st = stencil_of(cell)
+    if len(strains) > 1 and not st.uses_ref_dense:
+        return [solve_strain_driven(cell, a, params) for a in strains]
     # the stiffness of (a, 0) gives the load of the mean strain and its energy
     b = np.empty((len(strains),) + cell.dims + (3,))
     offsets = []
@@ -324,7 +331,7 @@ def solve_strain_stack(cell: VoxelCell, macro_strains, params: SolveParams | Non
         np.negative(load, out=b_a)
         offsets.append(0.5 * float(a @ mean))
     sols, reports = _pcg(st.k_phi, st.ref_solve, b, params.tol, params.max_iter,
-                         energy_offset=offsets)
+                         energy_offsets=offsets)
     for report in reports:
         report.operator_applications += 1  # the load
         if not report.converged:

@@ -229,6 +229,29 @@ def test_lockstep_zero_loads_raise_no_warning(name):
     assert all(rep.converged for rep in result.per_column_reports)
 
 
+def test_stack_past_the_dense_cap_solves_one_column_at_a_time(monkeypatch):
+    # past the dense cap a stack is no lockstep: each strain is one
+    # solve_strain_driven, and the result is what those solves return
+    from cellhom import solvers
+
+    cell = random_two_phase_cell(dims=(8, 8, 8), seed=5)
+    assert not stencil_of(cell).uses_ref_dense
+    alone = [ch.solve_strain_driven(cell, a) for a in MANDEL_BASIS[:2]]
+    seen = []
+    original = solvers.solve_strain_driven
+
+    def counted(cell, macro, params=None):
+        seen.append(tuple(macro))
+        return original(cell, macro, params)
+
+    monkeypatch.setattr(solvers, "solve_strain_driven", counted)
+    stacked = solvers.solve_strain_stack(cell, MANDEL_BASIS[:2])
+    assert seen == [tuple(a) for a in MANDEL_BASIS[:2]]
+    for (u, rep), (u_one, rep_one) in zip(stacked, alone):
+        np.testing.assert_array_equal(u.periodic, u_one.periodic)
+        assert dataclasses.asdict(rep) == dataclasses.asdict(rep_one)
+
+
 def _sheared_sweep_cell():
     # anisotropic two-phase cell on a sheared lattice, like the small cells
     # of the benchmark sweep

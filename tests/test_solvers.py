@@ -103,7 +103,7 @@ def test_pcg_energy_recurrence_matches_iterates():
 
     def run(max_iter):
         x, (rep,) = _pcg(lambda v: v @ a, lambda v: v / d, b[None], 1e-14, max_iter,
-                         energy_offset=offset)
+                         energy_offsets=[offset])
         return x[0], rep
 
     x, rep = run(100)
@@ -186,7 +186,7 @@ def test_pcg_columns_in_lockstep_equal_solves_of_one(max_iter):
 
         d = np.stack([diags[c] for c in cols])
         return _pcg(op, lambda v: v / d, b[cols], 1e-12, max_iter,
-                    energy_offset=[offsets[c] for c in cols])
+                    energy_offsets=[offsets[c] for c in cols])
 
     x, reports = solve([0, 1, 2, 3])
     assert [rep.stop_reason for rep in reports] == (
