@@ -7,7 +7,8 @@ id. All periodic indexing wraps voxel/node coordinates componentwise.
 
 Reduction order note: averages and integrals use numpy's pairwise summation
 over a fixed voxel traversal, so results are bit-reproducible. The package
-starts no threads: the homogenization columns are solved one after another.
+starts no threads: the homogenization columns are solved in one thread, in
+lockstep on small grids and one after another on larger ones.
 """
 
 from __future__ import annotations

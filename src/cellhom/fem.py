@@ -27,7 +27,8 @@ method of one ``Stencil`` per cell, built on first use by
 ``stencil_of(cell)`` and cached on the cell; the module functions below go
 through it. Its kernels are a gather of corner values by an index table,
 dense products with per-phase element matrices, and a scatter that sums
-each node's contributions in ``CORNERS`` order (see ``Stencil``). The DFT
+each node's contributions in ``CORNERS`` order (see ``Stencil``); a stack of
+fields is one more leading axis, indexed by the same tables. The DFT
 inverses live on the ``rfftn`` half spectrum, and the grid size picks how
 the reference inverse is applied: as one dense matrix on the smallest
 grids (``DENSE_REF_MAX_DOF``), by products with per-axis
@@ -149,10 +150,12 @@ def corner_table(dims) -> np.ndarray:
 
 
 def gather_corners(values: np.ndarray, conn: np.ndarray, out=None) -> np.ndarray:
-    """Collect the corner-node values of every voxel, shape ``(n_voxels, 8, 3)``,
-    into ``out`` if given. ``conn`` is a valid table, so clipping changes
-    nothing; the default ``mode="raise"`` would buffer a full copy of ``out``."""
-    return np.take(values.reshape(-1, 3), conn, axis=0, out=out, mode="clip")
+    """Collect the corner-node values of every voxel of each nodal field of a
+    stack along a leading axis (one field is a stack of one), shape ``(k,
+    n_voxels, 8, 3)``, into ``out`` if given. ``conn`` is a valid table, so
+    clipping changes nothing; the default ``mode="raise"`` would buffer a
+    full copy of ``out``."""
+    return np.take(values.reshape(-1, len(conn), 3), conn, axis=1, out=out, mode="clip")
 
 
 def dft_matrices(dims) -> tuple:
@@ -217,22 +220,23 @@ class Stencil:
 
     Element ``i`` is voxel ``order[i]``, the voxels sorted stably by phase,
     so each phase's product reads and writes one block; ``conn`` and ``inv``
-    are the corner and scatter tables of that numbering. Quadrature fields
-    keep the voxel order, permuted at the boundary. The scatter adds the 8
-    contributions of a node in ``CORNERS`` order, so a uniform per-element
-    field gives a bit-exactly uniform nodal field, and the zero-mean
-    projection then cancels it exactly; summing in element order instead
-    leaves rounding noise that costs extra PCG iterations on cells where
-    the exact answer is a linear field (a homogeneous cell).
+    are the corner and scatter tables of that numbering, and they index a
+    stack of nodal fields along axis 1, so one field is a stack of one.
+    Quadrature fields keep the voxel order, permuted at the boundary. The
+    scatter adds the 8 contributions of a node in ``CORNERS`` order, so a
+    uniform per-element field gives a bit-exactly uniform nodal field, and
+    the zero-mean projection then cancels it exactly; summing in element
+    order instead leaves rounding noise that costs extra PCG iterations on
+    cells where the exact answer is a linear field (a homogeneous cell).
 
     The constructor builds the tables and the element matrices of every
     present phase; the DFT matrices, the inverse blocks, the dense inverse,
     the condition bounds and the gap factors are built on first use. Per
     step, ``k_phi`` and ``k_ext`` subtract the nodal mean from their fresh
     result in place, by one product with a kept ones vector. ``k_phi``, and
-    ``ref_solve`` where ``uses_ref_dense``, also take a stack of fields along
-    a leading axis, the columns of a lockstep solve, and give each field the
-    bits of a call on it alone.
+    ``ref_solve`` where ``uses_ref_dense``, take a stack of several fields
+    too, the columns of a lockstep solve, and give each field the bits of a
+    call on it alone.
 
     Obtain it through ``stencil_of(cell)``, which builds one per cell.
     """
@@ -294,14 +298,14 @@ class Stencil:
         """Nodal sum of per-element corner forces ``(n_voxels, 24)``, or of
         each field's of a stack ``(k, n_voxels, 24)``, in ``CORNERS`` order
         per node, gathered into ``work`` if given."""
-        lead = fe.shape[:-2]
-        inv = self._stack(*lead)[1] if lead else self.inv
-        nodes = np.take(fe.reshape(-1, 3), inv, axis=0, out=work, mode="clip")
-        return nodes.sum(axis=0).reshape(lead + self.dims + (3,))
+        nodes = np.take(fe.reshape(-1, 8 * len(self.conn), 3), self.inv, axis=1, out=work,
+                        mode="clip")
+        return nodes.sum(axis=1).reshape(fe.shape[:-2] + self.dims + (3,))
 
     def _work_arrays(self):
-        """The kernels' corner gather, element forces and scatter gather, plus
-        the first two as one ``(n_voxels, 48)`` array for quadrature rows; one
+        """The kernels' corner gather ``(1, n_voxels, 8, 3)``, element forces
+        ``(n_voxels, 24)`` and scatter gather ``(1, 8, n_voxels, 3)``, plus the
+        first two as one ``(n_voxels, 48)`` array for quadrature rows; one
         set per thread, so a cell that a caller's threads share stays safe:
         allocated per call, arrays this large are mapped and page-faulted afresh,
         costing more than the products."""
@@ -309,7 +313,7 @@ class Stencil:
             n = self.conn.shape[0]
             block = np.empty((n, 48))
             ue, fe = block.reshape(2, n, 24)
-            self._tls.arrays = (ue.reshape(n, 8, 3), fe, np.empty((8, n, 3)), block)
+            self._tls.arrays = (ue.reshape(1, n, 8, 3), fe, np.empty((1, 8, n, 3)), block)
         return self._tls.arrays
 
     def _constitutive(self, f: np.ndarray, rows: str) -> np.ndarray:
@@ -352,15 +356,11 @@ class Stencil:
         return self._center(phi.copy())
 
     def _center(self, f: np.ndarray) -> np.ndarray:
-        """Subtract the mean nodal value of the contiguous field ``f``, or of
-        each field of a stack, in place."""
+        """Subtract the mean nodal value of each field of the contiguous
+        stack ``f`` (one field is a stack of one), in place."""
         n = len(self._ones)
-        if f.size == 3 * n:
-            flat = f.reshape(-1, 3)
-            flat -= self._ones @ flat / n
-        else:
-            flat = f.reshape(-1, n, 3)
-            flat -= (self._ones @ flat / n)[:, None]
+        flat = f.reshape(-1, n, 3)
+        flat -= (self._ones @ flat / n)[:, None]
         return f
 
     @cached_property
@@ -428,50 +428,43 @@ class Stencil:
     # periodic-fluctuation operator ------------------------------------------
 
     def _stack(self, k: int):
-        """Corner and scatter tables of a stack of ``k`` nodal fields, the
-        corner gather, element forces and scatter gather of ``k_phi`` on it,
-        and each phase's product as ``(corners, K_e^T, forces)`` views.
-
-        Stacked element ``j n + e`` is element ``e`` of field ``j``, and
-        stacked node ``j n + m`` node ``m`` of field ``j``, for ``n`` voxels;
-        the forces have shape ``(k, n, 24)``, or ``(n, 24)`` for one field,
-        which uses the core's own tables and work arrays. Built on first use
-        and kept per thread with the work arrays, as plain arrays that hold
-        no reference back to the core.
+        """The corner gather, element forces and scatter gather of ``k_phi``
+        on a stack of ``k`` nodal fields, shapes ``(k, n, 8, 3)``, ``(k, n,
+        24)`` and ``(k, 8, n, 3)`` for ``n`` voxels (the forces ``(n, 24)``
+        for one field, which uses the core's own work arrays), and each
+        phase's product as ``(corners, K_e^T, forces)`` views. Built on
+        first use and kept per thread with the work arrays, as plain arrays
+        that hold no reference back to the core.
         """
         stacks = getattr(self._tls, "stacks", None)
         if stacks is None:
             stacks = self._tls.stacks = {}
         if k not in stacks:
-            n = len(self.conn)
             if k == 1:
-                conn, inv, (ue, fe, nodes, _) = self.conn, self.inv, self._work_arrays()
+                ue, fe, nodes, _ = self._work_arrays()
             else:
-                shift = n * np.arange(k)[:, None]
-                conn = (self.conn + shift[:, None]).reshape(-1, 8)
-                inv = (self.inv[:, None] + 8 * shift).reshape(8, -1)
-                ue, fe = np.empty((k * n, 8, 3)), np.empty((k, n, 24))
-                nodes = np.empty((8, k * n, 3))
+                n = len(self.conn)
+                ue, fe, nodes = np.empty((k, n, 8, 3)), np.empty((k, n, 24)), np.empty((k, 8, n, 3))
             u = ue.reshape(fe.shape)
             products = [(u[..., ph.rows, :], ph.k_rows, fe[..., ph.rows, :]) for ph in self.phases]
-            stacks[k] = (conn, inv, ue, fe, nodes, products)
+            stacks[k] = (ue, fe, nodes, products)
         return stacks[k]
 
     def k_phi(self, phi: np.ndarray) -> np.ndarray:
         """Fluctuation stiffness of one nodal field, or of each field of a
         stack along a leading axis.
 
-        One gather by the stacked corner table (``_stack``), one product
-        per phase, one scatter gather and one sum over the 8 corners, then
-        each field loses its own nodal mean. The product and the mean take
-        each field through the BLAS call, of the same shape, that a call on
-        it alone makes, and the gathers and the sum act element by element,
-        so each field of a stack equals that call bit for bit, on a BLAS
-        that rounds a call alike wherever its operands sit (checked with
-        numpy's bundled OpenBLAS).
+        One gather by the corner table ``conn``, one product per phase, one
+        scatter gather by ``inv`` and one sum over the 8 corners, then each
+        field loses its own nodal mean. The product and the mean take each
+        field through the BLAS call, of the same shape, that a call on it
+        alone makes, and the gathers and the sum act element by element, so
+        each field of a stack equals that call bit for bit, on a BLAS that
+        rounds a call alike wherever its operands sit (checked with numpy's
+        bundled OpenBLAS).
         """
-        conn, _, ue, fe, nodes, products = self._stack(phi.size // (3 * len(self.conn)))
-        gather_corners(phi, conn, out=ue)
+        ue, fe, nodes, products = self._stack(phi.size // (3 * len(self.conn)))
+        gather_corners(phi, self.conn, out=ue)
         for u, k_rows, f in products:
             np.matmul(u, k_rows, out=f)
         return self._center(self.scatter(fe, nodes)).reshape(phi.shape)
@@ -619,13 +612,11 @@ class Stencil:
         """Apply the reference inverse to a nodal field: by the dense matrix
         where ``uses_ref_dense``, else by DFT blocks. The dense inverse also
         takes a stack of fields along a leading axis, by one matrix-vector
-        product per field, the call a field alone makes; one product with
+        product per field (one field is a stack of one); one product with
         all the fields would be faster, but it rounds differently. The DFT
         blocks take a stack of one."""
         if self.uses_ref_dense:
             dense = self.ref_dense
-            if r.size == len(dense):
-                return (dense @ r.reshape(-1)).reshape(r.shape)
             return np.matmul(dense, r.reshape(-1, len(dense), 1)).reshape(r.shape)
         return self.block_solve(self.ref_pinv, r)
 
@@ -644,9 +635,9 @@ def stencil_of(cell: VoxelCell) -> Stencil:
     ``gap_factors``, ``dual_scale`` and the DFT matrices of ``block_solve``,
     and on grids of at most ``DENSE_REF_MAX_DOF`` unknowns also
     ``ref_dense``. The tables and element matrices are built with the core.
-    The kernels' work arrays, and the tables of a stack of fields
-    (``_stack``, built by the first ``k_phi`` of a stack of that size), are
-    kept per thread, so they need no such care.
+    The kernels' work arrays, also those of a stack of fields (``_stack``,
+    built by the first ``k_phi`` of a stack of that size), are kept per
+    thread, so they need no such care.
     """
     st = vars(cell).get("_stencil")
     if st is None:

@@ -51,6 +51,7 @@ re-exported here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import functools
 import math
 import numbers
 
@@ -110,7 +111,8 @@ class SolveParams:
 class SolveReport:
     """Per-solve record; ``stop_reason`` says why the iteration ended:
     ``converged``, ``budget`` (``max_iter`` spent), ``breakdown`` (PCG met a
-    non-positive curvature or preconditioned residual product) or
+    non-positive curvature or preconditioned residual product, or the
+    right-hand side, a residual or a gap is not finite) or
     ``step-too-large`` (the gap of a fixed-step Uzawa solve kept growing).
     ``operator_applications`` counts the solve's ``k_phi``/``k_ext`` calls
     and its mean-strain load (``mean_strain_load``), and
@@ -176,11 +178,17 @@ def _pcg(op, m_inv, b, tol, max_iter, energy_offsets=None, hook=None):
     applied whole, and an application counts once for each column still
     iterating.
 
+    A right-hand side whose norm is not finite stops its column at once,
+    unconverged, and a column that stops before ``max_iter`` steps without
+    converging (a NaN residual fails the stop test too) reports
+    ``breakdown``, not ``budget``.
+
     ``hook(x, r, z, energy)``, allowed only with one column, is called at
     every iterate with that column's arrays and the ``z = m_inv(r)`` the
     next direction uses, and returns whether to stop, in place of the test
-    ``|r| <= tol |b|``. The loop updates ``x``, ``r`` and the direction (the
-    first one is ``z`` itself) in place, so a hook copies whatever it keeps.
+    ``|r| <= tol |b|``, or None to stop unconverged. The loop updates
+    ``x``, ``r`` and the direction (the first one is ``z`` itself) in place,
+    so a hook copies whatever it keeps.
     """
     k = len(b)
     if k == 1:
@@ -206,10 +214,12 @@ def _pcg(op, m_inv, b, tol, max_iter, energy_offsets=None, hook=None):
     r = b.copy()
     step = np.empty_like(b)  # alpha p, then alpha K p
     bnorm = sqrt(dots(b, b))
-    # a zero right-hand side is solved by x = 0, with no iteration
-    going = bnorm > 0.0
-    res = going * 1.0  # |r| / |b|
-    broke, stop = going & False, True
+    # a zero right-hand side is solved by x = 0, with no iteration; one whose
+    # norm is not finite (a NaN compares false too) is not solved at all
+    finite = bnorm < math.inf
+    going, stop = finite & (bnorm > 0.0), finite
+    res = going + 0.0 * bnorm  # |r| / |b|: 1, 0, or NaN where |b| is not finite
+    broke = going & False
     history, energies = [res], [energy]
     steps = []  # which columns took each step; those going took every one
     p = None
@@ -220,8 +230,8 @@ def _pcg(op, m_inv, b, tol, max_iter, energy_offsets=None, hook=None):
             z, going = None, going & (res > tol)
         elif going:
             z = m_inv(r)
-            stop = bool(hook(x[0], r[0], z[0], energy))
-            going = not stop
+            stop = hook(x[0], r[0], z[0], energy)
+            going = stop is not None and not stop
         live = count(going)
         if not live or len(steps) >= max_iter:
             break
@@ -252,23 +262,21 @@ def _pcg(op, m_inv, b, tol, max_iter, energy_offsets=None, hook=None):
         history.append(res)
         energies.append(energy)
     its = sum(steps, going * 0)
-    if k == 1:
-        columns = [(its, broke, history, energies)]
-    else:
-        columns = zip(*np.reshape([its, broke], (2, k)).tolist(),
-                      *np.reshape([history, energies], (2, -1, k)).transpose(0, 2, 1).tolist())
+    columns = zip(*np.reshape([its, broke], (2, k)).tolist(),
+                  *np.reshape([history, energies], (2, -1, k)).transpose(0, 2, 1).tolist())
     reports = []
     for n_it, broken, hist, ens in columns:
         hist, ens = hist[:n_it + 1], ens[:n_it + 1]
-        converged = stop if hook is not None else hist[-1] <= tol
+        converged = bool(stop) if hook is not None else hist[-1] <= tol
         # each step applies op and m_inv once, a breakdown op once more, and
         # with a hook m_inv also serves the last stop test
         n_op = n_it + broken
         reports.append(SolveReport(
             n_it, hist, ens[-1], converged, energy_history=ens,
-            stop_reason="converged" if converged else "breakdown" if broken else "budget",
+            stop_reason="converged" if converged else "budget" if n_it == max_iter
+            else "breakdown",
             operator_applications=n_op,
-            preconditioner_applications=n_op if hook is None else n_it + (bnorm > 0.0)))
+            preconditioner_applications=n_op if hook is None else n_it + (0.0 < bnorm < math.inf)))
     return x, reports
 
 
@@ -281,12 +289,42 @@ def _pcg_one(op, m_inv, b, tol, max_iter, hook=None):
 
 
 def _not_converged(solve: str, report: SolveReport) -> NotConverged:
-    why = {"budget": "iteration budget spent",
-           "breakdown": "PCG breakdown"}[report.stop_reason]
-    gap = f", gap {report.gap_history[-1]:.3e}" if report.gap_history else ""
+    res, gaps = report.residual_history[-1], report.gap_history
+    if not math.isfinite(res):
+        why = "non-finite right-hand side" if report.iterations == 0 else "non-finite residual"
+    elif gaps and not math.isfinite(gaps[-1]):
+        why = "non-finite gap"
+    else:
+        why = {"budget": "iteration budget spent",
+               "breakdown": "PCG breakdown"}[report.stop_reason]
+    gap = f", gap {gaps[-1]:.3e}" if gaps else ""
     return NotConverged(
-        f"{solve} solve: {why}, residual {report.residual_history[-1]:.3e}{gap} "
+        f"{solve} solve: {why}, residual {res:.3e}{gap} "
         f"after {report.iterations} iterations", report)
+
+
+def _macro_load(value, name: str, ndim: int = 1) -> np.ndarray:
+    """``value`` as floats: 6 finite reals, or rows of them with ``ndim``
+    2; anything else is a ``ValueError`` that names the load."""
+    try:
+        load = np.asarray(value, dtype=float)
+        ok = load.ndim == ndim and load.shape[-1:] == (6,) and bool(np.isfinite(load).all())
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be {'rows of ' * (ndim - 1)}6 finite reals, got {value!r}")
+    return load
+
+
+def _quiet(solve):
+    """``solve`` with NumPy's floating-point warnings off: a load or an
+    iterate out of the float range shows as a norm that is not finite, which
+    the solve reports as a ``breakdown``."""
+    @functools.wraps(solve)
+    def quiet(*args, **kwargs):
+        with np.errstate(all="ignore"):
+            return solve(*args, **kwargs)
+    return quiet
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +339,10 @@ def solve_strain_driven(cell: VoxelCell, macro_strain, params: SolveParams | Non
     residual of the equilibrium equations is below ``tol`` relative to the
     load produced by the mean strain.
     """
-    return solve_strain_stack(cell, np.asarray(macro_strain, dtype=float)[None], params)[0]
+    return solve_strain_stack(cell, _macro_load(macro_strain, "macro strain")[None], params)[0]
 
 
+@_quiet
 def solve_strain_stack(cell: VoxelCell, macro_strains, params: SolveParams | None = None):
     """``solve_strain_driven`` of each mean strain of a stack (one per row).
 
@@ -319,7 +358,7 @@ def solve_strain_stack(cell: VoxelCell, macro_strains, params: SolveParams | Non
     a solve of one column after another would have raised first.
     """
     params = params or SolveParams()
-    strains = np.asarray(macro_strains, dtype=float)
+    strains = _macro_load(macro_strains, "macro strains", ndim=2)
     st = stencil_of(cell)
     if len(strains) > 1 and not st.uses_ref_dense:
         return [solve_strain_driven(cell, a, params) for a in strains]
@@ -336,10 +375,11 @@ def solve_strain_stack(cell: VoxelCell, macro_strains, params: SolveParams | Non
         report.operator_applications += 1  # the load
         if not report.converged:
             raise _not_converged("strain-driven", report)
-    return [(LinPerField(a, st.project(sol)), report)
-            for a, sol, report in zip(strains, sols, reports)]
+    return [(LinPerField(a, sol), report)
+            for a, sol, report in zip(strains, st._center(sols), reports)]
 
 
+@_quiet
 def solve_stress_driven(cell: VoxelCell, macro_stress, params: SolveParams | None = None):
     """Cell solution for a prescribed mean stress.
 
@@ -348,7 +388,7 @@ def solve_stress_driven(cell: VoxelCell, macro_stress, params: SolveParams | Non
     strain eliminates constraint drift) and equilibrium holds to ``tol``.
     """
     params = params or SolveParams()
-    s_target = np.asarray(macro_stress, dtype=float)
+    s_target = _macro_load(macro_stress, "macro stress")
     st = stencil_of(cell)
     b = st.pack(st.volume * s_target, np.zeros(cell.dims + (3,)))
     sol, report = _pcg_one(st.k_ext, st.precond_ext, b, params.tol, params.max_iter)
@@ -369,6 +409,7 @@ def _readout(cell: VoxelCell, st: Stencil, x: np.ndarray, misfit: np.ndarray) ->
     return project_zero_mean(cell, LinPerField(macro + st.cmean_inv @ misfit, phi))
 
 
+@_quiet
 def solve_stress_uzawa(cell: VoxelCell, macro_stress, params: SolveParams | None = None):
     """Alternating-directions saddle-point solve for a prescribed mean stress.
 
@@ -407,7 +448,7 @@ def solve_stress_uzawa(cell: VoxelCell, macro_stress, params: SolveParams | None
     ``sigma``. The dual multiplier of the underlying Lagrangian is ``-w``.
     """
     params = params or SolveParams()
-    s_target = np.asarray(macro_stress, dtype=float)
+    s_target = _macro_load(macro_stress, "macro stress")
     st = stencil_of(cell)
 
     if np.linalg.norm(s_target) == 0.0:
@@ -427,6 +468,9 @@ def solve_stress_uzawa(cell: VoxelCell, macro_stress, params: SolveParams | None
             nonlocal x_j, m_j, psi_j, m, best, compl, energy_prev
             m, psi = r[:6] / st.volume, st.unpack(z)[1]
             gap = st.correction_gap(m, psi)
+            if not gap < math.inf:  # a NaN compares false too
+                gaps.append(gap)
+                return None  # stop, unconverged
             best -= energy_prev - energy
             if gap <= best:
                 best, compl = gap, gap - energy
@@ -465,6 +509,8 @@ def solve_stress_uzawa(cell: VoxelCell, macro_stress, params: SolveParams | None
             compl = gap - energies[-1]
             history.append(float(np.linalg.norm(r)) / bnorm)
             gaps.append(gap)
+            if not (math.isfinite(gap) and math.isfinite(history[-1])):
+                raise _not_converged("uzawa", report_at("breakdown"))
             if gap <= params.tol * max(compl, 1e-300) and history[-1] <= params.tol:
                 break
             if len(gaps) > 1 and gap > gaps[-2] * (1.0 + 1e-15) + 1e-300:

@@ -8,6 +8,7 @@ from cellhom.cell import voxel_text
 from cellhom.cli import main, run
 from cellhom.config import ParseError, RunConfig, ValidationError, parse_config
 from cellhom.microstructures import homogeneous_cell, laminate_cell, random_two_phase_cell
+from test_solvers import HUGE_CELL_TEXT
 
 
 def test_parse_minimal_defaults():
@@ -472,3 +473,32 @@ def test_report_records_application_counts(tmp_path):
     for s in columns:
         assert s["operator_applications"] == s["iterations"] + 1
         assert s["preconditioner_applications"] == s["iterations"]
+
+
+HUGE_MACRO = "macro_value = 1e308 1e308 1e308 0 0 0\n"
+
+
+@pytest.mark.parametrize("extra", [
+    "task = solve\nmacro_kind = strain\n" + HUGE_MACRO,
+    "task = solve\nformulation = stress-uzawa\nmacro_kind = stress\n" + HUGE_MACRO,
+    "task = solve\nformulation = stress-uzawa\nuzawa_step = 0.8\nmacro_kind = stress\n"
+    + HUGE_MACRO,
+    "task = homogenize\n",
+])
+def test_run_out_of_float_range_exits_2_naming_the_right_hand_side(tmp_path, capsys, extra):
+    # a finite macro_value whose load overflows, and a cell whose unit-strain
+    # loads do: each solve stops at once as a breakdown, with no NumPy
+    # warning (pytest would raise it) and no traceback
+    if extra.startswith("task = homogenize"):
+        vox = tmp_path / "cell.vox"
+        vox.write_text(HUGE_CELL_TEXT, encoding="utf-8")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"voxel_path = {vox}\noutput_dir = {tmp_path / 'out'}\n{extra}",
+                       encoding="utf-8")
+    else:
+        cfg = _write_inputs(tmp_path, random_two_phase_cell(), extra)
+    assert main([str(cfg)]) == 2
+    assert "non-finite right-hand side" in capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["solves"][-1]["stop_reason"] == "breakdown"
+    assert report["solves"][-1]["iterations"] == 0

@@ -9,7 +9,8 @@ from cellhom.energies import MacroLoad, displacement_potential
 from cellhom.fem import LinPerField, quad_norm
 from cellhom.mandel import SQRT2
 from cellhom.microstructures import homogeneous_cell, random_two_phase_cell
-from cellhom.solvers import NotConverged, SolveParams, Stencil, StepTooLarge, _pcg
+from cellhom.solvers import (NotConverged, SolveParams, Stencil, StepTooLarge, _pcg,
+                             solve_strain_stack)
 from test_fem import GAP_CELLS
 
 
@@ -395,3 +396,112 @@ def test_strain_route_pairing(cell_d, probe_solution_d):
     np.testing.assert_allclose(ch.cell_average(cell_d, e_tilde), a, atol=1e-7)
     assert quad_norm(cell_d, e_tilde - e_bar - a) <= 1e-8 * quad_norm(cell_d, e_tilde)
 
+
+
+# ---------------------------------------------------------------------------
+# non-finite and overflowing loads (pytest turns any NumPy warning into an
+# error here, so each of these also checks that none is emitted)
+
+#: a cell whose unit-strain loads are finite but whose squared norm overflows
+HUGE_CELL_TEXT = "CELLVOX 1\n2 2 2 2\nISO 1e300 1e300\nISO 2e300 1e300\n0 1 0 1 1 0 1 0\n"
+HUGE = [1e308] * 6
+
+ROUTES = {
+    "strain-driven": lambda cell, v, p=None: ch.solve_strain_driven(cell, v, p),
+    "strain-stack": lambda cell, v, p=None: solve_strain_stack(cell, [v, v], p)[0],
+    "stress-driven": lambda cell, v, p=None: ch.solve_stress_driven(cell, v, p),
+    "uzawa": lambda cell, v, p=None: ch.solve_stress_uzawa(cell, v, p),
+    "uzawa-fixed": lambda cell, v, p=None: ch.solve_stress_uzawa(
+        cell, v, SolveParams(uzawa_step=0.8)),
+    "strain-route": lambda cell, v, p=None: ch.solve_strain_route(
+        cell, MacroLoad.stress_driven(v), p),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("bad", [[np.nan] * 6, [1.0, 0, 0, 0, 0, np.inf], [1.0] * 5,
+                                 [[1.0] * 6]])
+def test_every_route_rejects_a_load_that_is_not_six_finite_reals(cell_d, route, bad):
+    with pytest.raises(ValueError, match="macro (strain|stress)s? must be .*6 finite reals"):
+        ROUTES[route](cell_d, bad)
+
+
+def test_a_load_that_is_not_numbers_is_named_too(cell_d):
+    with pytest.raises(ValueError, match="macro strain must be 6 finite reals, got 'abc'"):
+        ch.solve_strain_driven(cell_d, "abc")
+    with pytest.raises(ValueError, match="macro stress must be 6 finite reals"):
+        ch.solve_stress_uzawa(cell_d, None)
+    for bad in ([1.0] * 6, [[1.0] * 6, [np.nan] * 6]):
+        with pytest.raises(ValueError, match="macro strains must be rows of 6 finite reals"):
+            solve_strain_stack(cell_d, bad)
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_an_overflowing_load_is_a_breakdown_at_once(cell_d, route):
+    # the load is finite, its right-hand side is not: each route stops
+    # before its first step, unconverged, and says why
+    with pytest.raises(NotConverged, match="non-finite right-hand side") as err:
+        ROUTES[route](cell_d, HUGE)
+    rep = err.value.report
+    assert rep.stop_reason == "breakdown" and not rep.converged
+    assert rep.iterations == 0
+
+
+def test_a_cell_out_of_the_float_range_breaks_down_in_homogenize():
+    cell = ch.parse_voxel_text(HUGE_CELL_TEXT)
+    with pytest.raises(NotConverged, match="non-finite right-hand side") as err:
+        ch.homogenize(cell)
+    assert err.value.report.stop_reason == "breakdown"
+    assert err.value.report.iterations == 0
+
+
+def test_pcg_nan_residual_is_a_breakdown_not_a_spent_budget():
+    # the operator turns NaN on its third call: the column stops there, long
+    # before max_iter, and reports a breakdown
+    rng = np.random.default_rng(40)
+    g = rng.standard_normal((10, 10))
+    a = g @ g.T + 10.0 * np.eye(10)
+    calls = []
+
+    def op(v):
+        calls.append(1)
+        return v @ a if len(calls) < 3 else np.full_like(v, np.nan)
+
+    _, (rep,) = _pcg(op, lambda v: v, rng.standard_normal((1, 10)), 1e-12, 100)
+    assert rep.stop_reason == "breakdown" and not rep.converged
+    assert rep.iterations == 3 and np.isnan(rep.residual_history[-1])
+    assert rep.operator_applications == rep.preconditioner_applications == 3
+
+
+def test_pcg_hook_returning_none_stops_unconverged():
+    seen = []
+
+    def hook(x, r, z, energy):
+        seen.append(energy)
+        return None if len(seen) == 2 else False
+
+    g = np.random.default_rng(41).standard_normal((10, 10))
+    a = g @ g.T + 10.0 * np.eye(10)
+    _, (rep,) = _pcg(lambda v: v @ a, lambda v: v, np.ones((1, 10)), 1e-9, 5, hook=hook)
+    assert rep.stop_reason == "breakdown" and not rep.converged
+    assert rep.iterations == 1 and rep.preconditioner_applications == 2
+
+
+@pytest.mark.parametrize("step", ["auto", 0.8])
+def test_uzawa_non_finite_gap_is_a_breakdown_not_convergence(cell_d, monkeypatch, step):
+    # an infinite gap used to pass the stop test as inf <= tol * inf
+    real, calls = Stencil.correction_gap, []
+
+    def gap(self, m, psi):
+        calls.append(1)
+        return np.inf if len(calls) == 3 else real(self, m, psi)
+
+    monkeypatch.setattr(Stencil, "correction_gap", gap)
+    with pytest.raises(NotConverged, match="non-finite gap") as err:
+        ch.solve_stress_uzawa(cell_d, PROBE_A_STRESS, SolveParams(uzawa_step=step))
+    rep = err.value.report
+    assert rep.stop_reason == "breakdown" and rep.iterations == 2
+    assert rep.gap_history[-1] == np.inf
+
+
+PROBE_A_STRESS = np.array([1.0, 0.5, -0.2, 0.1, 0.0, 0.3])
