@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 import math
+import re
+import warnings
 
 import numpy as np
 
@@ -141,9 +143,13 @@ class VoxelCell:
 
     # -- phase-fraction means (cached, read-only) ------------------------------
 
+    @cached_property
+    def _phase_fractions(self) -> np.ndarray:
+        """Volume fraction of every phase, counted once for both means."""
+        return np.bincount(self.phase_of.ravel(), minlength=len(self.phases)) / self.n_voxels
+
     def _phase_mean(self, mats) -> np.ndarray:
-        frac = np.bincount(self.phase_of.ravel(), minlength=len(mats)) / self.n_voxels
-        return _read_only(np.tensordot(frac, np.stack(mats), axes=1))
+        return _read_only(np.tensordot(self._phase_fractions, np.stack(mats), axes=1))
 
     @cached_property
     def mean_stiffness(self) -> np.ndarray:
@@ -179,12 +185,58 @@ def cell_average(cell: VoxelCell, f: np.ndarray) -> np.ndarray:
 #   CELLVOX 1
 #   n1 n2 n3 P
 #   P lines:   ISO <lambda> <mu>   |   FULL <21 upper-triangle entries>
-#   n1*n2*n3 whitespace-separated phase ids, i fastest, then j, then k
+#   n1*n2*n3 phase ids separated by ASCII whitespace, i fastest, then j, then k
+
+#: the id separators: ASCII whitespace, which ``np.fromstring`` skips
+_ID_SEPARATORS = " \t\n\r\v\f"
+#: one phase id, optionally signed ASCII decimal digits
+_ID = re.compile(r"[+-]?[0-9]+")
+#: a sign without a digit right after it, which ``np.fromstring`` still reads
+_LONE_SIGN = re.compile(r"[+-](?![0-9])")
+#: the slots of a FULL row's 21 entries (upper triangle, row-major) and their mirrors
+_UPPER = np.triu_indices(6)
+_LOWER = _UPPER[::-1]
+
+
+def _read_ids(block: str) -> np.ndarray | None:
+    """The phase ids of ``block`` in file order, read by one numpy call.
+
+    None unless ``block`` is optionally signed ASCII decimal integers
+    separated by ASCII whitespace. An id past int64 saturates.
+    """
+    if not block.strip(_ID_SEPARATORS):  # np.fromstring reads a blank block as [0]
+        return np.zeros(0, dtype=np.int64)
+    if ("+" in block or "-" in block) and _LONE_SIGN.search(block):
+        return None
+    with warnings.catch_warnings():
+        # numpy 1.x warns on unmatched data and returns the ids read so far
+        warnings.filterwarnings("error", "string or file could not be read",
+                                DeprecationWarning)
+        try:
+            return np.fromstring(block, dtype=np.int64, sep=" ")
+        except (ValueError, DeprecationWarning):
+            return None
+
+
+def _bad_id(block: str) -> str:
+    """Why ``_read_ids`` refused ``block``: its first malformed id, else
+    a separator that is not ASCII whitespace."""
+    bad = next((t for t in block.split() if not _ID.fullmatch(t)), None)
+    if bad is not None:
+        return f"{bad!r} is not a decimal integer"
+    return "ids must be separated by ASCII whitespace"
 
 
 def parse_voxel_text(text: str, lattice: Lattice | None = None) -> VoxelCell:
-    """Parse the voxel cell file format; raises ValueError on any deviation."""
-    lines = text.splitlines()
+    """Parse the voxel cell file format; raises ValueError on any deviation.
+
+    The phase ids are optionally signed ASCII decimal integers separated by
+    ASCII whitespace (space, tab, line feed, carriage return, vertical tab,
+    form feed); anything else is a ``bad phase id``. A wrong id count is
+    reported first. An id past int64 reads as the int64 maximum and fails
+    the range check, ``phase id out of range``.
+    """
+    lines = text.splitlines(keepends=True)
     if not lines or lines[0].strip() != VOXEL_MAGIC:
         raise ValueError(f"voxel file must start with '{VOXEL_MAGIC}'")
     if len(lines) < 2:
@@ -212,28 +264,22 @@ def parse_voxel_text(text: str, lattice: Lattice | None = None) -> VoxelCell:
             elif tok and tok[0] == "FULL":
                 if len(tok) != 22:
                     raise ValueError("FULL takes 21 upper-triangle entries")
-                vals = [float(t) for t in tok[1:]]
                 c = np.zeros((6, 6))
-                pos = 0
-                for i in range(6):
-                    for j in range(i, 6):
-                        c[i, j] = c[j, i] = vals[pos]
-                        pos += 1
+                c[_UPPER] = c[_LOWER] = np.array(tok[1:], dtype=float)
                 phases.append(c)
             else:
                 raise ValueError("expected ISO or FULL")
         except ValueError as exc:  # mandel.DomainError included
             raise ValueError(f"phase {k}: {exc}") from exc
 
-    ids = " ".join(lines[2 + nphase:]).split()
-    if len(ids) != n1 * n2 * n3:
-        raise ValueError(
-            f"expected {n1 * n2 * n3} phase ids, found {len(ids)}"
-        )
-    try:
-        grid = np.array([int(t) for t in ids], dtype=np.int64)
-    except ValueError as exc:
-        raise ValueError(f"bad phase id: {exc}") from exc
+    # the raw id block, line breaks kept: only ASCII ones separate ids
+    block = "".join(lines[2 + nphase:])
+    grid = _read_ids(block)
+    found = len(block.split()) if grid is None else grid.size
+    if found != n1 * n2 * n3:
+        raise ValueError(f"expected {n1 * n2 * n3} phase ids, found {found}")
+    if grid is None:
+        raise ValueError(f"bad phase id: {_bad_id(block)}")
     # file order: i fastest, then j, then k
     phase_of = grid.reshape(n3, n2, n1).transpose(2, 1, 0)
     return VoxelCell((n1, n2, n3), phase_of, phases,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -70,6 +71,30 @@ def _report_of(label: str, rep) -> dict:
     return out
 
 
+def _json_safe(obj):
+    """``obj`` with every non-finite float replaced by None, so the report
+    is strict JSON: ``null`` where ``json`` would write NaN or Infinity."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(v) for v in obj]
+    return obj
+
+
+def _frobenius(m: np.ndarray) -> float:
+    """Frobenius norm of ``m`` that cannot overflow in its sum of squares.
+
+    ``m`` is scaled by 2**-e, e the binary exponent of ``max|m|``: an exact
+    power of two, so an ordinary ``m`` keeps ``np.linalg.norm``'s value bit
+    for bit, and a norm past the float range is inf.
+    """
+    _, e = np.frexp(np.abs(m).max())
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.linalg.norm(np.ldexp(m, -e)), e))
+
+
 def _format_matrix(m: np.ndarray) -> str:
     return "\n".join(" ".join(f"{v:.17g}" for v in row) for row in m) + "\n"
 
@@ -78,7 +103,8 @@ def _write_artifacts(outdir: Path, report: dict, rows: list, ch=None):
     if ch is not None:
         (outdir / "CH.txt").write_text(_format_matrix(ch), encoding="utf-8")
     (outdir / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        json.dumps(_json_safe(report), indent=2, sort_keys=True, allow_nan=False) + "\n",
+        encoding="utf-8")
     lines = ["label,iteration,residual,gap"]
     for label, rep in rows:
         gaps = rep.gap_history if rep.gap_history else [None] * len(rep.residual_history)
@@ -154,7 +180,7 @@ def run(config: RunConfig, threads: int = 1, quiet: bool = False) -> int:
             solve_rows += [(f"column_{i + 1}", rep)
                            for i, rep in enumerate(result.per_column_reports)]
             report.update(CH=result.CH.tolist(), DH=result.DH.tolist())
-            ch_norm = float(np.linalg.norm(result.CH))
+            ch_norm = _frobenius(result.CH)
             check("energy_check_max", float(result.energy_check.max()),
                   result.energy_check.max() <= ENERGY_CHECK_LIMIT * ch_norm)
             upper, lower = voigt_reuss_margins(cell, result.CH)

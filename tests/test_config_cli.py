@@ -5,7 +5,7 @@ import pytest
 
 import cellhom as ch
 from cellhom.cell import voxel_text
-from cellhom.cli import main, run
+from cellhom.cli import _frobenius, main, run
 from cellhom.config import ParseError, RunConfig, ValidationError, parse_config
 from cellhom.microstructures import homogeneous_cell, laminate_cell, random_two_phase_cell
 from test_solvers import HUGE_CELL_TEXT
@@ -478,17 +478,35 @@ def test_report_records_application_counts(tmp_path):
 HUGE_MACRO = "macro_value = 1e308 1e308 1e308 0 0 0\n"
 
 
+def _reject_constant(token):
+    raise ValueError(f"report.json is not strict JSON: {token}")
+
+
+def test_ch_norm_keeps_numpy_bits_and_does_not_overflow():
+    rng = np.random.default_rng(3)
+    for scale in (1e-3, 1.0, 7.5, 1e5):
+        m = scale * rng.standard_normal((6, 6))
+        assert _frobenius(m) == np.linalg.norm(m)
+    assert _frobenius(np.zeros((6, 6))) == 0.0
+    assert _frobenius(np.full((6, 6), 1e300)) == pytest.approx(6e300, rel=1e-15)
+    assert _frobenius(np.full((6, 6), 1e308)) == np.inf
+
+
 @pytest.mark.parametrize("extra", [
     "task = solve\nmacro_kind = strain\n" + HUGE_MACRO,
     "task = solve\nformulation = stress-uzawa\nmacro_kind = stress\n" + HUGE_MACRO,
     "task = solve\nformulation = stress-uzawa\nuzawa_step = 0.8\nmacro_kind = stress\n"
     + HUGE_MACRO,
     "task = homogenize\n",
+    # the stress-uzawa columns converge on this cell; the norm of its CH
+    # (about 1e301) must not overflow before the probe breaks down
+    "task = homogenize\nformulation = stress-uzawa\n",
 ])
 def test_run_out_of_float_range_exits_2_naming_the_right_hand_side(tmp_path, capsys, extra):
     # a finite macro_value whose load overflows, and a cell whose unit-strain
     # loads do: each solve stops at once as a breakdown, with no NumPy
-    # warning (pytest would raise it) and no traceback
+    # warning (pytest would raise it) and no traceback; the report stays
+    # strict JSON, a non-finite residual or energy written as null
     if extra.startswith("task = homogenize"):
         vox = tmp_path / "cell.vox"
         vox.write_text(HUGE_CELL_TEXT, encoding="utf-8")
@@ -499,6 +517,7 @@ def test_run_out_of_float_range_exits_2_naming_the_right_hand_side(tmp_path, cap
         cfg = _write_inputs(tmp_path, random_two_phase_cell(), extra)
     assert main([str(cfg)]) == 2
     assert "non-finite right-hand side" in capsys.readouterr().err
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    report = json.loads((tmp_path / "out" / "report.json").read_text(),
+                        parse_constant=_reject_constant)
     assert report["solves"][-1]["stop_reason"] == "breakdown"
     assert report["solves"][-1]["iterations"] == 0
