@@ -6,14 +6,12 @@ routes (displacement, strain-space and stress-space/saddle point) together
 with the duality identities that connect them.
 """
 
-from .cell import Lattice, VoxelCell, cell_average, load_voxel_file, parse_voxel_text, voxel_text, wrap_index
+from .cell import Lattice, VoxelCell, cell_average, load_voxel_file, parse_voxel_text, voxel_text
 from .energies import (
-    EnergyReport,
     MacroLoad,
     complementary_energy,
     displacement_potential,
     elastic_energy,
-    energy_report,
     mean_stress_indicator,
     strain_energy,
     strain_potential,
@@ -31,16 +29,13 @@ from .fem import (
     quad_norm,
     sym_gradient,
 )
-from .homogenize import AsymmetricResult, HomogResult, dual_consistency, energy_product, homogenize
+from .homogenize import AsymmetricResult, HomogResult, dual_consistency, homogenize
 from .mandel import (
     DomainError,
     SingularTensor,
-    apply,
-    inner,
     invert,
     iso_tensor,
     mandel_to_sym,
-    quad,
     sym_to_mandel,
 )
 from .checks import (

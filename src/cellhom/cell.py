@@ -64,11 +64,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def wrap_index(idx, dims):
-    """Map a signed integer triple onto the canonical grid, componentwise mod n."""
-    return tuple(int(i) % int(n) for i, n in zip(idx, dims))
-
-
 @dataclass(frozen=True)
 class VoxelCell:
     """Periodic voxel cell: phase grid plus per-phase stiffness table.

@@ -240,9 +240,18 @@ def run(config: RunConfig, threads: int = 1, quiet: bool = False) -> int:
                 checks["final_residual"] = rep.residual_history[-1]
             elif config.macro_kind == "strain":
                 u, rep = solve_strain_driven(cell, value, params)
+                # a zero fluctuation solves any load on a homogeneous cell,
+                # whose stress may still overflow
+                with np.errstate(all="ignore"):
+                    sig = st.stress(sym_gradient(cell, u))
+                    mean_stress = _mean(sig)
+                if not np.isfinite(mean_stress).all():
+                    rep.converged, rep.stop_reason = False, "breakdown"
+                    raise NotConverged(
+                        "strain-driven solve: non-finite stress, residual "
+                        f"{rep.residual_history[-1]:.3e} after {rep.iterations} iterations", rep)
                 solve_rows.append(("strain_driven", rep))
-                sig = st.stress(sym_gradient(cell, u))
-                report["mean_stress"] = _mean(sig)
+                report["mean_stress"] = mean_stress
                 hm = hill_mandel_residual(cell, u, sig)
                 check("hill_mandel", hm, hm <= hm_limit)
             else:

@@ -8,21 +8,13 @@ equilibrated stress, which the solver and verification modules cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
 
 from .cell import VoxelCell, cell_average
-from .fem import (
-    LinPerField,
-    div_adjoint,
-    is_equilibrated,
-    node_mean,
-    quad_inner,
-    stencil_of,
-    sym_gradient,
-)
+from .fem import LinPerField, is_equilibrated, quad_inner, stencil_of, sym_gradient
 
 
 @dataclass
@@ -44,19 +36,6 @@ class MacroLoad:
     @classmethod
     def stress_driven(cls, s) -> "MacroLoad":
         return cls("stress", s)
-
-
-@dataclass
-class EnergyReport:
-    """Evaluated functional with its gradient norm and named sub-terms."""
-
-    value: float
-    gradient_norm: float
-    components: dict = field(default_factory=dict)
-
-    @property
-    def finite(self) -> bool:
-        return math.isfinite(self.value)
 
 
 def elastic_energy(cell: VoxelCell, e: np.ndarray) -> float:
@@ -130,24 +109,3 @@ def stress_displacement_lagrangian(cell: VoxelCell, s: np.ndarray, v: LinPerFiel
                cell.volume * cell_average(cell, ev))
     )
     return complementary_energy(cell, s) + coupling
-
-
-def energy_report(cell: VoxelCell, u: LinPerField, load: MacroLoad) -> EnergyReport:
-    """Evaluate the natural objective of ``u`` under ``load`` with sub-terms.
-
-    The gradient norm is the nodal equilibrium residual of the objective at
-    ``u`` (zero-mean projected), the same quantity the solvers drive down.
-    """
-    e = sym_gradient(cell, u)
-    s = stencil_of(cell).stress(e)
-    elastic = 0.5 * quad_inner(cell, s, e)
-    if load.kind == "strain":
-        value, comps = elastic, {"elastic": elastic}
-        residual = div_adjoint(cell, s)
-    else:
-        lin = float(np.dot(load.value, cell.volume * cell_average(cell, e)))
-        value, comps = elastic - lin, {"elastic": elastic, "load": -lin}
-        residual = div_adjoint(cell, s - load.value.reshape(1, 1, 1, 1, 6))
-    residual = residual - node_mean(residual)
-    return EnergyReport(value=value, gradient_norm=float(np.linalg.norm(residual)),
-                        components=comps)

@@ -95,9 +95,8 @@ class LinPerField:
         self.periodic = np.asarray(self.periodic, dtype=float)
 
     @classmethod
-    def zeros(cls, cell: VoxelCell, macro=None) -> "LinPerField":
-        m = np.zeros(6) if macro is None else np.asarray(macro, dtype=float)
-        return cls(m, np.zeros(cell.dims + (3,)))
+    def zeros(cls, cell: VoxelCell) -> "LinPerField":
+        return cls(np.zeros(6), np.zeros(cell.dims + (3,)))
 
 
 def shape_gradients(cell: VoxelCell) -> np.ndarray:
@@ -351,10 +350,6 @@ class Stencil:
         by_voxel = np.matmul(s.reshape(-1, 48), self.bmat_t_w, out=by_voxel.reshape(-1, 24))
         return self.scatter(np.take(by_voxel, self.order, axis=0, out=fe, mode="clip"), nodes)
 
-    def project(self, phi: np.ndarray) -> np.ndarray:
-        """``phi`` less its mean nodal value (``node_mean``)."""
-        return self._center(phi.copy())
-
     def _center(self, f: np.ndarray) -> np.ndarray:
         """Subtract the mean nodal value of each field of the contiguous
         stack ``f`` (one field is a stack of one), in place."""
@@ -420,8 +415,9 @@ class Stencil:
 
     @cached_property
     def dual_scale(self) -> float:
-        """Operator-norm bound of ``divadj``: sqrt(8 * lambda_max) of one
-        element Gram matrix (a node touches at most 8 elements)."""
+        """Operator-norm bound of ``divadj``, ``|divadj(s)|_2 <= dual_scale
+        * |s|_L2``: sqrt(8 * lambda_max) of one element Gram matrix (a node
+        touches at most 8 elements)."""
         lam = np.linalg.eigvalsh(self.w * self.bmat @ self.bmat.T)[-1]
         return float(np.sqrt(8.0 * max(lam, 0.0)))
 
@@ -692,14 +688,6 @@ def project_zero_mean(cell: VoxelCell, u: LinPerField) -> LinPerField:
     return LinPerField(u.macro.copy(), u.periodic - shift)
 
 
-def dual_norm_scale(cell: VoxelCell) -> float:
-    """Operator-norm bound converting L2 field size to nodal-functional size.
-
-    ``|div_adjoint(s)|_2 <= dual_norm_scale * |s|_L2`` for every field s.
-    """
-    return stencil_of(cell).dual_scale
-
-
 def is_equilibrated(cell: VoxelCell, s: np.ndarray, mean: np.ndarray, tol: float):
     """Weak test for membership in the admissible stress set.
 
@@ -711,7 +699,7 @@ def is_equilibrated(cell: VoxelCell, s: np.ndarray, mean: np.ndarray, tol: float
     -------
     (ok, div_residual, mean_residual) : tuple[bool, float, float]
         Dimensionless residual ratios; the divergence one is measured in the
-        nodal dual norm scaled by ``dual_norm_scale * |s|_L2``, the mean one
+        nodal dual norm scaled by ``Stencil.dual_scale * |s|_L2``, the mean one
         relative to ``|mean|`` (absolute when ``mean`` is zero).
     """
     mean = np.asarray(mean, dtype=float)

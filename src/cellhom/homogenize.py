@@ -8,7 +8,7 @@ import numpy as np
 
 from . import mandel
 from .cell import VoxelCell, cell_average
-from .fem import LinPerField, stencil_of
+from .fem import stencil_of
 from .solvers import SolveParams, solve_strain_stack, solve_stress_driven, solve_stress_uzawa
 
 #: orthonormal Mandel basis: three unit normal strains, three normalized shears
@@ -71,8 +71,8 @@ def homogenize(cell: VoxelCell, params: SolveParams | None = None,
     dominates on such grids, serves all six; on larger grids, and with the
     Uzawa formulation, the columns are solved one after another. Either way
     each column, and so the result, is bit for bit the same, in one thread.
-    ``threads`` is accepted and ignored; it is kept so that callers passing
-    it keep working.
+    ``threads`` is accepted and ignored; it stays only because
+    ``bench/workloads.py`` passes it, until the benchmark drops it.
 
     Raises ``AsymmetricResult`` when the assembled matrix is asymmetric
     beyond ``ASYMMETRY_LIMIT`` (a solver or assembly bug) and propagates
@@ -119,13 +119,6 @@ def homogenize(cell: VoxelCell, params: SolveParams | None = None,
     energy_check = np.abs(products / cell.volume - sym)
     return HomogResult(CH=ch, DH=mandel.invert(ch), per_column_reports=reports,
                        energy_check=energy_check)
-
-
-def energy_product(cell: VoxelCell, u_a: LinPerField, u_b: LinPerField) -> float:
-    """Cell average of the cross elastic energy of two displacements."""
-    st = stencil_of(cell)
-    kx_a = st.k_ext(st.pack(u_a.macro, u_a.periodic))
-    return float(st.pack(u_b.macro, u_b.periodic) @ kx_a) / cell.volume
 
 
 def dual_consistency(cell: VoxelCell, result: HomogResult,

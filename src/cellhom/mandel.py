@@ -103,17 +103,3 @@ def invert(t: np.ndarray) -> np.ndarray:
     inv = np.linalg.inv(t)
     return 0.5 * (inv + inv.T)
 
-
-def apply(t: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Contract a fourth-order tensor with a symmetric matrix, ``t : e``."""
-    return np.asarray(t) @ np.asarray(e)
-
-
-def inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Full double contraction ``sum_ij A_ij B_ij`` of two Mandel vectors."""
-    return float(np.dot(np.asarray(a), np.asarray(b)))
-
-
-def quad(t: np.ndarray, e: np.ndarray) -> float:
-    """Quadratic form ``<t : e, e>``; nonnegative for SPD ``t``."""
-    return inner(apply(t, e), e)

@@ -23,9 +23,9 @@ every iterate is read off the CG scalars, so the loop keeps no running
 ``K x``; the Uzawa route stops it on the duality gap through a hook. The
 loop iterates a stack of right-hand sides in lockstep, as independent CGs
 that share each operator and preconditioner call: ``solve_strain_stack``
-solves several mean strains so where the preconditioner is the dense
-inverse, each with the bits of its own solve, and every other route passes
-a stack of one.
+stacks several mean strains where the preconditioner is the dense inverse,
+each solved with the bits of its own solve, and every other route passes a
+stack of one.
 
 The preconditioner is the constant-coefficient operator built from the
 volume-averaged stiffness; being block-circulant on the periodic grid it is

@@ -6,16 +6,8 @@ import numpy as np
 import pytest
 
 import cellhom as ch
-from cellhom.cell import Lattice, VoxelCell, parse_voxel_text, voxel_text, wrap_index
+from cellhom.cell import Lattice, VoxelCell, parse_voxel_text, voxel_text
 from cellhom.microstructures import random_cell, random_spd_tensor, random_two_phase_cell
-
-
-def test_wrap_index():
-    dims = (4, 5, 6)
-    assert wrap_index((4, 0, 0), dims) == (0, 0, 0)
-    assert wrap_index((-1, 0, 0), dims) == (3, 0, 0)
-    assert wrap_index((2, 3, 5), dims) == (2, 3, 5)
-    assert wrap_index((9, -7, 12), dims) == (1, 3, 0)
 
 
 def test_lattice_rejects_dependent_generators():

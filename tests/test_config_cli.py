@@ -521,3 +521,19 @@ def test_run_out_of_float_range_exits_2_naming_the_right_hand_side(tmp_path, cap
                         parse_constant=_reject_constant)
     assert report["solves"][-1]["stop_reason"] == "breakdown"
     assert report["solves"][-1]["iterations"] == 0
+
+
+@pytest.mark.parametrize("load", ["1e308", "3e307"])
+def test_run_strain_load_whose_stress_overflows_exits_2_naming_the_stress(
+        tmp_path, capsys, load):
+    # on a homogeneous cell the zero fluctuation solves any mean strain in 0
+    # iterations; at 1e308 its stress overflows, at 3e307 the stress is
+    # finite and its mean overflows: a breakdown, with no NumPy warning
+    extra = f"task = solve\nmacro_kind = strain\nmacro_value = {load} {load} {load} 0 0 0\n"
+    cfg = _write_inputs(tmp_path, homogeneous_cell(dims=(2, 2, 2)), extra)
+    assert main([str(cfg)]) == 2
+    assert "strain-driven solve: non-finite stress" in capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "report.json").read_text(),
+                        parse_constant=_reject_constant)
+    assert "mean_stress" not in report
+    assert [(s["stop_reason"], s["iterations"]) for s in report["solves"]] == [("breakdown", 0)]

@@ -202,12 +202,3 @@ def test_weak_duality_trials(cell_d, probe_solution_d):
         gap_v = ch.duality_gap_displacement(cell_d, sig, v, s, 1e-6)
         assert gap_v >= -1e-10 * max(abs(opt), 1.0)
 
-
-def test_energy_report(cell_d, probe_solution_d):
-    rep = ch.energy_report(cell_d, probe_solution_d["u"],
-                           MacroLoad.strain_driven(probe_solution_d["A"]))
-    assert rep.finite and rep.value > 0.0
-    assert rep.gradient_norm <= 1e-6
-    rep_s = ch.energy_report(cell_d, probe_solution_d["w"],
-                             MacroLoad.stress_driven(probe_solution_d["S"]))
-    assert rep_s.value < 0.0 and "load" in rep_s.components

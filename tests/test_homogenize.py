@@ -7,7 +7,7 @@ import pytest
 import cellhom as ch
 from cellhom import fem
 from cellhom.cell import Lattice, VoxelCell
-from cellhom.fem import LinPerField, stencil_of
+from cellhom.fem import stencil_of
 from cellhom.homogenize import MANDEL_BASIS, _column_tol
 from cellhom.microstructures import (
     homogeneous_cell,
@@ -24,6 +24,8 @@ def test_homogeneous_identity_iso():
     res = ch.homogenize(homogeneous_cell(dims=(3, 3, 3), stiffness=c))
     assert np.abs(res.CH - c).max() <= 1e-10 * np.abs(c).max()
     np.testing.assert_allclose(res.DH, ch.invert(c), atol=1e-12)
+    # the energy products of the columns agree with the stress averages
+    assert res.energy_check.max() <= 1e-14 * np.abs(c).max()
 
 
 def test_homogeneous_cell_needs_no_iteration():
@@ -67,30 +69,6 @@ def test_reports_and_energy_check(homog_d):
     assert len(homog_d.per_column_reports) == 6
     assert all(r.converged for r in homog_d.per_column_reports)
     assert homog_d.energy_check.max() <= 1e-8 * np.linalg.norm(homog_d.CH)
-
-
-def test_energy_product_cross_definition(cell_d, homog_d):
-    params = SolveParams(tol=1e-10)
-    us = [ch.solve_strain_driven(cell_d, MANDEL_BASIS[i], params)[0]
-          for i in range(6)]
-    for i in range(6):
-        for j in range(6):
-            prod = ch.energy_product(cell_d, us[i], us[j])
-            assert abs(prod - homog_d.CH[i, j]) <= 1e-8 * np.linalg.norm(homog_d.CH)
-    # symmetry of the bilinear form
-    p01 = ch.energy_product(cell_d, us[0], us[1])
-    p10 = ch.energy_product(cell_d, us[1], us[0])
-    assert abs(p01 - p10) <= 1e-12 * max(abs(p01), 1.0)
-
-
-def test_energy_product_homogeneous():
-    cell = homogeneous_cell()
-    a = np.array([1.0, 0, 0, 0, 0, 0])
-    b = np.array([0.0, 1.0, 0, 0, 0, 0])
-    u = LinPerField(a, np.zeros(cell.dims + (3,)))
-    v = LinPerField(b, np.zeros(cell.dims + (3,)))
-    c = cell.phases[0]
-    assert ch.energy_product(cell, u, v) == pytest.approx(float(a @ (c @ b)), rel=1e-14)
 
 
 @pytest.mark.parametrize("seed", [5, 6, 9])
