@@ -1,10 +1,11 @@
 """Numerical verification of the solver suite: identities, bounds, oracles.
 
 Everything here checks a finished solve; the equivalence matrix is handed the
-solution it checks and solves only through the other routes. The dense
-reference solver is a deliberately independent implementation (scalar-loop
-assembly, Lagrange multiplier constraint, direct factorization) used to
-cross-validate the matrix-free path on small grids.
+strain-driven solution it checks, and its one solve is the Uzawa solve of that
+solution's mean stress. The dense reference solver is a deliberately
+independent implementation (scalar-loop assembly, Lagrange multiplier
+constraint, direct factorization) used to cross-validate the matrix-free path
+on small grids.
 """
 
 from __future__ import annotations
@@ -16,12 +17,7 @@ import numpy as np
 
 from . import mandel
 from .cell import VoxelCell, cell_average
-from .energies import (
-    MacroLoad,
-    complementary_energy,
-    mean_stress_indicator,
-    stress_potential,
-)
+from .energies import complementary_energy, mean_stress_indicator, stress_potential
 from .fem import (
     LinPerField,
     compatibility_residual,
@@ -32,7 +28,7 @@ from .fem import (
     stencil_of,
     sym_gradient,
 )
-from .solvers import SolveParams, solve_strain_route, solve_stress_uzawa
+from .solvers import SolveParams, solve_stress_uzawa
 
 
 class SingularSystem(RuntimeError):
@@ -46,7 +42,11 @@ def hill_mandel_residual(cell: VoxelCell, v: LinPerField, s: np.ndarray) -> floa
     L2 norms of the two fields; small only when ``s`` is (weakly)
     equilibrated.
     """
+    # each field scaled by an exact power of two, which the ratio cancels bit
+    # for bit, so that no product or sum of squares can overflow
     ev = sym_gradient(cell, v)
+    ev = np.ldexp(ev, -np.frexp(np.abs(ev).max())[1])
+    s = np.ldexp(s, -np.frexp(np.abs(s).max())[1])
     avg_prod = quad_inner(cell, ev, s) / cell.volume
     prod_avg = float(np.dot(cell_average(cell, ev), cell_average(cell, s)))
     denom = quad_norm(cell, ev) * quad_norm(cell, s) / cell.volume
@@ -237,9 +237,11 @@ def equivalence_matrix(cell: VoxelCell, u_a: LinPerField,
     ``u_a.macro`` is the strain datum and the mean stress of ``u_a`` the
     stress datum. Each entry corresponds to one equivalence between two
     formulations of the cell problem (displacement, fluctuation,
-    strain-space, stress-space, saddle point) or to one structural identity
-    they rely on; residuals are relative wherever a natural scale exists.
-    One Uzawa solve of the mean-stress datum gives both stress readouts.
+    stress-space, saddle point) or to one structural identity they rely on;
+    residuals are relative to the norm of the total strain, or to another
+    natural scale. The one solve is the Uzawa solve of the mean-stress
+    datum, which gives both stress readouts and the stress-driven
+    displacement.
     """
     params = params or SolveParams()
     tol = ARROW_TOL
@@ -265,18 +267,12 @@ def equivalence_matrix(cell: VoxelCell, u_a: LinPerField,
         float(np.linalg.norm(cell_average(cell, e_a) - a) / np.linalg.norm(a)),
         tol))
 
-    # fluctuation strain is a compatible zero-mean field
+    # fluctuation strain is a compatible zero-mean field; its rounding is
+    # relative to the total strain, which may be all there is of it
     e_fluct = e_a - a
     checks.append(ArrowCheck(
         "fluctuation strain compatibility",
-        compatibility_residual(cell, e_fluct) / max(quad_norm(cell, e_fluct), 1e-300),
-        tol))
-
-    # strain-space route, mean-strain datum
-    e_route, _ = solve_strain_route(cell, MacroLoad.strain_driven(a), params)
-    checks.append(ArrowCheck(
-        "strain route vs fluctuation strain",
-        quad_norm(cell, e_route - e_fluct) / e_scale, tol))
+        compatibility_residual(cell, e_fluct) / e_scale, tol))
 
     # the Uzawa route returns the displacement of solve_stress_driven too
     sig_uz, w_s, _ = solve_stress_uzawa(cell, s, params)
@@ -285,14 +281,8 @@ def equivalence_matrix(cell: VoxelCell, u_a: LinPerField,
         "stress-driven vs strain-driven strain",
         quad_norm(cell, e_w - e_a) / e_scale, tol))
 
-    # prescribed mean stress holds
+    # constitutive stress of the solution is admissible, its mean the datum
     sig_w = st.stress(e_w)
-    checks.append(ArrowCheck(
-        "mean stress of solution equals datum",
-        float(np.linalg.norm(cell_average(cell, sig_w) - s) / np.linalg.norm(s)),
-        tol))
-
-    # constitutive stress of the solution is admissible
     _, div_res, mean_res = is_equilibrated(cell, sig_w, s, tol)
     checks.append(ArrowCheck(
         "constitutive stress admissibility", max(div_res, mean_res), tol))
@@ -302,24 +292,11 @@ def equivalence_matrix(cell: VoxelCell, u_a: LinPerField,
         "uzawa stress vs constitutive stress",
         quad_norm(cell, sig_uz - sig_w) / quad_norm(cell, sig_w), 1e-6))
 
-    # strain-space route, mean-stress datum, and the shift identity
-    e_route_s, _ = solve_strain_route(cell, MacroLoad.stress_driven(s), params)
-    checks.append(ArrowCheck(
-        "strain route vs stress-driven strain",
-        quad_norm(cell, e_route_s - e_w) / e_scale, tol))
-    checks.append(ArrowCheck(
-        "total strain equals fluctuation plus mean",
-        quad_norm(cell, e_route_s - (e_route + a)) / e_scale, tol))
-
-    # primal-dual gaps close at the computed optima
+    # the primal-dual gap closes at the computed optimum
     gap_v = duality_gap_displacement(cell, sig_w, w_s, s, 10.0 * params.tol)
     checks.append(ArrowCheck(
         "displacement duality gap",
         abs(gap_v) / abs(complementary_energy(cell, sig_w)), tol))
-    gap_e = duality_gap_strain(cell, sig_w, e_route_s, s, 10.0 * params.tol)
-    checks.append(ArrowCheck(
-        "strain duality gap",
-        abs(gap_e) / abs(complementary_energy(cell, sig_w)), tol))
 
     # orthogonality of compatible fluctuations and zero-mean admissible stress
     t = rng.standard_normal(6)
@@ -327,8 +304,7 @@ def equivalence_matrix(cell: VoxelCell, u_a: LinPerField,
     mu = sig_t - cell_average(cell, sig_t)
     checks.append(ArrowCheck(
         "fluctuation orthogonal to zero-mean admissible stress",
-        abs(quad_inner(cell, e_fluct, mu))
-        / max(quad_norm(cell, e_fluct) * quad_norm(cell, mu), 1e-300), tol))
+        abs(quad_inner(cell, e_fluct, mu)) / (e_scale * quad_norm(cell, mu)), tol))
 
     # average-of-product identity at the converged pair
     checks.append(ArrowCheck(

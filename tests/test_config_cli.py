@@ -245,32 +245,55 @@ def test_run_homogenize_solves_each_probe_once(tmp_path, monkeypatch):
     assert len(calls) == 1
     labels = [s["label"] for s in json.loads(
         (tmp_path / "out" / "report.json").read_text())["solves"]]
-    assert labels[6:] == ["probe_strain", "probe_stress", "probe_strain_route"]
+    assert labels[6:] == ["probe_strain", "probe_stress"]
 
 
-def test_run_verify_solves_the_probe_strain_twice(tmp_path, monkeypatch):
-    # the run's probe solve, and the strain route's; the equivalence matrix
-    # checks the run's solution instead of solving the probe strain again
+def test_run_verify_solves_the_probe_strain_once(tmp_path, monkeypatch):
+    # the run's probe solve, which the equivalence matrix checks instead of
+    # solving the probe strain again; the stress-driven solves are the run's
+    # probe and the six of dual consistency
+    import importlib
+
     import cellhom.checks as checks
     import cellhom.cli as cli
     import cellhom.solvers as solvers
 
-    calls = []
+    # the package's homogenize attribute is the function, not the module
+    homogenize = importlib.import_module("cellhom.homogenize")
+    calls, stress_calls = [], []
 
     def counting(cell, macro_strain, *args, **kwargs):
         calls.append(np.array_equal(macro_strain, checks.PROBE_STRAIN))
         return strain_driven(cell, macro_strain, *args, **kwargs)
 
+    def counting_stress(*args, **kwargs):
+        stress_calls.append(args)
+        return stress_driven(*args, **kwargs)
+
     strain_driven = solvers.solve_strain_driven
-    monkeypatch.setattr(solvers, "solve_strain_driven", counting)
-    monkeypatch.setattr(cli, "solve_strain_driven", counting)
-    monkeypatch.setattr(checks, "solve_strain_driven", counting, raising=False)
+    stress_driven = solvers.solve_stress_driven
+    for module in (solvers, cli, checks, homogenize):
+        monkeypatch.setattr(module, "solve_strain_driven", counting, raising=False)
+        monkeypatch.setattr(module, "solve_stress_driven", counting_stress, raising=False)
     cfg = _write_inputs(tmp_path, random_two_phase_cell(), "task = verify\n")
     assert main([str(cfg), "--quiet"]) == 0
-    assert sum(calls) == 2
-    labels = [s["label"] for s in json.loads(
-        (tmp_path / "out" / "report.json").read_text())["solves"]]
-    assert labels[6:] == ["probe_strain", "probe_stress", "probe_strain_route"]
+    assert sum(calls) == 1
+    assert len(stress_calls) == 7
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [s["label"] for s in report["solves"]][6:] == ["probe_strain", "probe_stress"]
+    assert "duality_gap_strain" not in report["checks"]
+
+
+@pytest.mark.parametrize("ids", ["0 0 0 1 1 0 0 0", "0 1 1 0 1 0 0 1"])
+def test_run_verify_passes_where_the_fluctuation_is_rounding(tmp_path, ids):
+    # CH is the Voigt bound on these cells, so the computed fluctuation is
+    # rounding noise; verify still passes every arrow
+    vox = tmp_path / "cell.vox"
+    vox.write_text(f"CELLVOX 1\n2 2 2 2\nISO 1 1\nISO 4 4\n{ids}\n", encoding="utf-8")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"voxel_path = {vox}\noutput_dir = {tmp_path / 'out'}\ntask = verify\n",
+                   encoding="utf-8")
+    assert main([str(cfg), "--quiet"]) == 0
 
 
 def test_run_missing_voxel_is_io_error(tmp_path):
@@ -537,3 +560,15 @@ def test_run_strain_load_whose_stress_overflows_exits_2_naming_the_stress(
                         parse_constant=_reject_constant)
     assert "mean_stress" not in report
     assert [(s["stop_reason"], s["iterations"]) for s in report["solves"]] == [("breakdown", 0)]
+
+
+def test_run_strain_load_whose_energy_products_overflow_exits_0(tmp_path):
+    # on a homogeneous cell a 1e200 strain has a finite stress, but the
+    # Hill-Mandel products of the two (about 1e400) overflow unless each
+    # field is scaled first; pytest raises a NumPy warning
+    extra = "task = solve\nmacro_kind = strain\nmacro_value = 1e200 1e200 1e200 0 0 0\n"
+    cfg = _write_inputs(tmp_path, homogeneous_cell(dims=(2, 2, 2)), extra)
+    assert main([str(cfg), "--quiet"]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text(),
+                        parse_constant=_reject_constant)
+    assert report["checks"]["hill_mandel"] <= 1e-14
