@@ -1,7 +1,7 @@
 """Numerical verification of the solver suite: identities, bounds, oracles.
 
-Everything here checks a finished solve; the equivalence matrix is handed the
-strain-driven solution it checks, and its one solve is the Uzawa solve of that
+Everything here checks finished solves and makes none: the equivalence
+matrix is handed a run's probe strain solution and the Uzawa solve of that
 solution's mean stress. The dense reference solver is a deliberately
 independent implementation (scalar-loop assembly, Lagrange multiplier
 constraint, direct factorization) used to cross-validate the matrix-free path
@@ -28,7 +28,6 @@ from .fem import (
     stencil_of,
     sym_gradient,
 )
-from .solvers import SolveParams, solve_stress_uzawa
 
 
 class SingularSystem(RuntimeError):
@@ -229,21 +228,20 @@ ARROW_TOL = 1e-7
 ARROW_SEED = 1234
 
 
-def equivalence_matrix(cell: VoxelCell, u_a: LinPerField,
-                       params: SolveParams | None = None) -> list:
+def equivalence_matrix(cell: VoxelCell, u_a: LinPerField, sig: np.ndarray,
+                       w: LinPerField) -> list:
     """Run every cross-formulation agreement check on one cell, at the
-    strain-driven solution ``u_a`` (a run's, at ``PROBE_STRAIN``).
+    strain-driven solution ``u_a`` (a run's, at ``PROBE_STRAIN``) and the
+    admissible stress ``sig`` and displacement ``w`` that
+    ``solve_stress_uzawa`` returns for the mean stress of ``u_a``.
 
     ``u_a.macro`` is the strain datum and the mean stress of ``u_a`` the
     stress datum. Each entry corresponds to one equivalence between two
     formulations of the cell problem (displacement, fluctuation,
     stress-space, saddle point) or to one structural identity they rely on;
     residuals are relative to the norm of the total strain, or to another
-    natural scale. The one solve is the Uzawa solve of the mean-stress
-    datum, which gives both stress readouts and the stress-driven
-    displacement.
+    natural scale. No solve is made here.
     """
-    params = params or SolveParams()
     tol = ARROW_TOL
     rng = np.random.default_rng(ARROW_SEED)
     st = stencil_of(cell)
@@ -251,8 +249,7 @@ def equivalence_matrix(cell: VoxelCell, u_a: LinPerField,
 
     a = u_a.macro
     e_a = sym_gradient(cell, u_a)
-    sig_a = st.stress(e_a)
-    s = cell_average(cell, sig_a)
+    s = cell_average(cell, st.stress(e_a))
     e_scale = quad_norm(cell, e_a)
 
     # zero-mean normalization leaves the strain untouched
@@ -274,9 +271,8 @@ def equivalence_matrix(cell: VoxelCell, u_a: LinPerField,
         "fluctuation strain compatibility",
         compatibility_residual(cell, e_fluct) / e_scale, tol))
 
-    # the Uzawa route returns the displacement of solve_stress_driven too
-    sig_uz, w_s, _ = solve_stress_uzawa(cell, s, params)
-    e_w = sym_gradient(cell, w_s)
+    # the Uzawa displacement is the stress-driven one
+    e_w = sym_gradient(cell, w)
     checks.append(ArrowCheck(
         "stress-driven vs strain-driven strain",
         quad_norm(cell, e_w - e_a) / e_scale, tol))
@@ -290,13 +286,7 @@ def equivalence_matrix(cell: VoxelCell, u_a: LinPerField,
     # the two stress readouts of that solve agree
     checks.append(ArrowCheck(
         "uzawa stress vs constitutive stress",
-        quad_norm(cell, sig_uz - sig_w) / quad_norm(cell, sig_w), 1e-6))
-
-    # the primal-dual gap closes at the computed optimum
-    gap_v = duality_gap_displacement(cell, sig_w, w_s, s, 10.0 * params.tol)
-    checks.append(ArrowCheck(
-        "displacement duality gap",
-        abs(gap_v) / abs(complementary_energy(cell, sig_w)), tol))
+        quad_norm(cell, sig - sig_w) / quad_norm(cell, sig_w), 1e-6))
 
     # orthogonality of compatible fluctuations and zero-mean admissible stress
     t = rng.standard_normal(6)
@@ -305,10 +295,5 @@ def equivalence_matrix(cell: VoxelCell, u_a: LinPerField,
     checks.append(ArrowCheck(
         "fluctuation orthogonal to zero-mean admissible stress",
         abs(quad_inner(cell, e_fluct, mu)) / (e_scale * quad_norm(cell, mu)), tol))
-
-    # average-of-product identity at the converged pair
-    checks.append(ArrowCheck(
-        "average product identity",
-        hill_mandel_residual(cell, u_a, sig_a), max(tol, 10.0 * params.tol)))
 
     return checks

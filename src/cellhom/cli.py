@@ -9,6 +9,11 @@ Artifacts written into the configured output directory:
 * ``convergence.csv``  per-solve iteration history: label, iteration,
                     residual, gap (gap only where the solver produces one)
 
+The homogenize and verify tasks end with two probe solves: the
+strain-driven solve at ``PROBE_STRAIN`` and the AUTO Uzawa solve at that
+solution's mean stress; verify's equivalence matrix checks both without
+solving again.
+
 Exit codes: 0 converged and all checks passed, 1 I/O, configuration or
 command-line error (an artifact that cannot be written included), 2 solver
 did not converge, 3 a verification check failed.
@@ -21,11 +26,12 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .cell import Lattice, load_voxel_file
+from .cell import Lattice, cell_average, load_voxel_file
 from .checks import (
     PROBE_STRAIN,
     duality_gap_displacement,
@@ -37,6 +43,7 @@ from .config import RunConfig, ValidationError, load_config
 from .energies import MacroLoad, complementary_energy
 from .fem import is_equilibrated, stencil_of, sym_gradient
 from .homogenize import dual_consistency, homogenize
+from .mandel import frobenius
 from .solvers import (
     NotConverged,
     SolveParams,
@@ -82,18 +89,6 @@ def _json_safe(obj):
     return obj
 
 
-def _frobenius(m: np.ndarray) -> float:
-    """Frobenius norm of ``m`` that cannot overflow in its sum of squares.
-
-    ``m`` is scaled by 2**-e, e the binary exponent of ``max|m|``: an exact
-    power of two, so an ordinary ``m`` keeps ``np.linalg.norm``'s value bit
-    for bit, and a norm past the float range is inf.
-    """
-    _, e = np.frexp(np.abs(m).max())
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(np.linalg.norm(np.ldexp(m, -e)), e))
-
-
 def _format_matrix(m: np.ndarray) -> str:
     return "\n".join(" ".join(f"{v:.17g}" for v in row) for row in m) + "\n"
 
@@ -117,14 +112,13 @@ def _mean(field: np.ndarray) -> list:
     return np.asarray(np.mean(field, axis=(0, 1, 2, 3))).tolist()
 
 
-def _hm_and_gap(cell, disp, sig, s, tol):
-    """Hill-Mandel residual of a stress-load solution ``(disp, sig)`` and its
-    displacement duality gap, relative to the complementary energy when that
-    is nonzero and absolute otherwise (a zero load)."""
+def _relative_gap(cell, disp, sig, s, tol):
+    """Displacement duality gap of a stress-load solution ``(disp, sig)``,
+    relative to the complementary energy when that is nonzero and absolute
+    otherwise (a zero load)."""
     gap = abs(duality_gap_displacement(cell, sig, disp, s, 10 * tol))
-    hm = hill_mandel_residual(cell, disp, sig)
     compl = abs(complementary_energy(cell, sig))
-    return hm, gap / compl if compl > 0.0 else gap
+    return gap / compl if compl > 0.0 else gap
 
 
 def run(config: RunConfig, threads: int = 1, quiet: bool = False) -> int:
@@ -179,7 +173,7 @@ def run(config: RunConfig, threads: int = 1, quiet: bool = False) -> int:
             solve_rows += [(f"column_{i + 1}", rep)
                            for i, rep in enumerate(result.per_column_reports)]
             report.update(CH=result.CH.tolist(), DH=result.DH.tolist())
-            ch_norm = _frobenius(result.CH)
+            ch_norm = frobenius(result.CH)
             check("energy_check_max", float(result.energy_check.max()),
                   result.energy_check.max() <= ENERGY_CHECK_LIMIT * ch_norm)
             upper, lower = voigt_reuss_margins(cell, result.CH)
@@ -188,25 +182,25 @@ def run(config: RunConfig, threads: int = 1, quiet: bool = False) -> int:
             pair = float(np.linalg.norm(result.CH @ result.DH - np.eye(6)))
             check("inverse_pair", pair, pair <= INVERSE_PAIR_LIMIT)
 
-            # probe pair: Hill-Mandel at the strain-driven solution, which
-            # verify's equivalence matrix checks too, and the duality gap at
-            # the stress-driven one
+            # probe pair, which verify's equivalence matrix checks too:
+            # Hill-Mandel at the strain-driven solution, and the duality gap
+            # of the Uzawa solve at its mean stress, with the AUTO step
+            # whatever uzawa_step says
             u, rep_u = solve_strain_driven(cell, PROBE_STRAIN, params)
             solve_rows.append(("probe_strain", rep_u))
-            hm = hill_mandel_residual(cell, u, st.stress(sym_gradient(cell, u)))
+            sig_u = st.stress(sym_gradient(cell, u))
+            hm = hill_mandel_residual(cell, u, sig_u)
             check("hill_mandel", hm, hm <= hm_limit)
-            s_probe = result.CH @ PROBE_STRAIN
-            w, rep_w = solve_stress_driven(cell, s_probe, params)
+            s_probe = cell_average(cell, sig_u)
+            sig, w, rep_w = solve_stress_uzawa(cell, s_probe, replace(params, uzawa_step="auto"))
             solve_rows.append(("probe_stress", rep_w))
-            sig_w = st.stress(sym_gradient(cell, w))
-            gap = abs(duality_gap_displacement(cell, sig_w, w, s_probe, 10 * params.tol)) \
-                / abs(complementary_energy(cell, sig_w))
+            gap = _relative_gap(cell, w, sig, s_probe, params.tol)
             check("duality_gap_displacement", gap, gap <= gap_limit)
 
             if config.task == "verify":
                 consist = dual_consistency(cell, result, params)
                 check("dual_consistency", consist, consist <= 1e-7)
-                arrows = equivalence_matrix(cell, u, params)
+                arrows = equivalence_matrix(cell, u, sig, w)
                 report["arrows"] = [
                     {"name": a.name, "residual": a.residual, "tol": a.tol,
                      "passed": a.passed} for a in arrows
@@ -222,7 +216,8 @@ def run(config: RunConfig, threads: int = 1, quiet: bool = False) -> int:
                 report["mean_strain"] = _mean(st.compliance_stress(sig))
                 ok, dres, mres = is_equilibrated(cell, sig, value, 10 * params.tol)
                 check("stress_admissibility", max(dres, mres), ok)
-                checks["hill_mandel"], gap = _hm_and_gap(cell, v, sig, value, params.tol)
+                checks["hill_mandel"] = hill_mandel_residual(cell, v, sig)
+                gap = _relative_gap(cell, v, sig, value, params.tol)
                 check("duality_gap_displacement", gap, gap <= gap_limit)
             elif config.formulation == "strain":
                 load = (MacroLoad.strain_driven(value) if config.macro_kind == "strain"
@@ -252,7 +247,9 @@ def run(config: RunConfig, threads: int = 1, quiet: bool = False) -> int:
                 solve_rows.append(("stress_driven", rep))
                 e_w = sym_gradient(cell, w)
                 report["mean_strain"] = _mean(e_w)
-                hm, gap = _hm_and_gap(cell, w, st.stress(e_w), value, params.tol)
+                sig = st.stress(e_w)
+                hm = hill_mandel_residual(cell, w, sig)
+                gap = _relative_gap(cell, w, sig, value, params.tol)
                 check("hill_mandel", hm, hm <= hm_limit)
                 check("duality_gap_displacement", gap, gap <= gap_limit)
         code = 3 if failures else 0

@@ -99,8 +99,10 @@ def homogenize(cell: VoxelCell, params: SolveParams | None = None,
             reports.append(rep)
     raw = np.column_stack(cols)
 
-    norm = np.linalg.norm(raw)
-    asym = np.linalg.norm(raw - raw.T)
+    # norms taken at a power-of-two scale: the compliance columns of a cell
+    # of tiny moduli would overflow a plain sum of squares
+    norm = mandel.frobenius(raw)
+    asym = mandel.frobenius(raw - raw.T)
     if asym > ASYMMETRY_LIMIT * norm:
         raise AsymmetricResult(
             f"assembled tensor asymmetric: {asym / norm:.3e} relative")

@@ -103,3 +103,15 @@ def invert(t: np.ndarray) -> np.ndarray:
     inv = np.linalg.inv(t)
     return 0.5 * (inv + inv.T)
 
+
+def frobenius(m: np.ndarray) -> float:
+    """Frobenius norm of ``m`` that neither overflows nor underflows in its
+    sum of squares.
+
+    ``m`` is scaled by 2**-e, e the binary exponent of ``max|m|``: an exact
+    power of two, so an ordinary ``m`` keeps ``np.linalg.norm``'s value bit
+    for bit, and a norm past the float range is inf.
+    """
+    _, e = np.frexp(np.abs(m).max())
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.linalg.norm(np.ldexp(m, -e)), e))

@@ -111,8 +111,10 @@ class SolveParams:
 class SolveReport:
     """Per-solve record; ``stop_reason`` says why the iteration ended:
     ``converged``, ``budget`` (``max_iter`` spent), ``breakdown`` (PCG met a
-    non-positive curvature or preconditioned residual product, or the
-    right-hand side, a residual or a gap is not finite) or
+    non-positive curvature or preconditioned residual product, the
+    right-hand side, a residual or a gap is not finite, or a nonzero
+    right-hand side underflows: its squared norm is below the normal range,
+    so that no relative residual of it can be taken) or
     ``step-too-large`` (the gap of a fixed-step Uzawa solve kept growing).
     ``operator_applications`` counts the solve's ``k_phi``/``k_ext`` calls
     and its mean-strain load (``mean_strain_load``), and
@@ -128,6 +130,11 @@ class SolveReport:
     stop_reason: str = "converged"
     operator_applications: int = 0
     preconditioner_applications: int = 0
+
+
+#: smallest normal float: a nonzero right-hand side whose squared norm is
+#: below it has no relative residual, and breaks down
+_TINY = float(np.finfo(float).tiny)
 
 
 class NotConverged(RuntimeError):
@@ -178,10 +185,11 @@ def _pcg(op, m_inv, b, tol, max_iter, energy_offsets=None, hook=None):
     applied whole, and an application counts once for each column still
     iterating.
 
-    A right-hand side whose norm is not finite stops its column at once,
-    unconverged, and a column that stops before ``max_iter`` steps without
-    converging (a NaN residual fails the stop test too) reports
-    ``breakdown``, not ``budget``.
+    A right-hand side whose norm is not finite, or that is nonzero with a
+    squared norm below ``np.finfo(float).tiny``, stops its column at once,
+    unconverged, with no call of ``op`` or ``m_inv``, and a column that
+    stops before ``max_iter`` steps without converging (a NaN residual fails
+    the stop test too) reports ``breakdown``, not ``budget``.
 
     ``hook(x, r, z, energy)``, allowed only with one column, is called at
     every iterate with that column's arrays and the ``z = m_inv(r)`` the
@@ -197,6 +205,9 @@ def _pcg(op, m_inv, b, tol, max_iter, energy_offsets=None, hook=None):
 
         def dots(u, v):
             return float(np.vdot(u, v))
+
+        def nonzero(u):
+            return bool(u.any())
     else:
         if hook is not None:
             raise ValueError("a _pcg hook takes one column")
@@ -210,15 +221,21 @@ def _pcg(op, m_inv, b, tol, max_iter, energy_offsets=None, hook=None):
             # np.vdot calls, so each is bit for bit a column's own vdot
             return np.matmul(u.reshape(k, 1, -1), v.reshape(k, -1, 1)).reshape(shape)
 
+        def nonzero(u):
+            return u.reshape(k, -1).any(axis=1).reshape(shape)
+
     x = np.zeros_like(b)
     r = b.copy()
     step = np.empty_like(b)  # alpha p, then alpha K p
-    bnorm = sqrt(dots(b, b))
+    bb = dots(b, b)
+    bnorm = sqrt(bb)
     # a zero right-hand side is solved by x = 0, with no iteration; one whose
-    # norm is not finite (a NaN compares false too) is not solved at all
+    # norm is not finite (a NaN compares false too), or whose nonzero squared
+    # norm underflows, is not solved at all
     finite = bnorm < math.inf
-    going, stop = finite & (bnorm > 0.0), finite
-    res = going + 0.0 * bnorm  # |r| / |b|: 1, 0, or NaN where |b| is not finite
+    tiny = finite & (bb < _TINY) & nonzero(b)
+    going, stop = finite & (bb >= _TINY), finite ^ tiny
+    res = (going | tiny) + 0.0 * bnorm  # |r| / |b|: 1, 0, or NaN where |b| is not finite
     broke = going & False
     history, energies = [res], [energy]
     steps = []  # which columns took each step; those going took every one
@@ -276,7 +293,7 @@ def _pcg(op, m_inv, b, tol, max_iter, energy_offsets=None, hook=None):
             stop_reason="converged" if converged else "budget" if n_it == max_iter
             else "breakdown",
             operator_applications=n_op,
-            preconditioner_applications=n_op if hook is None else n_it + (0.0 < bnorm < math.inf)))
+            preconditioner_applications=n_op if hook is None else n_it + (_TINY <= bb < math.inf)))
     return x, reports
 
 
@@ -294,6 +311,10 @@ def _not_converged(solve: str, report: SolveReport) -> NotConverged:
         why = "non-finite right-hand side" if report.iterations == 0 else "non-finite residual"
     elif gaps and not math.isfinite(gaps[-1]):
         why = "non-finite gap"
+    elif report.preconditioner_applications == 0:
+        # only a right-hand side too small to iterate on stops before its
+        # first preconditioner call without converging
+        why = "right-hand side underflows"
     else:
         why = {"budget": "iteration budget spent",
                "breakdown": "PCG breakdown"}[report.stop_reason]
@@ -451,7 +472,7 @@ def solve_stress_uzawa(cell: VoxelCell, macro_stress, params: SolveParams | None
     s_target = _macro_load(macro_stress, "macro stress")
     st = stencil_of(cell)
 
-    if np.linalg.norm(s_target) == 0.0:
+    if not s_target.any():
         report = SolveReport(0, [0.0], 0.0, True, gap_history=[0.0],
                              energy_history=[0.0])
         return np.zeros(cell.dims + (8, 6)), LinPerField.zeros(cell), report
@@ -486,6 +507,9 @@ def solve_stress_uzawa(cell: VoxelCell, macro_stress, params: SolveParams | None
         if not report.converged:
             raise _not_converged("uzawa", report)
     else:
+        if float(np.vdot(b, b)) < _TINY:  # as _pcg: a nonzero load that underflows
+            raise _not_converged("uzawa", SolveReport(0, [1.0], 0.0, False,
+                                                      stop_reason="breakdown"))
         x = np.zeros_like(b)
         history: list = []
         energies: list = []

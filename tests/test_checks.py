@@ -9,7 +9,7 @@ from cellhom.checks import (
     dense_reference_strain,
     equivalence_matrix,
 )
-from cellhom.fem import LinPerField, quad_norm
+from cellhom.fem import LinPerField, quad_norm, stencil_of
 from cellhom.mandel import SQRT2, iso_tensor
 from cellhom.microstructures import (
     cubic_inclusion_cell,
@@ -210,17 +210,22 @@ ARROW_NAMES = (
     "stress-driven vs strain-driven strain",
     "constitutive stress admissibility",
     "uzawa stress vs constitutive stress",
-    "displacement duality gap",
     "fluctuation orthogonal to zero-mean admissible stress",
-    "average product identity",
 )
+
+
+def probe_arrows(cell):
+    """The equivalence matrix at a run's probe solves: ``PROBE_STRAIN``,
+    then the Uzawa solve of its solution's mean stress."""
+    u_a, _ = ch.solve_strain_driven(cell, PROBE_STRAIN)
+    s = ch.cell_average(cell, stencil_of(cell).stress(ch.sym_gradient(cell, u_a)))
+    sig, w, _ = ch.solve_stress_uzawa(cell, s)
+    return equivalence_matrix(cell, u_a, sig, w)
 
 
 @pytest.mark.parametrize("name", sorted(EQUIVALENCE_CELLS))
 def test_equivalence_matrix_passes_on_probe_solution(name):
-    cell = EQUIVALENCE_CELLS[name]()
-    u_a, _ = ch.solve_strain_driven(cell, PROBE_STRAIN)
-    arrows = equivalence_matrix(cell, u_a)
+    arrows = probe_arrows(EQUIVALENCE_CELLS[name]())
     assert tuple(a.name for a in arrows) == ARROW_NAMES
     failing = [(a.name, a.residual) for a in arrows if not a.passed]
     assert not failing, failing
@@ -240,10 +245,8 @@ def test_equivalence_matrix_passes_on_every_2x2x2_two_phase_pattern():
     failing = []
     for n in range(256):
         ids = [(n >> b) & 1 for b in range(8)]
-        cell = pattern_cell(ids)
-        u_a, _ = ch.solve_strain_driven(cell, PROBE_STRAIN)
         failing += [(ids, a.name, a.residual)
-                    for a in equivalence_matrix(cell, u_a) if not a.passed]
+                    for a in probe_arrows(pattern_cell(ids)) if not a.passed]
     assert not failing, failing
 
 

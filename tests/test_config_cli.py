@@ -5,7 +5,8 @@ import pytest
 
 import cellhom as ch
 from cellhom.cell import voxel_text
-from cellhom.cli import _frobenius, main, run
+from cellhom.cli import main, run
+from cellhom.mandel import frobenius
 from cellhom.config import ParseError, RunConfig, ValidationError, parse_config
 from cellhom.microstructures import homogeneous_cell, laminate_cell, random_two_phase_cell
 from test_solvers import HUGE_CELL_TEXT
@@ -227,31 +228,9 @@ def test_run_non_finite_config_is_input_error(tmp_path, capsys, extra, key):
     assert f"config error: {key}:" in capsys.readouterr().err
 
 
-def test_run_homogenize_solves_each_probe_once(tmp_path, monkeypatch):
-    import cellhom.cli as cli
-    import cellhom.solvers as solvers
-
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return stress_driven(*args, **kwargs)
-
-    stress_driven = solvers.solve_stress_driven
-    monkeypatch.setattr(cli, "solve_stress_driven", counting)
-    monkeypatch.setattr(solvers, "solve_stress_driven", counting)
-    cfg = _write_inputs(tmp_path, random_two_phase_cell(), "task = homogenize\n")
-    assert main([str(cfg), "--quiet"]) == 0
-    assert len(calls) == 1
-    labels = [s["label"] for s in json.loads(
-        (tmp_path / "out" / "report.json").read_text())["solves"]]
-    assert labels[6:] == ["probe_strain", "probe_stress"]
-
-
-def test_run_verify_solves_the_probe_strain_once(tmp_path, monkeypatch):
-    # the run's probe solve, which the equivalence matrix checks instead of
-    # solving the probe strain again; the stress-driven solves are the run's
-    # probe and the six of dual consistency
+def _count_stress_solves(monkeypatch):
+    """Lists that record each stress-driven and each Uzawa solve, whatever
+    module calls it."""
     import importlib
 
     import cellhom.checks as checks
@@ -260,27 +239,61 @@ def test_run_verify_solves_the_probe_strain_once(tmp_path, monkeypatch):
 
     # the package's homogenize attribute is the function, not the module
     homogenize = importlib.import_module("cellhom.homogenize")
-    calls, stress_calls = [], []
+    counts = {}
+    for name in ("solve_stress_driven", "solve_stress_uzawa"):
+        calls = counts[name] = []
+
+        def counting(*args, _solve=getattr(solvers, name), _calls=calls, **kwargs):
+            _calls.append(args)
+            return _solve(*args, **kwargs)
+
+        for module in (solvers, cli, checks, homogenize):
+            monkeypatch.setattr(module, name, counting, raising=False)
+    return counts["solve_stress_driven"], counts["solve_stress_uzawa"]
+
+
+def test_run_homogenize_solves_each_probe_once(tmp_path, monkeypatch):
+    # the probe stress is one AUTO Uzawa solve, even with a fixed uzawa_step
+    stress_calls, uzawa_calls = _count_stress_solves(monkeypatch)
+    cfg = _write_inputs(tmp_path, random_two_phase_cell(),
+                        "task = homogenize\nuzawa_step = 0.8\n")
+    assert main([str(cfg), "--quiet"]) == 0
+    assert (len(stress_calls), len(uzawa_calls)) == (0, 1)
+    assert uzawa_calls[0][2].uzawa_step == "auto"
+    labels = [s["label"] for s in json.loads(
+        (tmp_path / "out" / "report.json").read_text())["solves"]]
+    assert labels[6:] == ["probe_strain", "probe_stress"]
+    labels = [s["label"] for s in json.loads(
+        (tmp_path / "out" / "report.json").read_text())["solves"]]
+    assert labels[6:] == ["probe_strain", "probe_stress"]
+
+
+def test_run_verify_solves_the_probe_strain_once(tmp_path, monkeypatch):
+    # the run's probe solves, which the equivalence matrix checks instead of
+    # solving them again: one strain-driven solve of the probe strain and
+    # one Uzawa solve of its mean stress; the six stress-driven solves are
+    # those of dual consistency
+    import cellhom.checks as checks
+    import cellhom.cli as cli
+    import cellhom.solvers as solvers
+
+    calls = []
 
     def counting(cell, macro_strain, *args, **kwargs):
         calls.append(np.array_equal(macro_strain, checks.PROBE_STRAIN))
         return strain_driven(cell, macro_strain, *args, **kwargs)
 
-    def counting_stress(*args, **kwargs):
-        stress_calls.append(args)
-        return stress_driven(*args, **kwargs)
-
     strain_driven = solvers.solve_strain_driven
-    stress_driven = solvers.solve_stress_driven
-    for module in (solvers, cli, checks, homogenize):
+    for module in (solvers, cli, checks):
         monkeypatch.setattr(module, "solve_strain_driven", counting, raising=False)
-        monkeypatch.setattr(module, "solve_stress_driven", counting_stress, raising=False)
+    stress_calls, uzawa_calls = _count_stress_solves(monkeypatch)
     cfg = _write_inputs(tmp_path, random_two_phase_cell(), "task = verify\n")
     assert main([str(cfg), "--quiet"]) == 0
     assert sum(calls) == 1
-    assert len(stress_calls) == 7
+    assert (len(stress_calls), len(uzawa_calls)) == (6, 1)
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert [s["label"] for s in report["solves"]][6:] == ["probe_strain", "probe_stress"]
+    assert "final_gap" in report["solves"][-1]
     assert "duality_gap_strain" not in report["checks"]
 
 
@@ -509,10 +522,10 @@ def test_ch_norm_keeps_numpy_bits_and_does_not_overflow():
     rng = np.random.default_rng(3)
     for scale in (1e-3, 1.0, 7.5, 1e5):
         m = scale * rng.standard_normal((6, 6))
-        assert _frobenius(m) == np.linalg.norm(m)
-    assert _frobenius(np.zeros((6, 6))) == 0.0
-    assert _frobenius(np.full((6, 6), 1e300)) == pytest.approx(6e300, rel=1e-15)
-    assert _frobenius(np.full((6, 6), 1e308)) == np.inf
+        assert frobenius(m) == np.linalg.norm(m)
+    assert frobenius(np.zeros((6, 6))) == 0.0
+    assert frobenius(np.full((6, 6), 1e300)) == pytest.approx(6e300, rel=1e-15)
+    assert frobenius(np.full((6, 6), 1e308)) == np.inf
 
 
 @pytest.mark.parametrize("extra", [
@@ -544,6 +557,20 @@ def test_run_out_of_float_range_exits_2_naming_the_right_hand_side(tmp_path, cap
                         parse_constant=_reject_constant)
     assert report["solves"][-1]["stop_reason"] == "breakdown"
     assert report["solves"][-1]["iterations"] == 0
+
+
+@pytest.mark.parametrize("extra", [
+    "formulation = stress-uzawa\n", "formulation = stress-uzawa\nuzawa_step = 0.8\n", ""])
+def test_run_underflowing_stress_load_exits_2_naming_the_underflow(tmp_path, capsys, extra):
+    # the squared norm of a 1e-200 load underflows to 0; each stress route
+    # stops before its first step, with a strict-JSON report
+    extra += "task = solve\nmacro_kind = stress\nmacro_value = 1e-200 1e-200 1e-200 0 0 0\n"
+    cfg = _write_inputs(tmp_path, random_two_phase_cell(), extra)
+    assert main([str(cfg)]) == 2
+    assert "right-hand side underflows" in capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "report.json").read_text(),
+                        parse_constant=_reject_constant)
+    assert [(s["stop_reason"], s["iterations"]) for s in report["solves"]] == [("breakdown", 0)]
 
 
 @pytest.mark.parametrize("load", ["1e308", "3e307"])

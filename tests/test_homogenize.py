@@ -10,8 +10,10 @@ from cellhom.cell import Lattice, VoxelCell
 from cellhom.fem import stencil_of
 from cellhom.homogenize import MANDEL_BASIS, _column_tol
 from cellhom.microstructures import (
+    cubic_inclusion_cell,
     homogeneous_cell,
     laminate_cell,
+    random_cell,
     random_spd_tensor,
     random_two_phase_cell,
 )
@@ -313,3 +315,70 @@ def test_ch_invariance(transform, rot):
     expect = rot @ ch.homogenize(cell).CH @ rot.T
     got = ch.homogenize(transform(cell)).CH
     assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+
+
+def _tiled(cell, reps):
+    """``cell`` repeated ``reps[i]`` times along lattice direction ``i``,
+    each generator scaled by the same factor: the same periodic material."""
+    lat = cell.lattice
+    return VoxelCell(tuple(n * k for n, k in zip(cell.dims, reps)),
+                     np.tile(cell.phase_of, reps), cell.phases,
+                     Lattice(reps[0] * lat.g1, reps[1] * lat.g2, reps[2] * lat.g3))
+
+
+def _sheared_cell():
+    return random_cell((3, 4, 5), seed=3, lattice=Lattice(
+        np.array([1.1, 0.0, 0.0]), np.array([0.3, 0.9, 0.0]), np.array([-0.2, 0.25, 1.2])))
+
+
+def _inverse(cell) -> str:
+    """The reference inverse that the operator core of ``cell`` applies."""
+    if stencil_of(cell).uses_ref_dense:
+        return "dense"
+    return "dft-matrix" if max(cell.dims) <= fem.DFT_MATRIX_MAX_SIDE else "rfftn"
+
+
+#: (cell, tiling, inverse of the tiled cell): fixture d and the sheared cell
+#: (dense inverse, lockstep columns) tiled onto both other inverses, fixture
+#: c onto a larger grid of its own
+SUPERCELLS = {
+    "fixture-d-3x3x3": (random_two_phase_cell, (3, 3, 3), "dft-matrix"),
+    "fixture-d-13x1x1": (random_two_phase_cell, (13, 1, 1), "rfftn"),
+    "fixture-c-2x1x1": (cubic_inclusion_cell, (2, 1, 1), "dft-matrix"),
+    "sheared-2x2x2": (_sheared_cell, (2, 2, 2), "dft-matrix"),
+    "sheared-11x1x1": (_sheared_cell, (11, 1, 1), "dft-matrix"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUPERCELLS))
+def test_supercell_has_the_cell_s_ch_and_counts(name):
+    # the tiled solution solves the Q1 problem on the tiled cell exactly,
+    # and in exact arithmetic the CG iterates are tile-periodic too
+    make, reps, inverse = SUPERCELLS[name]
+    cell = make()
+    supercell = _tiled(cell, reps)
+    assert _inverse(supercell) == inverse
+    base, tiled = ch.homogenize(cell), ch.homogenize(supercell)
+    assert np.linalg.norm(tiled.CH - base.CH) <= 1e-13 * np.linalg.norm(base.CH)
+    assert [r.iterations for r in tiled.per_column_reports] == \
+        [r.iterations for r in base.per_column_reports]
+
+
+@pytest.mark.parametrize("reps", [(3, 3, 3), (13, 1, 1)])
+def test_supercell_has_the_cell_s_ch_by_the_stress_route(reps):
+    # the stress route's relative residual weighs the six mean-stress entries
+    # (x V) against the nodal ones, so its stop moves under tiling: CH is
+    # held to its tolerance, not to rounding, and its counts are not pinned
+    cell = random_two_phase_cell()
+    base = ch.homogenize(cell, formulation="stress-uzawa").CH
+    tiled = ch.homogenize(_tiled(cell, reps), formulation="stress-uzawa").CH
+    assert np.linalg.norm(tiled - base) <= 1e-9 * np.linalg.norm(base)
+
+
+def test_high_contrast_supercell_has_the_cell_s_ch():
+    # rounding excites modes that are not tile-periodic, which cost this
+    # cell iterations under tiling; CH holds to the solve tolerance
+    cell = random_two_phase_cell((6, 6, 6), seed=5, phase_b=(1000.0, 1000.0), fraction=0.2)
+    base = ch.homogenize(cell).CH
+    tiled = ch.homogenize(_tiled(cell, (2, 1, 1))).CH
+    assert np.linalg.norm(tiled - base) <= 1e-10 * np.linalg.norm(base)

@@ -447,6 +447,31 @@ def test_an_overflowing_load_is_a_breakdown_at_once(cell_d, route):
     assert rep.iterations == 0
 
 
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("load", [1e-200, 2.0 ** -600])
+def test_an_underflowing_load_is_a_breakdown_at_once(cell_d, route, load):
+    # a nonzero load whose squared norm is below the normal range has no
+    # relative residual: each route stops before its first step, unconverged,
+    # and names the underflow, where it used to return a zero load's solution
+    with pytest.raises(NotConverged, match="right-hand side underflows") as err:
+        ROUTES[route](cell_d, [load] * 6)
+    rep = err.value.report
+    assert rep.stop_reason == "breakdown" and not rep.converged
+    assert rep.iterations == 0 and rep.preconditioner_applications == 0
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_small_and_zero_loads_keep_their_counts(cell_d, route):
+    # a load of 2^-500 still has a normal squared norm: it takes the unit
+    # load's iterations; an exactly zero load is solved by none
+    def counts(load):
+        rep = ROUTES[route](cell_d, load)[-1]
+        return rep.iterations, rep.stop_reason
+
+    assert counts(np.ldexp(PROBE_A_STRESS, -500)) == counts(PROBE_A_STRESS)
+    assert counts(np.zeros(6)) == (0, "converged")
+
+
 def test_a_cell_out_of_the_float_range_breaks_down_in_homogenize():
     cell = ch.parse_voxel_text(HUGE_CELL_TEXT)
     with pytest.raises(NotConverged, match="non-finite right-hand side") as err:
