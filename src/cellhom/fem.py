@@ -28,12 +28,16 @@ method of one ``Stencil`` per cell, built on first use by
 through it. Its kernels are a gather of corner values by an index table,
 dense products with per-phase element matrices, and a scatter that sums
 each node's contributions in ``CORNERS`` order (see ``Stencil``); a stack of
-fields is one more leading axis, indexed by the same tables. The DFT
-inverses live on the ``rfftn`` half spectrum, and the grid size picks how
-the reference inverse is applied: as one dense matrix on the smallest
-grids (``DENSE_REF_MAX_DOF``), by products with per-axis
-DFT matrices up to ``DFT_MATRIX_MAX_SIDE`` voxels a side, and by
-``rfftn``/``irfftn`` beyond. The core numbers the elements once, phase by
+fields is one more leading axis, indexed by the same tables. The extended
+stiffness ``k_ext`` of a (mean strain, fluctuation) pair is ``k_phi`` of the
+fluctuation plus a rank-6 coupling: the six unit-strain loads, kept on the
+core, and a per-phase sum of the corners that ``k_phi`` gathered. The DFT
+inverses live on a half spectrum, and the grid size picks how the reference
+inverse is applied: as one dense matrix on the smallest grids
+(``DENSE_REF_MAX_DOF``), by products with per-axis DFT matrices, one BLAS
+call per transform stage, up to ``DFT_MATRIX_MAX_SIDE`` voxels a side (the
+half spectrum of the first axis), and by ``rfftn``/``irfftn`` beyond (that
+of the last axis). The core numbers the elements once, phase by
 phase; quadrature fields keep the voxel order above and are permuted at the
 core's boundary. Its set-up does each piece of work once per cell, by array
 expressions over the corners and Gauss points rather than loops, and reads
@@ -62,18 +66,19 @@ _GAUSS_1D = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
 GAUSS_POINTS = tuple(itertools.product(_GAUSS_1D, repeat=3))
 
 #: nodal systems of at most this many unknowns (3 per node) apply the
-#: reference inverse as one dense matrix, which there beats the DFT-matrix
-#: transforms: 10 against 58 us at 180 unknowns, 38-44 against 40-66 us at
-#: 450, but 52-63 against 42-52 us at 480 and 157 against 47 us at 648
-#: (2 vCPU, one BLAS thread)
+#: reference inverse as one dense matrix, which up to here at least ties
+#: with the DFT-matrix transforms: 5.3 against 21 us at 180 unknowns, 20-22
+#: against 23-25 us at 384 and 26-29 against 24-28 us at 450, but 35-38
+#: against 26-27 us at 480 and 108-117 against 26-27 us at 648 (2 vCPU,
+#: one BLAS thread); it is also the gate of the lockstep column solves
 DENSE_REF_MAX_DOF = 450
 
 #: grids whose longest side is at most this apply the DFT block inverses by
 #: products with per-axis DFT matrices, longer ones by ``rfftn``/``irfftn``:
-#: one ``block_solve`` took 76 against 191 us at 6^3, 442 against 557 us at
-#: 16^3 and 17.3 against 21.6 ms at 48^3, but 49.1 against 40.2 ms at 64^3
-#: (2 vCPU, one BLAS thread); from 50 to 60 a side the matrices led by 5-11%,
-#: within this host's drift
+#: one ``block_solve`` took 26-27 against 91-93 us at 6^3, 200 against
+#: 297-307 us at 16^3, 1.93-2.00 against 1.99-2.02 ms at 32^3 and 9.5-9.7
+#: against 9.1-9.7 ms at 48^3 (a tie), but 28.4-28.5 against 24.1-24.5 ms
+#: at 64^3 (2 vCPU, one BLAS thread)
 DFT_MATRIX_MAX_SIDE = 48
 
 
@@ -158,31 +163,33 @@ def gather_corners(values: np.ndarray, conn: np.ndarray, out=None) -> np.ndarray
 
 
 def dft_matrices(dims) -> tuple:
-    """Per-axis DFT matrices of the ``rfftn``/``irfftn`` pair over ``dims``.
+    """Per-axis DFT matrices of the transforms of ``Stencil.block_solve``.
 
-    Returns ``(fwd, f2, f1, f2_inv, f1_inv, inv)``. ``f1`` and ``f2`` are the
-    complex DFT matrices of the first two axes and ``f*_inv`` their inverses,
-    ``conj(f) / n``. On the last axis ``x @ fwd`` is the half spectrum as
-    interleaved (real, imaginary) pairs, the columns ``cos`` and ``-sin`` of
-    each frequency, and ``zr @ inv`` is its real inverse: rows ``w cos / n``
-    and ``-w sin / n``, with ``w`` 1 at the zero and Nyquist terms (whose
-    imaginary parts it drops, as ``irfft`` does) and 2 elsewhere. Angles are
-    reduced modulo the period before the trigonometric functions.
+    Returns ``(fwd, f2, f3, f2_inv, f3_inv, inv)``. ``f2`` and ``f3`` are the
+    complex DFT matrices of the last two axes (symmetric, so ``x @ f``
+    transforms the rows of ``x``) and ``f*_inv`` their inverses, ``conj(f) /
+    n``. The first axis takes the real half spectrum: ``x @ fwd``, with
+    ``fwd`` of shape ``(n1, 2 (n1 // 2 + 1))``, is the half spectrum of the
+    rows of ``x`` as interleaved (real, imaginary) pairs, the columns ``cos``
+    and ``-sin`` of each frequency, and ``inv @ zr`` is the real inverse of
+    the columns of ``zr``: ``inv`` has the columns ``w cos / n1`` and ``-w
+    sin / n1``, with ``w`` 1 at the zero and Nyquist terms (whose imaginary
+    parts it drops, as ``irfft`` does) and 2 elsewhere. Angles are reduced
+    modulo the period before the trigonometric functions.
     """
     def full(n):
         k = np.arange(n)
         return np.exp(-2j * np.pi * (np.outer(k, k) % n) / n)
 
-    n3 = dims[2]
-    k = np.arange(n3 // 2 + 1)
-    ang = 2.0 * np.pi * (np.outer(np.arange(n3), k) % n3) / n3
+    n1 = dims[0]
+    k = np.arange(n1 // 2 + 1)
+    ang = 2.0 * np.pi * (np.outer(np.arange(n1), k) % n1) / n1
     cos, sin = np.cos(ang), np.sin(ang)
-    sin[:, 2 * k == n3] = 0.0  # the Nyquist term, exact as the zero term is
-    w = np.where((k == 0) | (2 * k == n3), 1.0, 2.0) / n3
-    fwd = np.stack([cos, -sin], axis=2).reshape(n3, -1)
-    inv = np.stack([w * cos, -w * sin], axis=1).T.reshape(-1, n3)
-    f2, f1 = full(dims[1]), full(dims[0])
-    return fwd, f2, f1, np.conj(f2) / dims[1], np.conj(f1) / dims[0], inv
+    sin[:, 2 * k == n1] = 0.0  # the Nyquist term, exact as the zero term is
+    w = np.where((k == 0) | (2 * k == n1), 1.0, 2.0) / n1
+    fwd = np.stack([cos, -sin], axis=2).reshape(n1, -1)
+    f2, f3 = full(dims[1]), full(dims[2])
+    return fwd, f2, f3, np.conj(f2) / dims[1], np.conj(f3) / dims[2], fwd * np.repeat(w, 2)
 
 
 @dataclass(frozen=True)
@@ -230,9 +237,14 @@ class Stencil:
 
     The constructor builds the tables and the element matrices of every
     present phase; the DFT matrices, the inverse blocks, the dense inverse,
-    the condition bounds and the gap factors are built on first use. Per
-    step, ``k_phi`` and ``k_ext`` subtract the nodal mean from their fresh
-    result in place, by one product with a kept ones vector. ``k_phi``, and
+    the unit-strain loads, the condition bounds and the gap factors are
+    built on first use. Per step, ``k_phi`` subtracts the nodal mean from
+    its fresh result in place, by one product with a kept ones vector, and
+    ``k_ext`` is ``k_phi`` plus a rank-6 coupling of the mean strain (the
+    unit-strain loads, ``c_vol`` and ``g_mean``), with no element loop of
+    its own. The inverse blocks of ``block_solve``'s DFT matrices keep the
+    half spectrum of the first axis, those of ``rfftn`` and of the dense
+    inverse that of the last axis. ``k_phi``, and
     ``ref_solve`` where ``uses_ref_dense``, take a stack of several fields
     too, the columns of a lockstep solve, and give each field the bits of a
     call on it alone.
@@ -272,9 +284,14 @@ class Stencil:
                     c_rows=np.ascontiguousarray(c.T), d_rows=np.ascontiguousarray(d.T),
                     k_rows=self.element_stiffness(c), g_mean=c @ bsum, g_rows=c.T @ bsum))
                 start += count
+        # the stiffness times the volume, summed over the phases in their order
+        self.c_vol = sum(ph.c_vol for ph in self.phases)
         self._ref_pinv = None
         # whether ref_solve applies the dense inverse ref_dense, not DFT blocks
         self.uses_ref_dense = 3 * n <= DENSE_REF_MAX_DOF
+        # the spatial axis of the half spectrum that block_solve reads: the
+        # first one for the DFT matrices, the last one for rfftn
+        self._half = 0 if max(self.dims) <= DFT_MATRIX_MAX_SIDE else 2
         self._tls = threading.local()
 
     @property
@@ -476,31 +493,43 @@ class Stencil:
     def strain_ext(self, x: np.ndarray) -> np.ndarray:
         return self.strain(*self.unpack(x))
 
+    @cached_property
+    def unit_loads(self) -> np.ndarray:
+        """The nodal parts of ``mean_strain_load`` of the six unit strains,
+        rows of shape ``(6, 3 N)``: each is the scatter of the element forces
+        of its row of ``g_rows``, less its nodal mean."""
+        _, fe, nodes, _ = self._work_arrays()
+        loads = np.empty((6, 3 * len(self.conn)))
+        for i, load in enumerate(loads):
+            for ph in self.phases:
+                fe[ph.rows] = ph.g_rows[i]
+            load[:] = self._center(self.scatter(fe, nodes)).ravel()
+        return loads
+
     def k_ext(self, x: np.ndarray) -> np.ndarray:
         """Stiffness of ``(mean strain, fluctuation)``: the cell integral of
-        the stress, and its nodal divergence functional."""
+        the stress, and its nodal divergence functional.
+
+        It is ``k_phi`` of the fluctuation plus a rank-6 coupling: the nodal
+        part adds ``macro @ unit_loads``, and the mean part is ``c_vol @
+        macro`` plus, per phase, ``g_mean`` times the sum of the corner rows
+        that ``k_phi`` left in the work arrays, taken as a product with a
+        ones vector."""
         macro, phi = self.unpack(x)
-        ue, fe, nodes, _ = self._work_arrays()
-        ue = gather_corners(phi, self.conn, out=ue).reshape(-1, 24)
-        mean = np.zeros(6)
+        nodal = self.k_phi(phi).ravel()
+        nodal += macro @ self.unit_loads
+        ue = self._work_arrays()[0].reshape(-1, 24)
+        mean = self.c_vol @ macro
         for ph in self.phases:
-            u, f = ue[ph.rows], fe[ph.rows]
-            np.matmul(u, ph.k_rows, out=f)
-            f += macro @ ph.g_rows
-            mean += ph.c_vol @ macro + ph.g_mean @ u.sum(axis=0)
-        return self.pack(mean, self._center(self.scatter(fe, nodes)))
+            u = ue[ph.rows]
+            mean += ph.g_mean @ (self._ones[:len(u)] @ u)
+        return self.pack(mean, nodal)
 
     def mean_strain_load(self, macro: np.ndarray):
-        """``unpack(k_ext(pack(macro, 0)))``, without gathering and
-        multiplying the zero fluctuation: the mean stress integral
-        ``sum_p c_vol macro`` and the nodal functional of the element forces
-        ``macro @ g_rows``."""
-        _, fe, nodes, _ = self._work_arrays()
-        mean = np.zeros(6)
-        for ph in self.phases:
-            fe[ph.rows] = macro @ ph.g_rows
-            mean += ph.c_vol @ macro
-        return mean, self._center(self.scatter(fe, nodes))
+        """``unpack(k_ext(pack(macro, 0)))`` without the zero fluctuation's
+        ``k_phi``: the mean stress integral ``c_vol @ macro`` and the nodal
+        functional ``macro @ unit_loads``."""
+        return self.c_vol @ macro, (macro @ self.unit_loads).reshape(self.dims + (3,))
 
     # constant-material inverses -----------------------------------------------
 
@@ -513,8 +542,8 @@ class Stencil:
         zero frequency carries the constant nullspace: its block is set to
         the identity for the batched inverse and then zeroed. Every other
         block is positive definite. The blocks are returned component-first,
-        shape ``(3, 3, n1, n2, n3 // 2 + 1)``, the layout ``block_solve``
-        transforms in.
+        shape ``(3, 3, n1, n2, n3 // 2 + 1)``, the layout that ``irfftn``
+        and the ``rfftn`` branch of ``block_solve`` read.
         """
         kel = self.element_stiffness(c)
         kernel = np.zeros(self.dims + (3, 3))
@@ -529,58 +558,92 @@ class Stencil:
         pinv[0, 0, 0] = 0.0
         return np.ascontiguousarray(pinv.transpose(3, 4, 0, 1, 2))
 
+    def _half_layout(self, pinv: np.ndarray, half: int) -> np.ndarray:
+        """The blocks ``pinv``, kept on the half spectrum of the first or of
+        the last spatial axis, on that of the spatial axis ``half`` (0 or 2).
+
+        Blocks already there are returned as they are. The others are
+        gathered exactly: the spectrum of a real field is conjugate
+        symmetric, so the block of a frequency ``k`` outside the kept half
+        is the conjugate of that of ``-k``. Where both layouts hold the
+        whole spectrum (at most 2 voxels along both axes) they coincide.
+        """
+        shape = tuple(n // 2 + 1 if a == half else n for a, n in enumerate(self.dims))
+        if pinv.shape[2:] == shape:
+            return pinv
+        other = 2 - half
+        k = np.indices(shape)
+        kept = k[other] < self.dims[other] // 2 + 1
+        idx = np.where(kept, k, -k % np.reshape(self.dims, (3, 1, 1, 1)))
+        blocks = np.ascontiguousarray(pinv[:, :, idx[0], idx[1], idx[2]])
+        np.conjugate(blocks, out=blocks, where=~kept)
+        return blocks
+
     @property
     def ref_pinv(self) -> np.ndarray:
-        """Inverse blocks of the mean-stiffness (reference) operator."""
+        """Inverse blocks of the mean-stiffness (reference) operator: on
+        grids of at most ``DENSE_REF_MAX_DOF`` unknowns in the layout of
+        ``circulant_pinv``, from which ``ref_dense`` is built, elsewhere in
+        the layout that ``block_solve`` reads."""
         if self._ref_pinv is None:
-            self._ref_pinv = self.circulant_pinv(self.cmean)
+            pinv = self.circulant_pinv(self.cmean)
+            self._ref_pinv = pinv if self.uses_ref_dense else self._half_layout(pinv, self._half)
         return self._ref_pinv
 
     @cached_property
     def unit_pinv(self) -> np.ndarray:
         """Inverse blocks of the unit-material operator (the normal equations
-        of the least-squares fit by symmetric gradients)."""
-        return self.circulant_pinv(np.eye(6))
+        of the least-squares fit by symmetric gradients), in the layout that
+        ``block_solve`` reads."""
+        return self._half_layout(self.circulant_pinv(np.eye(6)), self._half)
 
     @cached_property
     def _dft(self):
         """``dft_matrices`` of the grid, or None past ``DFT_MATRIX_MAX_SIDE``
         voxels a side; built on the first ``block_solve``, which grids of at
         most ``DENSE_REF_MAX_DOF`` unknowns run only for ``unit_pinv``."""
-        return dft_matrices(self.dims) if max(self.dims) <= DFT_MATRIX_MAX_SIDE else None
+        return dft_matrices(self.dims) if self._half == 0 else None
 
     def block_solve(self, pinv: np.ndarray, r: np.ndarray) -> np.ndarray:
         """Apply the half-spectrum inverse blocks ``pinv`` to a nodal field
-        (or to a stack of one field, whose shape the result keeps).
+        (or to a stack of one field, whose shape the result keeps). Blocks
+        kept on the other half spectrum are gathered into this one first
+        (``_half_layout``).
 
         On grids of at most ``DFT_MATRIX_MAX_SIDE`` voxels a side the
         transforms are products with per-axis DFT matrices (``dft_matrices``),
-        and the last-axis products read and write the component-last nodal
-        layout directly; on a few voxels ``rfftn`` spends far more on its
-        per-line overhead than the products cost. Longer grids transform by
-        ``rfftn``/``irfftn`` the component-first copy of ``r``, where each
-        component is one contiguous grid.
+        one BLAS call per stage with no transposing copy: on a few voxels
+        ``rfftn`` spends far more on its per-line overhead than the products
+        cost. Each forward stage contracts the leading axis of the C-ordered
+        array and appends its frequency axis (``x.reshape(n, -1).T @ f``):
+        the real half spectrum of the first axis, then the second and the
+        third axis, so the components arrive leading, and the blocks are
+        kept with the half spectrum on the first axis. Each inverse stage
+        contracts the last axis and puts the position first (``f_inv @
+        x.reshape(-1, n).T``), in the reverse order, which returns the
+        nodal layout. Longer grids transform by ``rfftn``/``irfftn`` the
+        component-first copy of ``r``, where each component is one
+        contiguous grid, with the half spectrum on the last axis.
         """
         n1, n2, n3 = self.dims
+        pinv = self._half_layout(pinv, self._half)
         if self._dft is None:
             rhat = np.fft.rfftn(np.ascontiguousarray(np.moveaxis(r.reshape(n1, n2, n3, 3), 3, 0)),
                                 axes=(1, 2, 3))
         else:
-            fwd, f2, f1, f2_inv, f1_inv, inv = self._dft
-            rhat = np.matmul(r.reshape(n1 * n2, n3, 3).transpose(2, 0, 1), fwd)
-            rhat = f2 @ rhat.view(complex).reshape(3, n1, n2, -1)
-            rhat = (f1 @ rhat.reshape(3, n1, -1)).reshape(rhat.shape)
+            fwd, f2, f3, f2_inv, f3_inv, inv = self._dft
+            rhat = (r.reshape(n1, -1).T @ fwd).view(complex)  # (n2, n3, 3, h1)
+            rhat = rhat.reshape(n2, -1).T @ f2  # (n3, 3, h1, n2)
+            rhat = (rhat.reshape(n3, -1).T @ f3).reshape((3,) + pinv.shape[2:])
         zhat = pinv[:, 0] * rhat[0]
         zhat += pinv[:, 1] * rhat[1]
         zhat += pinv[:, 2] * rhat[2]
         if self._dft is None:
             z = np.fft.irfftn(zhat, s=self.dims, axes=(1, 2, 3))
             return np.ascontiguousarray(np.moveaxis(z, 0, 3)).reshape(r.shape)
-        zhat = f2_inv @ (f1_inv @ zhat.reshape(3, n1, -1)).reshape(zhat.shape)
-        z = np.empty(r.shape)
-        np.matmul(zhat.reshape(3, n1 * n2, -1).view(float), inv,
-                  out=z.reshape(n1 * n2, n3, 3).transpose(2, 0, 1))
-        return z
+        z = f3_inv @ zhat.reshape(-1, n3).T  # (n3, 3, h1, n2)
+        z = f2_inv @ z.reshape(-1, n2).T  # (n2, n3, 3, h1)
+        return (inv @ z.reshape(-1, n1 // 2 + 1).view(float).T).reshape(r.shape)
 
     @cached_property
     def ref_dense(self) -> np.ndarray:
@@ -590,7 +653,7 @@ class Stencil:
         gives the 3x3 block ``G(d)`` of every node offset ``d``, and block
         ``(i, j)`` is ``G((i - j) mod dims)``, placed by an offset table.
         """
-        g = np.fft.irfftn(self.ref_pinv, s=self.dims, axes=(2, 3, 4))
+        g = np.fft.irfftn(self._half_layout(self.ref_pinv, 2), s=self.dims, axes=(2, 3, 4))
         # off[i, j] is the flat index of (i - j) mod dims, built axis by axis
         # in C order: from the table of the leading axes and that of the next
         off = np.zeros((1, 1), dtype=np.intp)
@@ -627,8 +690,9 @@ def stencil_of(cell: VoxelCell) -> Stencil:
     Cells are immutable, so the core never goes stale. The package starts no
     threads; a caller that shares a cell between its own threads fetches the
     core, and the inverse it will use, before starting them, as none of the
-    lazy builds is locked: ``ref_pinv``, ``unit_pinv``, ``phase_bounds``,
-    ``gap_factors``, ``dual_scale`` and the DFT matrices of ``block_solve``,
+    lazy builds is locked: ``ref_pinv``, ``unit_pinv``, ``unit_loads``,
+    ``phase_bounds``, ``gap_factors``, ``dual_scale`` and the DFT matrices
+    of ``block_solve``,
     and on grids of at most ``DENSE_REF_MAX_DOF`` unknowns also
     ``ref_dense``. The tables and element matrices are built with the core.
     The kernels' work arrays, also those of a stack of fields (``_stack``,

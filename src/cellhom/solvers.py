@@ -36,12 +36,16 @@ constraint. On grids of at most ``fem.DENSE_REF_MAX_DOF`` unknowns the same
 inverse is applied as one dense matrix, built once from those blocks,
 because there a transform pair costs more than the dense product. Up to
 ``fem.DFT_MATRIX_MAX_SIDE`` voxels a side the transforms are products with
-per-axis DFT matrices, cheaper there than ``rfftn``/``irfftn``, which take
-the longer grids. The operators the solvers iterate on (``Stencil.k_phi``,
-``Stencil.k_ext``) are fused: per phase, one product of the gathered corner
-displacements with the 24x24 element stiffness, plus the 6x24 mean-strain
-coupling for the stress-driven route. Each ``SolveReport`` counts the
-applications of both.
+per-axis DFT matrices, one BLAS call per stage (the real half spectrum of
+the first axis, then the second and the third axis, and back in reverse),
+cheaper there than ``rfftn``/``irfftn``, which take the longer grids. The
+operator the displacement route iterates on, ``Stencil.k_phi``, is fused:
+per phase, one product of the gathered corner displacements with the 24x24
+element stiffness. The stress-driven route's ``Stencil.k_ext`` is
+``k_phi`` of the fluctuation plus a rank-6 coupling of the mean strain: the
+six unit-strain loads, kept on the core, and per phase the 6x24 mean
+coupling times the sum of the corners ``k_phi`` gathered. Each
+``SolveReport`` counts the applications of both.
 The same DFT block inverse, built for the unit material, gives the
 compatibility residual of ``fem`` by one exact solve. All operators come
 from the cell's one cached core, ``fem.stencil_of(cell)``; ``Stencil`` is
@@ -456,9 +460,12 @@ def solve_stress_uzawa(cell: VoxelCell, macro_stress, params: SolveParams | None
     With ``uzawa_step = "auto"`` the displacement steps are those of
     ``_pcg`` (Uzawa's algorithm with conjugate-gradient directions). The gap
     of a CG iterate need not fall monotonically, so the recorded gap is the
-    best certified one, ``best_k = min(gap_k, best_{k-1} - (E_{k-1} - E_k))``:
-    the gap of the admissible stress of the best iterate ``j`` so far against
-    the current displacement, whose energy only falls. A numeric
+    best certified one, ``best_k = min(gap_k, max(0, best_{k-1} - (E_{k-1} -
+    E_k)))``: the gap of the admissible stress of the best iterate ``j`` so
+    far against the current displacement, whose energy only falls. The
+    energy decrements come from CG scalars and can overshoot by rounding,
+    and a gap is never negative, so the bound is clamped at 0; a bound of 0
+    already passes the gap test. A numeric
     ``uzawa_step`` is a fixed step along the preconditioned residual, which
     raises ``StepTooLarge`` when the gap grows for 10 consecutive iterations.
 
@@ -492,7 +499,9 @@ def solve_stress_uzawa(cell: VoxelCell, macro_stress, params: SolveParams | None
             if not gap < math.inf:  # a NaN compares false too
                 gaps.append(gap)
                 return None  # stop, unconverged
-            best -= energy_prev - energy
+            # the energy decrements come from CG scalars and can overshoot by
+            # rounding; a gap is never negative, so neither is its bound
+            best = max(best - (energy_prev - energy), 0.0)
             if gap <= best:
                 best, compl = gap, gap - energy
                 x_j, m_j, psi_j = x.copy(), m, psi.copy()

@@ -10,7 +10,7 @@ import pytest
 import cellhom as ch
 from cellhom import fem
 from cellhom.cell import Lattice, VoxelCell
-from cellhom.checks import _dense_shape_gradients
+from cellhom.checks import _dense_shape_gradients, _dense_strain_row
 from cellhom.fem import (
     DENSE_REF_MAX_DOF,
     DFT_MATRIX_MAX_SIDE,
@@ -530,6 +530,131 @@ def test_dense_and_dft_reference_inverses_agree(name, monkeypatch):
     assert np.abs(st.ref_dense @ const.reshape(-1)).max() <= 1e-13
     assert np.abs(st.block_solve(st.ref_pinv, const)).max() <= 1e-13
     assert np.abs(other.block_solve(st.ref_pinv, const)).max() <= 1e-13
+
+
+_SHEAR = Lattice(np.array([1.1, 0.0, 0.0]), np.array([0.3, 0.9, 0.0]),
+                 np.array([-0.2, 0.25, 1.2]))
+
+#: sides of 1 and 2 (where both half spectra hold the whole spectrum),
+#: odd and even sides, cubic and not, sheared and not; 5x6x7 and 9x4x10
+#: are past DENSE_REF_MAX_DOF
+TRANSFORM_CELLS = {
+    "1x1x2": lambda: random_cell((1, 1, 2), seed=1),
+    "2x1x5-sheared": lambda: random_cell((2, 1, 5), seed=2, lattice=_SHEAR),
+    "4x4x4": lambda: random_two_phase_cell(seed=3),
+    "5x6x7-sheared": lambda: random_cell((5, 6, 7), seed=4, lattice=_SHEAR),
+    "9x4x10-sheared": lambda: random_cell((9, 4, 10), seed=5, lattice=_SHEAR),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSFORM_CELLS))
+def test_dft_matrix_transforms_match_rfftn_and_the_dense_inverse(name, monkeypatch):
+    # block_solve of both inverses by per-axis DFT matrices (blocks on the
+    # half spectrum of the first axis) against rfftn/irfftn (blocks on that
+    # of the last axis) and, for the reference inverse, the dense matrix
+    cell = TRANSFORM_CELLS[name]()
+    n1, n2, n3 = cell.dims
+    rng = np.random.default_rng(35)
+    r = rng.standard_normal(cell.dims + (3,))
+    monkeypatch.setattr(fem, "DENSE_REF_MAX_DOF", 0)
+    matrices = Stencil(cell)
+    monkeypatch.setattr(fem, "DFT_MATRIX_MAX_SIDE", 0)
+    ffts = Stencil(cell)
+    assert matrices._dft is not None and ffts._dft is None
+    dense = stencil_of(cell).ref_dense @ r.reshape(-1)
+    for inverse in ("ref_pinv", "unit_pinv"):
+        by_matrices = getattr(matrices, inverse)
+        by_ffts = getattr(ffts, inverse)
+        assert by_matrices.shape == (3, 3, n1 // 2 + 1, n2, n3)
+        assert by_ffts.shape == (3, 3, n1, n2, n3 // 2 + 1)
+        z = matrices.block_solve(by_matrices, r)
+        assert z.shape == r.shape
+        assert _rel(z, ffts.block_solve(by_ffts, r)) <= 1e-14
+        # a stack of one keeps its shape, and blocks of the other layout
+        # are gathered into the one each transform reads
+        np.testing.assert_array_equal(matrices.block_solve(by_matrices, r[None])[0], z)
+        assert _rel(matrices.block_solve(by_ffts, r), z) <= 1e-14
+        assert _rel(ffts.block_solve(by_matrices, r), z) <= 1e-14
+        if inverse == "ref_pinv":
+            assert _rel(z.reshape(-1), dense) <= 1e-14
+
+
+@pytest.mark.parametrize("name", sorted(TRANSFORM_CELLS))
+def test_half_spectrum_gather_matches_rfftn_on_either_axis(name):
+    # on the spectrum of a real field, which unlike the blocks of a
+    # constant-material inverse is not real, the gather from one half
+    # spectrum equals rfftn's other half spectrum
+    cell = TRANSFORM_CELLS[name]()
+    st = Stencil(cell)
+    f = np.random.default_rng(37).standard_normal(cell.dims)
+    last, first = np.fft.rfftn(f, axes=(0, 1, 2)), np.fft.rfftn(f, axes=(1, 2, 0))
+    assert _rel(st._half_layout(np.broadcast_to(last, (3, 3) + last.shape), 0)[1, 2],
+                first) <= 1e-14
+    assert _rel(st._half_layout(np.broadcast_to(first, (3, 3) + first.shape), 2)[0, 1],
+                last) <= 1e-14
+
+
+def _loop_k_ext(cell):
+    """The extended stiffness as one dense ``(6 + 3N, 6 + 3N)`` matrix,
+    assembled by explicit loops over voxels, Gauss points and corners from
+    the dense oracle's shape gradients: the strain at a Gauss point is ``E +
+    sum_a B_a u_a``, its stress ``C e`` with the voxel's ``C`` as given (not
+    symmetrized), and the rows are the cell integral of that stress and the
+    nodal functional ``sum w B_a^T (C e)``."""
+    corners, grads = _dense_shape_gradients(cell)
+    n1, n2, n3 = cell.dims
+    size = 6 + 3 * cell.n_voxels
+    w = cell.voxel_volume / 8.0
+    k = np.zeros((size, size))
+    for i, j, l in np.ndindex(*cell.dims):
+        c = cell.phases[cell.phase_of[i, j, l]]
+        nodes = [(((i + a) % n1) * n2 + (j + b) % n2) * n3 + (l + d) % n3 for a, b, d in corners]
+        for q in range(8):
+            strain = np.zeros((6, size))
+            strain[:, :6] = np.eye(6)
+            for a, node in enumerate(nodes):
+                strain[:, 6 + 3 * node:9 + 3 * node] += _dense_strain_row(grads[q][a])
+            k[:6] += w * c @ strain
+            k[6:] += w * strain[:, 6:].T @ c @ strain
+    return k
+
+
+def test_k_ext_matches_a_loop_assembled_extended_stiffness():
+    # the sheared three-phase anisotropic cell, one phase symmetric only to
+    # 1e-13: the mean part takes C, the nodal part C^T (g_mean, g_rows)
+    base = _three_phase_sheared_cell()
+    skew = np.triu(np.ones((6, 6)), 1)
+    phases = list(base.phases)
+    phases[1] = phases[1] + 1e-13 * np.abs(phases[1]).max() * (skew - skew.T)
+    cell = VoxelCell(base.dims, base.phase_of, phases, base.lattice)
+    assert 0.0 < np.abs(phases[1] - phases[1].T).max() <= 1e-12 * np.abs(phases[1]).max()
+    st = stencil_of(cell)
+    k = _loop_k_ext(cell)
+    rng = np.random.default_rng(36)
+    for x in (st.pack(rng.standard_normal(6), rng.standard_normal(cell.dims + (3,))),
+              st.pack(rng.standard_normal(6), np.zeros(cell.dims + (3,))),
+              st.pack(np.zeros(6), rng.standard_normal(cell.dims + (3,)))):
+        want = k @ x
+        want[6:] = _centered(want[6:].reshape(cell.dims + (3,))).ravel()
+        got = st.k_ext(x)
+        assert _rel(got[:6], want[:6]) <= 1e-13
+        assert _rel(got[6:], want[6:]) <= 1e-13
+
+
+def test_unit_strain_loads_are_the_scattered_element_forces(kernel_cell):
+    # mean_strain_load of a unit strain is bit for bit the scatter of its
+    # element forces e_i @ g_rows, less the nodal mean, and the phases'
+    # stress integral, summed phase by phase
+    st = stencil_of(kernel_cell)
+    for a in np.eye(6):
+        fe = np.empty((kernel_cell.n_voxels, 24))
+        mean = np.zeros(6)
+        for ph in st.phases:
+            fe[ph.rows] = a @ ph.g_rows
+            mean += ph.c_vol @ a
+        got_mean, got_load = st.mean_strain_load(a)
+        assert got_mean.tobytes() == mean.tobytes()
+        np.testing.assert_array_equal(got_load, st._center(st.scatter(fe)))
 
 
 def test_displacement_solves_build_neither_dft_matrices_nor_gap_factors():

@@ -6,7 +6,7 @@ import pytest
 import cellhom as ch
 from cellhom.checks import PROBE_STRAIN
 from cellhom.energies import MacroLoad, displacement_potential
-from cellhom.fem import LinPerField, quad_norm
+from cellhom.fem import LinPerField, quad_norm, stencil_of
 from cellhom.mandel import SQRT2
 from cellhom.microstructures import homogeneous_cell, random_two_phase_cell
 from cellhom.solvers import (NotConverged, SolveParams, Stencil, StepTooLarge, _pcg,
@@ -297,6 +297,19 @@ def test_uzawa_auto_step_does_not_overshoot(seed):
     gaps = np.array(rep.gap_history)
     assert (gaps > 0.0).all()
     assert (np.diff(gaps) <= 0.0).all()
+
+
+def test_uzawa_certified_gap_is_never_negative():
+    # the run's probe stress on the 8^3 seed-11 bench cell: the bound that
+    # subtracts the CG energy decrements fell to -9.3e-18 there, as the
+    # decrements overshoot by rounding once the gap is at rounding level
+    cell = random_two_phase_cell((8, 8, 8), seed=11)
+    u, _ = ch.solve_strain_driven(cell, PROBE_STRAIN)
+    s = ch.cell_average(cell, stencil_of(cell).stress(ch.sym_gradient(cell, u)))
+    _, _, rep = ch.solve_stress_uzawa(cell, s)
+    assert rep.converged
+    assert min(rep.gap_history) >= 0.0
+    assert rep.final_energy > 0.0
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-12])
