@@ -15,14 +15,15 @@ Three routes are provided:
   that stress; it is formed once, for the returned stress, which comes with
   the displacement that ``solve_stress_driven`` returns.
 
-The CG routes, and the Uzawa route with the AUTO step, run one loop,
-``_pcg``: textbook preconditioned CG from a zero start with the
-Fletcher-Reeves beta, whose iterates equal those of Polak-Ribiere CG in
-exact arithmetic because the preconditioner is fixed and SPD. The energy of
-every iterate is read off the CG scalars, so the loop keeps no running
-``K x``; the Uzawa route stops it on the duality gap through a hook. The
-loop iterates a stack of right-hand sides in lockstep, as independent CGs
-that share each operator and preconditioner call: ``solve_strain_stack``
+Every route runs one loop, ``_pcg``: textbook preconditioned CG from a
+zero start with the Fletcher-Reeves beta, whose iterates equal those of
+Polak-Ribiere CG in exact arithmetic because the preconditioner is fixed
+and SPD. The energy of every iterate is read off the CG scalars, so the
+loop keeps no running ``K x``; the Uzawa route stops it on the duality gap
+through a hook, and its fixed step makes it preconditioned Richardson, each
+step the fixed length along the preconditioned residual. The loop iterates
+a stack of right-hand sides in lockstep, as independent CGs that share
+each operator and preconditioner call: ``solve_strain_stack``
 stacks several mean strains where the preconditioner is the dense inverse,
 each solved with the bits of its own solve, and every other route passes a
 stack of one.
@@ -163,7 +164,7 @@ def _ratio_going(num, den, going):
     return np.divide(num, den, out=np.zeros(np.shape(num)), where=going)
 
 
-def _pcg(op, m_inv, b, tol, max_iter, energy_offsets=None, hook=None):
+def _pcg(op, m_inv, b, tol, max_iter, energy_offsets=None, hook=None, rho=None):
     """Textbook preconditioned CG from ``x = 0``, run on each right-hand
     side ``b[i]`` of a stack along the leading axis of ``b``.
 
@@ -201,6 +202,12 @@ def _pcg(op, m_inv, b, tol, max_iter, energy_offsets=None, hook=None):
     ``|r| <= tol |b|``, or None to stop unconverged. The loop updates
     ``x``, ``r`` and the direction (the first one is ``z`` itself) in place,
     so a hook copies whatever it keeps.
+
+    A fixed step ``rho``, allowed only with one column too, makes the loop
+    preconditioned Richardson: each step goes along ``z = m_inv(r)`` itself
+    (beta 0) with ``alpha = rho``, and lowers the energy by ``alpha (r.z -
+    alpha p.Kp / 2)``; at CG's alpha that is ``alpha r.z / 2``, the formula
+    CG keeps.
     """
     k = len(b)
     if k == 1:
@@ -213,8 +220,8 @@ def _pcg(op, m_inv, b, tol, max_iter, energy_offsets=None, hook=None):
         def nonzero(u):
             return bool(u.any())
     else:
-        if hook is not None:
-            raise ValueError("a _pcg hook takes one column")
+        if hook is not None or rho is not None:
+            raise ValueError("a _pcg hook or fixed step takes one column")
         shape = (k,) + (1,) * (b.ndim - 1)  # a factor per column, over its field
         energy = np.zeros(shape) if energy_offsets is None else \
             np.array(energy_offsets, dtype=float).reshape(shape)
@@ -259,7 +266,7 @@ def _pcg(op, m_inv, b, tol, max_iter, energy_offsets=None, hook=None):
         if z is None:
             z = m_inv(r)
         rz_new = dots(r, z)
-        if p is None:
+        if p is None or rho is not None:
             p = z
         else:
             p *= rz_new / rz if live == k else _ratio_going(rz_new, rz, going)
@@ -273,13 +280,19 @@ def _pcg(op, m_inv, b, tol, max_iter, energy_offsets=None, hook=None):
             live = count(going)
             if not live:
                 break
-        alpha = rz / pkp if live == k else _ratio_going(rz, pkp, going)
+        if rho is not None:
+            alpha = rho
+        else:
+            alpha = rz / pkp if live == k else _ratio_going(rz, pkp, going)
         x += np.multiply(p, alpha, out=step)
         r -= np.multiply(kp, alpha, out=step)
         steps.append(going)
         rnorm = sqrt(dots(r, r))
         res = rnorm / bnorm if live == k else _ratio_going(rnorm, bnorm, going)
-        energy = energy - 0.5 * alpha * rz
+        if rho is None:
+            energy = energy - 0.5 * alpha * rz
+        else:
+            energy = energy - alpha * (rz - 0.5 * alpha * pkp)
         history.append(res)
         energies.append(energy)
     its = sum(steps, going * 0)
@@ -301,11 +314,11 @@ def _pcg(op, m_inv, b, tol, max_iter, energy_offsets=None, hook=None):
     return x, reports
 
 
-def _pcg_one(op, m_inv, b, tol, max_iter, hook=None):
+def _pcg_one(op, m_inv, b, tol, max_iter, hook=None, rho=None):
     """``_pcg`` on the one right-hand side ``b``, for an operator and
     preconditioner that apply to one vector: returns ``(x, report)``."""
     x, reports = _pcg(lambda v: op(v[0])[None], lambda v: m_inv(v[0])[None], b[None],
-                      tol, max_iter, hook=hook)
+                      tol, max_iter, hook=hook, rho=rho)
     return x[0], reports[0]
 
 
@@ -466,8 +479,10 @@ def solve_stress_uzawa(cell: VoxelCell, macro_stress, params: SolveParams | None
     energy decrements come from CG scalars and can overshoot by rounding,
     and a gap is never negative, so the bound is clamped at 0; a bound of 0
     already passes the gap test. A numeric
-    ``uzawa_step`` is a fixed step along the preconditioned residual, which
-    raises ``StepTooLarge`` when the gap grows for 10 consecutive iterations.
+    ``uzawa_step`` is the paper's literal algorithm, a fixed step along the
+    preconditioned residual: ``_pcg``'s fixed step, through the same hook,
+    which records the gap of each iterate itself and raises ``StepTooLarge``
+    when it grows for 10 consecutive iterations.
 
     Returns ``(sigma, w, report)``: the admissible stress (of iterate ``j``),
     the ``solve_stress_driven`` displacement of the last iterate (the strain
@@ -486,80 +501,47 @@ def solve_stress_uzawa(cell: VoxelCell, macro_stress, params: SolveParams | None
 
     b = st.pack(st.volume * s_target, np.zeros(cell.dims + (3,)))
     bnorm = float(np.linalg.norm(b))
+    rho = None if params.uzawa_step == "auto" else params.uzawa_step
     gaps: list = []
-    if params.uzawa_step == "auto":
-        x_j = m_j = psi_j = m = None
-        best = compl = np.inf
-        energy_prev = 0.0
+    x_j = m_j = psi_j = m = None
+    best = compl = np.inf
+    energy_prev = 0.0
+    streak = 0
 
-        def gap_test(x, r, z, energy):
-            nonlocal x_j, m_j, psi_j, m, best, compl, energy_prev
-            m, psi = r[:6] / st.volume, st.unpack(z)[1]
-            gap = st.correction_gap(m, psi)
-            if not gap < math.inf:  # a NaN compares false too
-                gaps.append(gap)
-                return None  # stop, unconverged
+    def gap_test(x, r, z, energy):
+        nonlocal x_j, m_j, psi_j, m, best, compl, energy_prev, streak
+        m, psi = r[:6] / st.volume, st.unpack(z)[1]
+        gap = st.correction_gap(m, psi)
+        if not gap < math.inf:  # a NaN compares false too
+            gaps.append(gap)
+            return None  # stop, unconverged
+        if rho is None:
             # the energy decrements come from CG scalars and can overshoot by
             # rounding; a gap is never negative, so neither is its bound
             best = max(best - (energy_prev - energy), 0.0)
-            if gap <= best:
-                best, compl = gap, gap - energy
-                x_j, m_j, psi_j = x.copy(), m, psi.copy()
-            gaps.append(best)
-            energy_prev = energy
-            return (best <= params.tol * max(compl, 1e-300)
-                    and float(np.linalg.norm(r)) <= params.tol * bnorm)
+        else:
+            # a fixed step is judged by its own iterate's gap
+            grew = gaps and gap > gaps[-1] * (1.0 + 1e-15) + 1e-300
+            best, streak = gap, streak + 1 if grew else 0
+        if gap <= best:
+            best, compl = gap, gap - energy
+            x_j, m_j, psi_j = x.copy(), m, psi.copy()
+        gaps.append(best)
+        energy_prev = energy
+        if (best <= params.tol * max(compl, 1e-300)
+                and float(np.linalg.norm(r)) <= params.tol * bnorm):
+            return True
+        return None if streak >= 10 else False
 
-        x, report = _pcg_one(st.k_ext, st.precond_ext, b, params.tol, params.max_iter,
-                             hook=gap_test)
-        report.gap_history, report.final_energy = gaps, compl
-        if not report.converged:
-            raise _not_converged("uzawa", report)
-    else:
-        if float(np.vdot(b, b)) < _TINY:  # as _pcg: a nonzero load that underflows
-            raise _not_converged("uzawa", SolveReport(0, [1.0], 0.0, False,
-                                                      stop_reason="breakdown"))
-        x = np.zeros_like(b)
-        history: list = []
-        energies: list = []
-        streak = it = 0
-
-        def report_at(reason):
-            """Report of a stop at the current iterate; every pass, this one
-            included, applies ``k_ext`` and ``precond_ext`` once."""
-            return SolveReport(it, history, compl, reason == "converged", gap_history=gaps,
-                               energy_history=energies, stop_reason=reason,
-                               operator_applications=it + 1,
-                               preconditioner_applications=it + 1)
-
-        while True:
-            kx = st.k_ext(x)
-            r = b - kx
-            z = st.precond_ext(r)
-            m, psi = r[:6] / st.volume, st.unpack(z)[1]
-            gap = st.correction_gap(m, psi)
-            energies.append(0.5 * float(x @ kx) - float(b @ x))
-            compl = gap - energies[-1]
-            history.append(float(np.linalg.norm(r)) / bnorm)
-            gaps.append(gap)
-            if not (math.isfinite(gap) and math.isfinite(history[-1])):
-                raise _not_converged("uzawa", report_at("breakdown"))
-            if gap <= params.tol * max(compl, 1e-300) and history[-1] <= params.tol:
-                break
-            if len(gaps) > 1 and gap > gaps[-2] * (1.0 + 1e-15) + 1e-300:
-                streak += 1
-                if streak >= 10:
-                    raise StepTooLarge(
-                        f"uzawa gap grew for {streak} consecutive iterations "
-                        f"(step {params.uzawa_step:.3e})", report_at("step-too-large"))
-            else:
-                streak = 0
-            if it >= params.max_iter:
-                raise _not_converged("uzawa", report_at("budget"))
-            x += params.uzawa_step * z
-            it += 1
-        report = report_at("converged")
-        x_j, m_j, psi_j = x, m, psi
+    x, report = _pcg_one(st.k_ext, st.precond_ext, b, params.tol, params.max_iter,
+                         hook=gap_test, rho=rho)
+    report.gap_history, report.final_energy = gaps, compl
+    if not report.converged:
+        if streak >= 10:
+            report.stop_reason = "step-too-large"
+            raise StepTooLarge(f"uzawa gap grew for {streak} consecutive iterations "
+                               f"(step {rho:.3e})", report)
+        raise _not_converged("uzawa", report)
 
     # the last residual's mean part is the misfit, so the readout costs no k_ext
     sigma = st.stress(st.strain_ext(x_j)) - st.correction(m_j, psi_j)

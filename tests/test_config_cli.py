@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import cellhom as ch
-from cellhom.cell import voxel_text
+from cellhom.cell import VoxelCell, voxel_text
 from cellhom.cli import main, run
 from cellhom.mandel import frobenius
 from cellhom.config import ParseError, RunConfig, ValidationError, parse_config
@@ -401,6 +401,20 @@ def test_run_custom_lattice(tmp_path):
     assert main([str(cfg), "--quiet"]) == 0
     got = np.loadtxt(tmp_path / "out" / "CH.txt")
     assert np.abs(got - cell.phases[0]).max() <= 1e-10
+
+
+@pytest.mark.parametrize("k", [-12, -8, 0, 8])
+@pytest.mark.parametrize("formulation", ["displacement", "stress-uzawa"])
+def test_homogenize_passes_its_checks_at_every_modulus_scale(tmp_path, formulation, k):
+    # moduli times 2^k scale CH by 2^k and the compliance, which the energy
+    # check of stress-uzawa columns compares with, by 2^-k: that check is
+    # gated by the norm of DH, and failed from k = -8 on under the norm of CH
+    cell = random_two_phase_cell()
+    soft = VoxelCell(cell.dims, cell.phase_of, tuple(np.ldexp(c, k) for c in cell.phases))
+    cfg = _write_inputs(tmp_path, soft, f"task = homogenize\nformulation = {formulation}\n")
+    assert main([str(cfg), "--quiet"]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["checks_failed"] == []
 
 
 def test_byte_identical_reruns(tmp_path):

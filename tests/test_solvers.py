@@ -118,6 +118,34 @@ def test_pcg_energy_recurrence_matches_iterates():
         assert abs(e - exact) <= 1e-12 * scale
 
 
+def test_pcg_fixed_step_energies_match_iterates():
+    # a fixed step goes along z = M^-1 r (preconditioned Richardson), so the
+    # first iterate is rho M^-1 b; the energies, read off alpha (r.z - alpha
+    # p.Kp / 2), equal 1/2 x.Ax - b.x of each iterate
+    rng = np.random.default_rng(6)
+    g = rng.standard_normal((12, 12))
+    a = g @ g.T + 12.0 * np.diag(rng.uniform(0.5, 4.0, 12))
+    b = rng.standard_normal(12)
+    d = np.diag(a).copy()
+    rho = 1.0 / np.linalg.eigvalsh(a / np.sqrt(np.outer(d, d)))[-1]
+
+    def run(max_iter):
+        x, (rep,) = _pcg(lambda v: v @ a, lambda v: v / d, b[None], 1e-10, max_iter, rho=rho)
+        return x[0], rep
+
+    x, rep = run(2000)
+    assert rep.converged and rep.iterations > 20
+    np.testing.assert_allclose(x, np.linalg.solve(a, b), rtol=0, atol=1e-8)
+    scale = abs(rep.energy_history[-1])
+    for k in (1, 2, 5, 20, rep.iterations):
+        xk, rep_k = run(k)
+        assert rep_k.iterations == k and rep_k.energy_history == rep.energy_history[:k + 1]
+        exact = 0.5 * xk @ a @ xk - b @ xk
+        assert abs(rep.energy_history[k] - exact) <= 1e-12 * scale
+        if k == 1:
+            np.testing.assert_array_equal(xk, rho * (b / d))
+
+
 def test_not_converged_carries_report(cell_d):
     with pytest.raises(NotConverged) as err:
         ch.solve_strain_driven(cell_d, np.array([1.0, 0, 0, 0, 0, 0]),
@@ -203,6 +231,8 @@ def test_pcg_columns_in_lockstep_equal_solves_of_one(max_iter):
 def test_pcg_hook_takes_one_column():
     with pytest.raises(ValueError):
         _pcg(lambda v: v, lambda v: v, np.ones((2, 3)), 1e-9, 10, hook=lambda *a: True)
+    with pytest.raises(ValueError):  # and so does a fixed step
+        _pcg(lambda v: v, lambda v: v, np.ones((2, 3)), 1e-9, 10, rho=0.5)
 
 
 def test_stress_driven_homogeneous():
@@ -367,6 +397,30 @@ def test_uzawa_fixed_step_converges(cell_d, probe_solution_d):
     assert rep.converged
 
 
+#: (iterations, stop reason) of fixed-step solves at mean_stiffness @ PROBE_STRAIN
+FIXED_STEP_COUNTS = [
+    ("d", 0.8, 1e-8, 31, "converged"),
+    ("d", 0.8, 1e-10, 40, "converged"),
+    ("d", 0.5, 1e-8, 56, "converged"),
+    ("d", 0.5, 1e-10, 71, "converged"),
+    ("d", 50.0, 1e-8, 10, "step-too-large"),
+    ("contrast-100", 0.8, 1e-8, 12, "step-too-large"),
+    ("contrast-100", 0.5, 1e-8, 1223, "converged"),
+]
+
+
+@pytest.mark.parametrize("name, step, tol, iterations, stop_reason", FIXED_STEP_COUNTS)
+def test_uzawa_fixed_step_counts(cell_d, name, step, tol, iterations, stop_reason):
+    cell = cell_d if name == "d" else random_two_phase_cell(
+        (6, 6, 6), seed=5, phase_b=(100.0, 100.0), fraction=0.2)
+    s = cell.mean_stiffness @ PROBE_STRAIN
+    try:
+        rep = ch.solve_stress_uzawa(cell, s, SolveParams(tol=tol, uzawa_step=step))[2]
+    except StepTooLarge as err:
+        rep = err.report
+    assert (rep.iterations, rep.stop_reason) == (iterations, stop_reason)
+
+
 def test_application_counts_are_builtin_ints_on_every_route(cell_d, probe_solution_d):
     # report.json goes through json.dumps, which rejects numpy integers; each
     # route's counts exceed its iteration count by its set-up and final
@@ -383,8 +437,8 @@ def test_application_counts_are_builtin_ints_on_every_route(cell_d, probe_soluti
         "strain-driven-lockstep": (lockstep, 1, 0),
         "stress-driven": (probe_solution_d["rep_w"], 2, 0),
         "uzawa-auto": (auto, 0, 1),
-        "uzawa-fixed-step": (fixed, 1, 1),
-        "uzawa-step-too-large": (err.value.report, 1, 1),
+        "uzawa-fixed-step": (fixed, 0, 1),
+        "uzawa-step-too-large": (err.value.report, 0, 1),
     }
     for name, (rep, extra_op, extra_prec) in routes.items():
         counts = (rep.iterations, rep.operator_applications, rep.preconditioner_applications)
