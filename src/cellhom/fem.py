@@ -28,7 +28,8 @@ method of one ``Stencil`` per cell, built on first use by
 through it. Its kernels are a gather of corner values by an index table,
 dense products with per-phase element matrices, and a scatter that sums
 each node's contributions in ``CORNERS`` order (see ``Stencil``); a stack of
-fields is one more leading axis, indexed by the same tables. The extended
+fields is one more leading axis, indexed by the same tables, and each
+field of a stack keeps the bits of a call on it alone. The extended
 stiffness ``k_ext`` of a (mean strain, fluctuation) pair is ``k_phi`` of the
 fluctuation plus a rank-6 coupling: the six unit-strain loads, kept on the
 core, and a per-phase sum of the corners that ``k_phi`` gathered. The DFT
@@ -70,8 +71,22 @@ GAUSS_POINTS = tuple(itertools.product(_GAUSS_1D, repeat=3))
 #: with the DFT-matrix transforms: 5.3 against 21 us at 180 unknowns, 20-22
 #: against 23-25 us at 384 and 26-29 against 24-28 us at 450, but 35-38
 #: against 26-27 us at 480 and 108-117 against 26-27 us at 648 (2 vCPU,
-#: one BLAS thread); it is also the gate of the lockstep column solves
+#: one BLAS thread); it is also the gate of ``solve_strain_stack``'s lockstep
 DENSE_REF_MAX_DOF = 450
+
+#: a lockstep run of ``solve_stress_stack`` holds at most this many nodal
+#: unknowns over all its columns (six up to 10^3 voxels, three at 12^3, two
+#: at 14^3, one from 16^3 on): a stack's work arrays grow with it, about 200
+#: bytes per unknown, and once they no longer stay in cache one solve after
+#: another is as fast. Six Mandel-basis stresses of a two-phase cell, runs
+#: of k columns against one column at a time (median and quartiles of
+#: in-process interleaved pairs, 2 vCPU, one BLAS thread): six 0.78
+#: (0.75-0.81) at 8^3 and 0.85 (0.69-0.93) at 10^3, three 0.92 (0.72-0.94)
+#: at 12^3, two 0.94 (0.87-1.02) at 14^3, all within the bound; beyond it
+#: six still took 0.87 (0.73-0.94) at 12^3, but six 1.04 (0.97-1.09) at
+#: 14^3, and two 1.03 (1.01-1.10), three 1.04 (0.92-1.08) and six 1.12
+#: (0.81-1.33) at 16^3
+LOCKSTEP_MAX_DOF = 18000
 
 #: grids whose longest side is at most this apply the DFT block inverses by
 #: products with per-axis DFT matrices, longer ones by ``rfftn``/``irfftn``:
@@ -244,10 +259,11 @@ class Stencil:
     unit-strain loads, ``c_vol`` and ``g_mean``), with no element loop of
     its own. The inverse blocks of ``block_solve``'s DFT matrices keep the
     half spectrum of the first axis, those of ``rfftn`` and of the dense
-    inverse that of the last axis. ``k_phi``, and
-    ``ref_solve`` where ``uses_ref_dense``, take a stack of several fields
-    too, the columns of a lockstep solve, and give each field the bits of a
-    call on it alone.
+    inverse that of the last axis. ``k_phi``, ``ref_solve`` and
+    ``block_solve`` take a stack of several nodal fields too, and ``k_ext``
+    and ``precond_ext`` a stack of packed vectors, the columns of a lockstep
+    solve, along a leading axis; each gives every field the bits of a call
+    on it alone.
 
     Obtain it through ``stencil_of(cell)``, which builds one per cell.
     """
@@ -447,7 +463,9 @@ class Stencil:
         for one field, which uses the core's own work arrays), and each
         phase's product as ``(corners, K_e^T, forces)`` views. Built on
         first use and kept per thread with the work arrays, as plain arrays
-        that hold no reference back to the core.
+        that hold no reference back to the core; of the stacks of several
+        fields only the last size is kept, so a caller that changes sizes
+        leaves no more than one stack pinned to the cell.
         """
         stacks = getattr(self._tls, "stacks", None)
         if stacks is None:
@@ -456,6 +474,8 @@ class Stencil:
             if k == 1:
                 ue, fe, nodes, _ = self._work_arrays()
             else:
+                for size in [size for size in stacks if size != 1]:
+                    del stacks[size]
                 n = len(self.conn)
                 ue, fe, nodes = np.empty((k, n, 8, 3)), np.empty((k, n, 24)), np.empty((k, 8, n, 3))
             u = ue.reshape(fe.shape)
@@ -514,16 +534,25 @@ class Stencil:
         part adds ``macro @ unit_loads``, and the mean part is ``c_vol @
         macro`` plus, per phase, ``g_mean`` times the sum of the corner rows
         that ``k_phi`` left in the work arrays, taken as a product with a
-        ones vector."""
-        macro, phi = self.unpack(x)
-        nodal = self.k_phi(phi).ravel()
-        nodal += macro @ self.unit_loads
-        ue = self._work_arrays()[0].reshape(-1, 24)
-        mean = self.c_vol @ macro
-        for ph in self.phases:
-            u = ue[ph.rows]
-            mean += ph.g_mean @ (self._ones[:len(u)] @ u)
-        return self.pack(mean, nodal)
+        ones vector.
+
+        It takes one packed vector or each row of a stack ``(k, 6 + 3N)``:
+        the fluctuations go through one ``k_phi`` of the stack, and the
+        coupling is taken row by row, by the products of the shapes that one
+        row takes, so each row keeps the bits of a call on it alone."""
+        xs = x.reshape(-1, x.shape[-1])
+        k = len(xs)
+        nodal = self.k_phi(xs[:, 6:].reshape((k,) + self.dims + (3,))).reshape(k, -1)
+        ue = self._stack(k)[0].reshape(k, -1, 24)
+        means = []
+        for macro, row, u_col in zip(xs[:, :6], nodal, ue):
+            row += macro @ self.unit_loads
+            mean = self.c_vol @ macro
+            for ph in self.phases:
+                u = u_col[ph.rows]
+                mean += ph.g_mean @ (self._ones[:len(u)] @ u)
+            means.append(mean)
+        return np.concatenate([means, nodal], axis=1).reshape(x.shape)
 
     def mean_strain_load(self, macro: np.ndarray):
         """``unpack(k_ext(pack(macro, 0)))`` without the zero fluctuation's
@@ -605,45 +634,54 @@ class Stencil:
         return dft_matrices(self.dims) if self._half == 0 else None
 
     def block_solve(self, pinv: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """Apply the half-spectrum inverse blocks ``pinv`` to a nodal field
-        (or to a stack of one field, whose shape the result keeps). Blocks
-        kept on the other half spectrum are gathered into this one first
+        """Apply the half-spectrum inverse blocks ``pinv`` to a nodal field,
+        or to each field of a stack along a leading axis (one field is a
+        stack of one); the result keeps the shape of ``r``. Blocks kept on
+        the other half spectrum are gathered into this one first
         (``_half_layout``).
 
         On grids of at most ``DFT_MATRIX_MAX_SIDE`` voxels a side the
         transforms are products with per-axis DFT matrices (``dft_matrices``),
-        one BLAS call per stage with no transposing copy: on a few voxels
-        ``rfftn`` spends far more on its per-line overhead than the products
-        cost. Each forward stage contracts the leading axis of the C-ordered
-        array and appends its frequency axis (``x.reshape(n, -1).T @ f``):
-        the real half spectrum of the first axis, then the second and the
-        third axis, so the components arrive leading, and the blocks are
-        kept with the half spectrum on the first axis. Each inverse stage
-        contracts the last axis and puts the position first (``f_inv @
-        x.reshape(-1, n).T``), in the reverse order, which returns the
-        nodal layout. Longer grids transform by ``rfftn``/``irfftn`` the
+        one BLAS call per stage and field with no transposing copy: on a few
+        voxels ``rfftn`` spends far more on its per-line overhead than the
+        products cost. Each forward stage contracts the leading axis of a
+        C-ordered field and appends its frequency axis (``x.reshape(n,
+        -1).T @ f``): the real half spectrum of the first axis, then the
+        second and the third axis, so the components arrive leading, and the
+        blocks are kept with the half spectrum on the first axis. Each
+        inverse stage contracts the last axis and puts the position first
+        (``f_inv @ x.reshape(-1, n).T``), in the reverse order, which returns
+        the nodal layout. Longer grids transform by ``rfftn``/``irfftn`` the
         component-first copy of ``r``, where each component is one
-        contiguous grid, with the half spectrum on the last axis.
+        contiguous grid, with the half spectrum on the last axis. A stage of
+        a stack is one ``np.matmul`` over the fields, which takes each field
+        by the BLAS call that a field alone takes, and the block product and
+        the FFTs act field by field, so each field keeps the bits of a call
+        on it alone.
         """
         n1, n2, n3 = self.dims
+        k = r.size // (3 * n1 * n2 * n3)
         pinv = self._half_layout(pinv, self._half)
         if self._dft is None:
-            rhat = np.fft.rfftn(np.ascontiguousarray(np.moveaxis(r.reshape(n1, n2, n3, 3), 3, 0)),
-                                axes=(1, 2, 3))
+            rhat = np.fft.rfftn(
+                np.ascontiguousarray(np.moveaxis(r.reshape(k, n1, n2, n3, 3), 4, 1)),
+                axes=(2, 3, 4))
         else:
             fwd, f2, f3, f2_inv, f3_inv, inv = self._dft
-            rhat = (r.reshape(n1, -1).T @ fwd).view(complex)  # (n2, n3, 3, h1)
-            rhat = rhat.reshape(n2, -1).T @ f2  # (n3, 3, h1, n2)
-            rhat = (rhat.reshape(n3, -1).T @ f3).reshape((3,) + pinv.shape[2:])
-        zhat = pinv[:, 0] * rhat[0]
-        zhat += pinv[:, 1] * rhat[1]
-        zhat += pinv[:, 2] * rhat[2]
+            rhat = np.matmul(r.reshape(k, n1, -1).transpose(0, 2, 1), fwd).view(complex)
+            rhat = np.matmul(rhat.reshape(k, n2, -1).transpose(0, 2, 1), f2)  # (n3, 3, h1, n2)
+            rhat = np.matmul(rhat.reshape(k, n3, -1).transpose(0, 2, 1), f3).reshape(
+                (k, 3) + pinv.shape[2:])
+        zhat = pinv[:, 0] * rhat[:, 0:1]
+        zhat += pinv[:, 1] * rhat[:, 1:2]
+        zhat += pinv[:, 2] * rhat[:, 2:3]
         if self._dft is None:
-            z = np.fft.irfftn(zhat, s=self.dims, axes=(1, 2, 3))
-            return np.ascontiguousarray(np.moveaxis(z, 0, 3)).reshape(r.shape)
-        z = f3_inv @ zhat.reshape(-1, n3).T  # (n3, 3, h1, n2)
-        z = f2_inv @ z.reshape(-1, n2).T  # (n2, n3, 3, h1)
-        return (inv @ z.reshape(-1, n1 // 2 + 1).view(float).T).reshape(r.shape)
+            z = np.fft.irfftn(zhat, s=self.dims, axes=(2, 3, 4))
+            return np.ascontiguousarray(np.moveaxis(z, 1, 4)).reshape(r.shape)
+        z = np.matmul(f3_inv, zhat.reshape(k, -1, n3).transpose(0, 2, 1))  # (n3, 3, h1, n2)
+        z = np.matmul(f2_inv, z.reshape(k, -1, n2).transpose(0, 2, 1))  # (n2, n3, 3, h1)
+        z = z.reshape(k, -1, n1 // 2 + 1).view(float).transpose(0, 2, 1)
+        return np.matmul(inv, z).reshape(r.shape)
 
     @cached_property
     def ref_dense(self) -> np.ndarray:
@@ -668,20 +706,25 @@ class Stencil:
         return np.take(rows, idx, axis=0).reshape(3 * nodes, -1)
 
     def ref_solve(self, r: np.ndarray) -> np.ndarray:
-        """Apply the reference inverse to a nodal field: by the dense matrix
-        where ``uses_ref_dense``, else by DFT blocks. The dense inverse also
-        takes a stack of fields along a leading axis, by one matrix-vector
-        product per field (one field is a stack of one); one product with
-        all the fields would be faster, but it rounds differently. The DFT
-        blocks take a stack of one."""
+        """Apply the reference inverse to a nodal field, or to each field of
+        a stack along a leading axis (one field is a stack of one): by the
+        dense matrix where ``uses_ref_dense``, one matrix-vector product per
+        field (one product with all the fields would be faster, but it
+        rounds differently), else by DFT blocks (``block_solve``)."""
         if self.uses_ref_dense:
             dense = self.ref_dense
             return np.matmul(dense, r.reshape(-1, len(dense), 1)).reshape(r.shape)
         return self.block_solve(self.ref_pinv, r)
 
     def precond_ext(self, x: np.ndarray) -> np.ndarray:
-        macro, phi = self.unpack(x)
-        return self.pack(self.cmean_inv @ macro / self.volume, self.ref_solve(phi))
+        """The preconditioner of ``k_ext``: ``cmean^-1 / V`` on the mean
+        strain and ``ref_solve`` on the fluctuation, of one packed vector or
+        of each row of a stack ``(k, 6 + 3N)``; the 6x6 product is taken
+        per row."""
+        xs = x.reshape(-1, x.shape[-1])
+        nodal = self.ref_solve(xs[:, 6:]).reshape(len(xs), -1)
+        means = [self.cmean_inv @ macro / self.volume for macro in xs[:, :6]]
+        return np.concatenate([means, nodal], axis=1).reshape(x.shape)
 
 
 def stencil_of(cell: VoxelCell) -> Stencil:

@@ -9,7 +9,7 @@ import numpy as np
 from . import mandel
 from .cell import VoxelCell, cell_average
 from .fem import stencil_of
-from .solvers import SolveParams, solve_strain_stack, solve_stress_driven, solve_stress_uzawa
+from .solvers import SolveParams, solve_strain_stack, solve_stress_stack, solve_stress_uzawa
 
 #: orthonormal Mandel basis: three unit normal strains, three normalized shears
 MANDEL_BASIS = np.eye(6)
@@ -126,11 +126,15 @@ def homogenize(cell: VoxelCell, params: SolveParams | None = None,
 def dual_consistency(cell: VoxelCell, result: HomogResult,
                      params: SolveParams | None = None) -> float:
     """Worst relative mismatch between mean strains of stress-driven solves
-    and the compliance applied to the same basis stresses."""
+    and the compliance applied to the same basis stresses.
+
+    The six basis stresses are one ``solve_stress_stack``, solved in
+    lockstep runs of at most ``fem.LOCKSTEP_MAX_DOF`` nodal unknowns. Each
+    column is bit for bit its ``solve_stress_driven``, so the result is
+    that of six such solves."""
     params = _column_tol(cell, params or SolveParams())
     mismatches = []
-    for load in MANDEL_BASIS:
-        w, _ = solve_stress_driven(cell, load, params)
+    for load, (w, _) in zip(MANDEL_BASIS, solve_stress_stack(cell, MANDEL_BASIS, params)):
         a_tensor = result.DH @ load
         mismatches.append(float(np.linalg.norm(w.macro - a_tensor) / np.linalg.norm(a_tensor)))
     return max(mismatches)

@@ -23,10 +23,12 @@ loop keeps no running ``K x``; the Uzawa route stops it on the duality gap
 through a hook, and its fixed step makes it preconditioned Richardson, each
 step the fixed length along the preconditioned residual. The loop iterates
 a stack of right-hand sides in lockstep, as independent CGs that share
-each operator and preconditioner call: ``solve_strain_stack``
-stacks several mean strains where the preconditioner is the dense inverse,
-each solved with the bits of its own solve, and every other route passes a
-stack of one.
+each operator and preconditioner call: ``solve_strain_stack`` stacks
+several mean strains where the preconditioner is the dense inverse, and
+``solve_stress_stack`` several mean stresses in runs of at most
+``fem.LOCKSTEP_MAX_DOF`` unknowns, each solved with the bits of its own
+solve; ``solve_strain_driven`` and ``solve_stress_driven`` are stacks of
+one, and the Uzawa route passes a stack of one.
 
 The preconditioner is the constant-coefficient operator built from the
 volume-averaged stiffness; being block-circulant on the periodic grid it is
@@ -64,7 +66,8 @@ import numpy as np
 
 from .cell import VoxelCell
 from .energies import MacroLoad
-from .fem import LinPerField, Stencil, project_zero_mean, stencil_of, sym_gradient
+from .fem import (LOCKSTEP_MAX_DOF, LinPerField, Stencil, project_zero_mean, stencil_of,
+                  sym_gradient)
 
 
 def _is_real(value) -> bool:
@@ -417,7 +420,6 @@ def solve_strain_stack(cell: VoxelCell, macro_strains, params: SolveParams | Non
             for a, sol, report in zip(strains, st._center(sols), reports)]
 
 
-@_quiet
 def solve_stress_driven(cell: VoxelCell, macro_stress, params: SolveParams | None = None):
     """Cell solution for a prescribed mean stress.
 
@@ -425,19 +427,43 @@ def solve_stress_driven(cell: VoxelCell, macro_stress, params: SolveParams | Non
     the prescribed mean stress exactly (a final 6x6 correction of the mean
     strain eliminates constraint drift) and equilibrium holds to ``tol``.
     """
+    return solve_stress_stack(cell, _macro_load(macro_stress, "macro stress")[None], params)[0]
+
+
+@_quiet
+def solve_stress_stack(cell: VoxelCell, macro_stresses, params: SolveParams | None = None):
+    """``solve_stress_driven`` of each mean stress of a stack (one per row).
+
+    The stresses are solved in lockstep runs of consecutive rows, each one
+    ``_pcg`` whose one ``k_ext`` and one ``precond_ext`` call per iteration
+    serve all its columns: as few runs, of sizes differing by at most one,
+    as keep each within ``fem.LOCKSTEP_MAX_DOF`` nodal unknowns, and runs
+    of one column where a single column exceeds that.
+
+    Returns a list of ``(w, report)``, each bit for bit what
+    ``solve_stress_driven`` returns for its stress. When columns fail to
+    converge, raises the ``NotConverged`` of the one of lowest index, which
+    a solve of one column after another would have raised first.
+    """
     params = params or SolveParams()
-    s_target = _macro_load(macro_stress, "macro stress")
+    stresses = _macro_load(macro_stresses, "macro stresses", ndim=2)
     st = stencil_of(cell)
-    b = st.pack(st.volume * s_target, np.zeros(cell.dims + (3,)))
-    sol, report = _pcg_one(st.k_ext, st.precond_ext, b, params.tol, params.max_iter)
-    w = _readout(cell, st, sol, s_target - st.k_ext(sol)[:6] / st.volume)
-    x = st.pack(w.macro, w.periodic)
-    report.final_energy = (0.5 * float(x @ st.k_ext(x))
-                           - st.volume * float(s_target @ w.macro))
-    report.operator_applications += 2  # the mean-stress correction and energy
-    if not report.converged:
-        raise _not_converged("stress-driven", report)
-    return w, report
+    per_run = max(1, LOCKSTEP_MAX_DOF // (3 * cell.n_voxels))
+    out = []
+    for run in np.array_split(stresses, max(1, -(-len(stresses) // per_run))):
+        b = np.zeros((len(run), 6 + 3 * cell.n_voxels))
+        b[:, :6] = st.volume * run
+        sols, reports = _pcg(st.k_ext, st.precond_ext, b, params.tol, params.max_iter)
+        for s_target, sol, report in zip(run, sols, reports):
+            w = _readout(cell, st, sol, s_target - st.k_ext(sol)[:6] / st.volume)
+            x = st.pack(w.macro, w.periodic)
+            report.final_energy = (0.5 * float(x @ st.k_ext(x))
+                                   - st.volume * float(s_target @ w.macro))
+            report.operator_applications += 2  # the mean-stress correction and energy
+            if not report.converged:
+                raise _not_converged("stress-driven", report)
+            out.append((w, report))
+    return out
 
 
 def _readout(cell: VoxelCell, st: Stencil, x: np.ndarray, misfit: np.ndarray) -> LinPerField:

@@ -229,8 +229,10 @@ def test_run_non_finite_config_is_input_error(tmp_path, capsys, extra, key):
 
 
 def _count_stress_solves(monkeypatch):
-    """Lists that record each stress-driven and each Uzawa solve, whatever
-    module calls it."""
+    """Lists that record the arguments of each stress-driven and each Uzawa
+    solve, whatever module calls it. Every stress-driven solve goes through
+    ``solve_stress_stack`` (``solve_stress_driven`` is a stack of one), so
+    each column of a stack call is one stress-driven solve."""
     import importlib
 
     import cellhom.checks as checks
@@ -240,16 +242,17 @@ def _count_stress_solves(monkeypatch):
     # the package's homogenize attribute is the function, not the module
     homogenize = importlib.import_module("cellhom.homogenize")
     counts = {}
-    for name in ("solve_stress_driven", "solve_stress_uzawa"):
+    for name in ("solve_stress_stack", "solve_stress_uzawa"):
         calls = counts[name] = []
 
-        def counting(*args, _solve=getattr(solvers, name), _calls=calls, **kwargs):
-            _calls.append(args)
+        def counting(*args, _solve=getattr(solvers, name), _calls=calls, _name=name, **kwargs):
+            _calls.extend([(args[0], s, *args[2:]) for s in args[1]]
+                          if _name == "solve_stress_stack" else [args])
             return _solve(*args, **kwargs)
 
         for module in (solvers, cli, checks, homogenize):
             monkeypatch.setattr(module, name, counting, raising=False)
-    return counts["solve_stress_driven"], counts["solve_stress_uzawa"]
+    return counts["solve_stress_stack"], counts["solve_stress_uzawa"]
 
 
 def test_run_homogenize_solves_each_probe_once(tmp_path, monkeypatch):

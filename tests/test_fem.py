@@ -432,32 +432,44 @@ LOCKSTEP_CELLS = {
 }
 
 
-@pytest.mark.parametrize("name", [*sorted(LOCKSTEP_CELLS), "two-phase-8x8x8"])
+#: past the dense cap: the reference inverse of the 8^3 cell goes through
+#: DFT matrices, those of the cells longer than ``DFT_MATRIX_MAX_SIDE``
+#: through ``rfftn``
+STACK_CELLS = {
+    **LOCKSTEP_CELLS,
+    "two-phase-8x8x8": lambda: random_two_phase_cell(dims=(8, 8, 8), seed=5),
+    "two-phase-50x2x2": lambda: random_two_phase_cell(dims=(50, 2, 2), seed=3),
+    "two-phase-49x3x4": lambda: random_two_phase_cell(dims=(49, 3, 4), seed=4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACK_CELLS))
 def test_stacked_kernels_equal_single_field_calls(name):
-    # k_phi and ref_solve on a stack of six fields give, field by field, the
-    # bits of six calls on one field, and a stack of one those of its field;
-    # the 8^3 cell is past the dense cap, where the solves pass stacks of one
-    if name in LOCKSTEP_CELLS:
-        cell = LOCKSTEP_CELLS[name]()
-        assert 3 * cell.n_voxels <= DENSE_REF_MAX_DOF
-    else:
-        cell = random_two_phase_cell(dims=(8, 8, 8), seed=5)
+    # k_phi, ref_solve, k_ext and precond_ext on a stack of six give, field
+    # by field, the bits of six calls on one field, and a stack of one those
+    # of its field, by the dense inverse, the DFT matrices and rfftn alike
+    cell = STACK_CELLS[name]()
     st = stencil_of(cell)
     assert st.uses_ref_dense == (name in LOCKSTEP_CELLS)
-    fields = np.random.default_rng(32).standard_normal((6,) + cell.dims + (3,))
-    for kernel in (st.k_phi, st.ref_solve):
-        np.testing.assert_array_equal(kernel(fields[:1])[0], kernel(fields[0]))
-        if st.uses_ref_dense:
-            stacked = kernel(fields)
-            assert stacked.shape == fields.shape
-            for field, got in zip(fields, stacked):
-                np.testing.assert_array_equal(got, kernel(field))
+    assert (max(cell.dims) > DFT_MATRIX_MAX_SIDE) == (
+        name in ("two-phase-50x2x2", "two-phase-49x3x4"))
+    rng = np.random.default_rng(32)
+    fields = rng.standard_normal((6,) + cell.dims + (3,))
+    packed = rng.standard_normal((6, 6 + fields[0].size))
+    for kernel, xs in ((st.k_phi, fields), (st.ref_solve, fields),
+                       (st.k_ext, packed), (st.precond_ext, packed)):
+        np.testing.assert_array_equal(kernel(xs[:1])[0], kernel(xs[0]))
+        stacked = kernel(xs)
+        assert stacked.shape == xs.shape
+        for x, got in zip(xs, stacked):
+            np.testing.assert_array_equal(got, kernel(x))
 
 
 def test_stacked_tables_are_kept_per_thread_without_a_cycle():
     # the stacked tables live with the work arrays, so a stack applied again
-    # builds nothing, and with the cyclic collector off the core still dies
-    # with its cell
+    # builds nothing; of the stacks of several fields only the last size
+    # stays, beside the single field's tables; another thread keeps its own;
+    # and with the cyclic collector off the core still dies with its cell
     cell = random_two_phase_cell()
     st = stencil_of(cell)
     fields = np.random.default_rng(34).standard_normal((6,) + cell.dims + (3,))
@@ -465,6 +477,12 @@ def test_stacked_tables_are_kept_per_thread_without_a_cycle():
     tables = st._stack(6)
     np.testing.assert_array_equal(st.k_phi(fields), first)
     assert st._stack(6) is tables
+    st.k_phi(fields[0])
+    st.k_phi(fields[:3])
+    assert sorted(st._tls.stacks) == [1, 3]
+    with ThreadPoolExecutor(1) as pool:
+        assert pool.submit(st._stack, 3).result() is not st._stack(3)
+    tables = st._stack(6)
     gc.disable()
     try:
         ch.homogenize(cell)

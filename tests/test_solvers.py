@@ -1,16 +1,19 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 import cellhom as ch
+from cellhom import fem, solvers
 from cellhom.checks import PROBE_STRAIN
 from cellhom.energies import MacroLoad, displacement_potential
 from cellhom.fem import LinPerField, quad_norm, stencil_of
+from cellhom.homogenize import MANDEL_BASIS, _column_tol
 from cellhom.mandel import SQRT2
-from cellhom.microstructures import homogeneous_cell, random_two_phase_cell
+from cellhom.microstructures import homogeneous_cell, laminate_cell, random_two_phase_cell
 from cellhom.solvers import (NotConverged, SolveParams, Stencil, StepTooLarge, _pcg,
-                             solve_strain_stack)
+                             solve_strain_stack, solve_stress_stack)
 from test_fem import GAP_CELLS
 
 
@@ -252,6 +255,95 @@ def test_stress_driven_zero_load():
     assert rep.converged
 
 
+#: stress stacks on each way of applying the reference inverse: the dense
+#: matrix (fixture d), DFT matrices (8^3) and rfftn (50x2x2)
+STRESS_STACK_CELLS = {
+    "fixture-d": random_two_phase_cell,
+    "two-phase-8x8x8": lambda: random_two_phase_cell(dims=(8, 8, 8), seed=7),
+    "two-phase-50x2x2": lambda: random_two_phase_cell(dims=(50, 2, 2), seed=3),
+}
+
+
+@pytest.mark.parametrize("per_run, runs", [(None, [7]), (3, [3, 2, 2]), (1, [1] * 7)],
+                         ids=["one-run", "runs-of-3", "runs-of-1"])
+@pytest.mark.parametrize("name", sorted(STRESS_STACK_CELLS))
+def test_stress_stack_columns_equal_stress_driven_solves(name, per_run, runs, monkeypatch):
+    # each column of the stack returns bit for bit what solve_stress_driven
+    # returns for its stress, whether the seven stresses are one lockstep
+    # run or, with a lower fem.LOCKSTEP_MAX_DOF, runs of at most three or of
+    # one column; and dual_consistency, one stack of the Mandel basis, takes
+    # the value of six solve_stress_driven calls
+    cell = STRESS_STACK_CELLS[name]()
+    assert 7 * 3 * cell.n_voxels <= fem.LOCKSTEP_MAX_DOF
+    loads = np.vstack([MANDEL_BASIS, [0.3, -0.1, 0.2, 0.25, -0.15, 0.1]])
+    alone = [ch.solve_stress_driven(cell, s) for s in loads]
+    if per_run is not None:
+        monkeypatch.setattr(solvers, "LOCKSTEP_MAX_DOF", per_run * 3 * cell.n_voxels)
+    seen = []
+
+    def pcg(op, m_inv, b, *args, **kwargs):
+        seen.append(len(b))
+        return _pcg(op, m_inv, b, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_pcg", pcg)
+    stacked = solve_stress_stack(cell, loads)
+    assert seen == runs
+    for (w, rep), (w_one, rep_one) in zip(stacked, alone, strict=True):
+        assert w.macro.tobytes() == w_one.macro.tobytes()
+        assert w.periodic.tobytes() == w_one.periodic.tobytes()
+        assert dataclasses.asdict(rep) == dataclasses.asdict(rep_one)
+    result = ch.homogenize(cell)
+    params = _column_tol(cell, SolveParams())
+    mismatches = []
+    for s in MANDEL_BASIS:
+        w, _ = ch.solve_stress_driven(cell, s, params)
+        a_tensor = result.DH @ s
+        mismatches.append(float(np.linalg.norm(w.macro - a_tensor) / np.linalg.norm(a_tensor)))
+    assert ch.dual_consistency(cell, result) == max(mismatches)
+
+
+@pytest.mark.parametrize("make, order, column", [
+    (random_two_phase_cell, [0, 1, 2, 3, 4, 5], 0),
+    (laminate_cell, [1, 3, 4, 0, 5], 2),
+], ids=["fixture-d", "fixture-b"])
+@pytest.mark.parametrize("per_run", [None, 2, 1], ids=["one-run", "runs-of-2", "runs-of-1"])
+def test_stress_stack_raises_the_lowest_failing_column(make, order, column, per_run, monkeypatch):
+    # with one iteration every column of fixture d fails; of fixture b's
+    # reordered stack the first two need one iteration and the third two:
+    # the stack raises what a solve of that column alone raises, whether it
+    # is one lockstep run or runs of two or of one column
+    cell = make()
+    params = SolveParams(max_iter=1)
+    loads = MANDEL_BASIS[order]
+    if per_run is not None:
+        monkeypatch.setattr(solvers, "LOCKSTEP_MAX_DOF", per_run * 3 * cell.n_voxels)
+    with pytest.raises(NotConverged) as stacked:
+        solve_stress_stack(cell, loads, params)
+    for s in loads[:column]:
+        assert ch.solve_stress_driven(cell, s, params)[1].converged
+    with pytest.raises(NotConverged) as alone:
+        ch.solve_stress_driven(cell, loads[column], params)
+    assert str(stacked.value) == str(alone.value)
+    assert dataclasses.asdict(stacked.value.report) == dataclasses.asdict(alone.value.report)
+
+
+@pytest.mark.parametrize("make", [homogeneous_cell, random_two_phase_cell],
+                         ids=["fixture-a", "fixture-d"])
+def test_stress_stack_zero_loads_raise_no_warning(make):
+    # zero rows stop at x = 0 while the others iterate, with no division by
+    # their zero norms; a stack of zeros only needs no iteration at all
+    cell = make()
+    loads = MANDEL_BASIS.copy()
+    loads[[1, 4]] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mixed = solve_stress_stack(cell, loads)
+        zeros = solve_stress_stack(cell, np.zeros((6, 6)))
+    assert [rep.iterations == 0 for _, rep in mixed] == [False, True, False, False, True, False]
+    assert all(rep.converged for _, rep in mixed + zeros)
+    assert all(rep.iterations == 0 and not w.periodic.any() for w, rep in zeros)
+
+
 def test_stress_driven_exact_mean_constraint(cell_d, probe_solution_d):
     w, s = probe_solution_d["w"], probe_solution_d["S"]
     st = Stencil(cell_d)
@@ -477,6 +569,7 @@ ROUTES = {
     "strain-driven": lambda cell, v, p=None: ch.solve_strain_driven(cell, v, p),
     "strain-stack": lambda cell, v, p=None: solve_strain_stack(cell, [v, v], p)[0],
     "stress-driven": lambda cell, v, p=None: ch.solve_stress_driven(cell, v, p),
+    "stress-stack": lambda cell, v, p=None: solve_stress_stack(cell, [v, v], p)[0],
     "uzawa": lambda cell, v, p=None: ch.solve_stress_uzawa(cell, v, p),
     "uzawa-fixed": lambda cell, v, p=None: ch.solve_stress_uzawa(
         cell, v, SolveParams(uzawa_step=0.8)),
@@ -489,7 +582,7 @@ ROUTES = {
 @pytest.mark.parametrize("bad", [[np.nan] * 6, [1.0, 0, 0, 0, 0, np.inf], [1.0] * 5,
                                  [[1.0] * 6]])
 def test_every_route_rejects_a_load_that_is_not_six_finite_reals(cell_d, route, bad):
-    with pytest.raises(ValueError, match="macro (strain|stress)s? must be .*6 finite reals"):
+    with pytest.raises(ValueError, match="macro (strains?|stress(es)?) must be .*6 finite reals"):
         ROUTES[route](cell_d, bad)
 
 
@@ -501,6 +594,8 @@ def test_a_load_that_is_not_numbers_is_named_too(cell_d):
     for bad in ([1.0] * 6, [[1.0] * 6, [np.nan] * 6]):
         with pytest.raises(ValueError, match="macro strains must be rows of 6 finite reals"):
             solve_strain_stack(cell_d, bad)
+        with pytest.raises(ValueError, match="macro stresses must be rows of 6 finite reals"):
+            solve_stress_stack(cell_d, bad)
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
