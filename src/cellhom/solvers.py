@@ -28,7 +28,11 @@ several mean strains where the preconditioner is the dense inverse, and
 ``solve_stress_stack`` several mean stresses in runs of at most
 ``fem.LOCKSTEP_MAX_DOF`` unknowns, each solved with the bits of its own
 solve; ``solve_strain_driven`` and ``solve_stress_driven`` are stacks of
-one, and the Uzawa route passes a stack of one.
+one, and the Uzawa route passes a stack of one. The strain-driven solves
+stop on the relative residual ``tol``, or, given ``energy_tol`` (as
+``homogenize`` gives it), on the Gauss-Radau bound of each column's CG
+error in the energy norm, read off the CG scalars with the lower phase
+bound of ``Stencil.phase_bounds``.
 
 The preconditioner is the constant-coefficient operator built from the
 volume-averaged stiffness; being block-circulant on the periodic grid it is
@@ -127,7 +131,12 @@ class SolveReport:
     ``operator_applications`` counts the solve's ``k_phi``/``k_ext`` calls
     and its mean-strain load (``mean_strain_load``), and
     ``preconditioner_applications`` its ``ref_solve``/``precond_ext`` calls,
-    set-up and final correction included; all counts are ``int``."""
+    set-up and final correction included; all counts are ``int``.
+    ``bound_history`` holds the Gauss-Radau bound on ``|x* - x_k|_K^2`` of
+    each iterate of a solve stopped on that bound (``energy_tol``), and is
+    empty for the others. ``error_bound`` is ``homogenize``'s certificate of
+    a displacement or strain column, a bound on its energy error per volume
+    computed from the column's own residual, and None elsewhere."""
 
     iterations: int
     residual_history: list
@@ -138,6 +147,8 @@ class SolveReport:
     stop_reason: str = "converged"
     operator_applications: int = 0
     preconditioner_applications: int = 0
+    bound_history: list = field(default_factory=list)
+    error_bound: float | None = None
 
 
 #: smallest normal float: a nonzero right-hand side whose squared norm is
@@ -167,7 +178,7 @@ def _ratio_going(num, den, going):
     return np.divide(num, den, out=np.zeros(np.shape(num)), where=going)
 
 
-def _pcg(op, m_inv, b, tol, max_iter, energy_offsets=None, hook=None, rho=None):
+def _pcg(op, m_inv, b, tol, max_iter, energy_offsets=None, hook=None, rho=None, mu=None):
     """Textbook preconditioned CG from ``x = 0``, run on each right-hand
     side ``b[i]`` of a stack along the leading axis of ``b``.
 
@@ -211,6 +222,20 @@ def _pcg(op, m_inv, b, tol, max_iter, energy_offsets=None, hook=None, rho=None):
     (beta 0) with ``alpha = rho``, and lowers the energy by ``alpha (r.z -
     alpha p.Kp / 2)``; at CG's alpha that is ``alpha r.z / 2``, the formula
     CG keeps.
+
+    A lower bound ``mu > 0`` on the spectrum of ``m_inv op`` makes every
+    column stop on the Gauss-Radau bound of its CG error (Golub & Meurant,
+    BIT 37, 1997; Meurant & Tichy, Numer. Algorithms 82, 2019) in place of
+    the residual test: with ``rho_k = r_k.z_k`` and CG's ``alpha_k``,
+
+        g_0 = 1 / mu,  g_{k+1} = (g_k - alpha_k) / (mu (g_k - alpha_k) + rho_{k+1} / rho_k),
+
+    ``|x* - x_k|_K^2 <= g_k rho_k``, read off the CG scalars with no
+    further application. A column stops once that bound is at most ``tol``
+    times twice its energy, which must then be the energy of a minimum
+    principle and so positive; it records the bound of every iterate in
+    ``bound_history``. The test needs ``z`` at every iterate, the last one
+    included, as a hook does.
     """
     k = len(b)
     if k == 1:
@@ -251,24 +276,43 @@ def _pcg(op, m_inv, b, tol, max_iter, energy_offsets=None, hook=None, rho=None):
     going, stop = finite & (bb >= _TINY), finite ^ tiny
     res = (going | tiny) + 0.0 * bnorm  # |r| / |b|: 1, 0, or NaN where |b| is not finite
     broke = going & False
-    history, energies = [res], [energy]
+    went, live = going, count(going)
+    # the Gauss-Radau bound: 0 for a zero load, which x = 0 solves, and NaN,
+    # which fails the stop test, for a load that is not iterated on
+    gamma = None if mu is None else 1.0 / mu
+    bound = np.where(res == 0.0, 0.0, math.nan)
+    history, energies, bounds = [res], [energy], [bound]
     steps = []  # which columns took each step; those going took every one
     p = None
     while True:
-        if hook is None:
+        rz_new = None
+        if hook is not None:
+            if going:
+                z = m_inv(r)
+                stop = hook(x[0], r[0], z[0], energy)
+                going = stop is not None and not stop
+        elif mu is None:
             # the residual test needs no z, so a converged solve spends no
             # m_inv on it; "not >" stops on a NaN residual too, unconverged
             z, going = None, going & (res > tol)
-        elif going:
+        elif live:
             z = m_inv(r)
-            stop = hook(x[0], r[0], z[0], energy)
-            going = stop is not None and not stop
+            rz_new = dots(r, z)
+            if p is not None:
+                g = gamma - alpha
+                gamma = g / (mu * g + rz_new / rz) if live == k else _ratio_going(
+                    g, mu * g + _ratio_going(rz_new, rz, going), going)
+            bound = gamma * rz_new if live == k else np.where(going, gamma * rz_new, bound)
+            # "not >" stops on a NaN bound too, unconverged
+            going = going & (bound > 2.0 * tol * energy)
+            bounds[-1] = bound
         live = count(going)
         if not live or len(steps) >= max_iter:
             break
         if z is None:
             z = m_inv(r)
-        rz_new = dots(r, z)
+        if rz_new is None:
+            rz_new = dots(r, z)
         if p is None or rho is not None:
             p = z
         else:
@@ -298,22 +342,29 @@ def _pcg(op, m_inv, b, tol, max_iter, energy_offsets=None, hook=None, rho=None):
             energy = energy - alpha * (rz - 0.5 * alpha * pkp)
         history.append(res)
         energies.append(energy)
+        bounds.append(bound)  # the next stop test puts the new iterate's in its place
     its = sum(steps, going * 0)
-    columns = zip(*np.reshape([its, broke], (2, k)).tolist(),
-                  *np.reshape([history, energies], (2, -1, k)).transpose(0, 2, 1).tolist())
+    columns = zip(*np.reshape([its, broke, went], (3, k)).tolist(), *np.reshape(
+        [history, energies, bounds], (3, -1, k)).transpose(0, 2, 1).tolist())
     reports = []
-    for n_it, broken, hist, ens in columns:
-        hist, ens = hist[:n_it + 1], ens[:n_it + 1]
-        converged = bool(stop) if hook is not None else hist[-1] <= tol
+    for n_it, broken, n_first, hist, ens, bnds in columns:
+        hist, ens, bnds = hist[:n_it + 1], ens[:n_it + 1], bnds[:n_it + 1]
+        if hook is not None:
+            converged = bool(stop)
+        elif mu is not None:
+            converged = bnds[-1] <= 2.0 * tol * ens[-1]
+        else:
+            converged = hist[-1] <= tol
         # each step applies op and m_inv once, a breakdown op once more, and
-        # with a hook m_inv also serves the last stop test
+        # with a hook or the bound m_inv also serves the last stop test
         n_op = n_it + broken
         reports.append(SolveReport(
             n_it, hist, ens[-1], converged, energy_history=ens,
             stop_reason="converged" if converged else "budget" if n_it == max_iter
             else "breakdown",
             operator_applications=n_op,
-            preconditioner_applications=n_op if hook is None else n_it + (_TINY <= bb < math.inf)))
+            preconditioner_applications=n_op if hook is None and mu is None else n_it + n_first,
+            bound_history=bnds if mu is not None else []))
     return x, reports
 
 
@@ -372,26 +423,37 @@ def _quiet(solve):
 # solver entry points
 
 
-def solve_strain_driven(cell: VoxelCell, macro_strain, params: SolveParams | None = None):
+def solve_strain_driven(cell: VoxelCell, macro_strain, params: SolveParams | None = None, *,
+                        energy_tol: float | None = None):
     """Cell solution for a prescribed mean strain.
 
     Returns ``(u, report)`` where ``u.macro`` is the given strain and
     ``u.periodic`` the zero-mean fluctuation; at convergence the nodal
     residual of the equilibrium equations is below ``tol`` relative to the
     load produced by the mean strain.
+
+    With ``energy_tol`` the solve stops instead on the Gauss-Radau bound of
+    its energy error (``_pcg``'s ``mu``, the lower phase bound
+    ``Stencil.phase_bounds[0]``, as ``lam K0 <= K``): at convergence
+    ``|u* - u|_K^2 <= energy_tol * 2 E``, where ``E = 1/2 x.K_ext x`` is
+    the cell energy of the iterate, which ``report.bound_history`` ends
+    with.
     """
-    return solve_strain_stack(cell, _macro_load(macro_strain, "macro strain")[None], params)[0]
+    return solve_strain_stack(cell, _macro_load(macro_strain, "macro strain")[None], params,
+                              energy_tol=energy_tol)[0]
 
 
 @_quiet
-def solve_strain_stack(cell: VoxelCell, macro_strains, params: SolveParams | None = None):
-    """``solve_strain_driven`` of each mean strain of a stack (one per row).
+def solve_strain_stack(cell: VoxelCell, macro_strains, params: SolveParams | None = None, *,
+                       energy_tol: float | None = None):
+    """``solve_strain_driven`` of each mean strain of a stack (one per row),
+    with the same ``energy_tol``.
 
     Where ``ref_solve`` applies the dense inverse
     (``Stencil.uses_ref_dense``), the strains are solved in lockstep: one
     ``_pcg`` over the stack, so that one ``k_phi`` and one ``ref_solve``
     call per iteration serve all the columns. On larger grids, where a
-    stack no longer pays, each strain is one ``solve_strain_driven``.
+    stack no longer pays, each strain is one ``solve_strain_driven`` call.
 
     Returns a list of ``(u, report)``, each bit for bit what
     ``solve_strain_driven`` returns for its strain. When columns fail to
@@ -402,7 +464,7 @@ def solve_strain_stack(cell: VoxelCell, macro_strains, params: SolveParams | Non
     strains = _macro_load(macro_strains, "macro strains", ndim=2)
     st = stencil_of(cell)
     if len(strains) > 1 and not st.uses_ref_dense:
-        return [solve_strain_driven(cell, a, params) for a in strains]
+        return [solve_strain_driven(cell, a, params, energy_tol=energy_tol) for a in strains]
     # the stiffness of (a, 0) gives the load of the mean strain and its energy
     b = np.empty((len(strains),) + cell.dims + (3,))
     offsets = []
@@ -410,8 +472,14 @@ def solve_strain_stack(cell: VoxelCell, macro_strains, params: SolveParams | Non
         mean, load = st.mean_strain_load(a)
         np.negative(load, out=b_a)
         offsets.append(0.5 * float(a @ mean))
-    sols, reports = _pcg(st.k_phi, st.ref_solve, b, params.tol, params.max_iter,
-                         energy_offsets=offsets)
+    if energy_tol is None:
+        tol, mu = params.tol, None
+    elif _is_real(energy_tol) and 0.0 < energy_tol < math.inf:
+        tol, mu = float(energy_tol), st.phase_bounds[0]
+    else:
+        raise ValueError("energy_tol must be a positive finite real")
+    sols, reports = _pcg(st.k_phi, st.ref_solve, b, tol, params.max_iter,
+                         energy_offsets=offsets, mu=mu)
     for report in reports:
         report.operator_applications += 1  # the load
         if not report.converged:

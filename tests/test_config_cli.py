@@ -449,11 +449,12 @@ def test_byte_identical_reruns(tmp_path):
 
 
 def test_run_exit3_on_check_failure(tmp_path, monkeypatch):
-    # force the energy-consistency threshold to an unreachable value so the
+    # force the energy-consistency limit to an unreachable value so the
     # check-failure exit path is exercised without a synthetic solver bug
-    import cellhom.cli as cli
+    import importlib
 
-    monkeypatch.setattr(cli, "ENERGY_CHECK_LIMIT", -1.0)
+    hz = importlib.import_module("cellhom.homogenize")
+    monkeypatch.setattr(hz, "ENERGY_CHECK_ROUNDING", -1.0)
     cfg = _write_inputs(tmp_path, random_two_phase_cell(), "task = homogenize\n")
     assert main([str(cfg), "--quiet"]) == 3
     report = json.loads((tmp_path / "out" / "report.json").read_text())
@@ -517,7 +518,9 @@ def test_report_records_stop_reason(tmp_path):
 
 def test_report_records_application_counts(tmp_path):
     # a homogenization column applies the operator once for its load and
-    # once per iteration, the preconditioner once per iteration
+    # once per iteration, the preconditioner once per iterate, the last one
+    # included, whose Gauss-Radau stop test reads r.z; each column row
+    # carries its certified error bound, and no other row has one
     cfg = _write_inputs(tmp_path, random_two_phase_cell(), "task = homogenize\n")
     assert main([str(cfg), "--quiet"]) == 0
     solves = json.loads((tmp_path / "out" / "report.json").read_text())["solves"]
@@ -525,7 +528,9 @@ def test_report_records_application_counts(tmp_path):
     assert len(columns) == 6
     for s in columns:
         assert s["operator_applications"] == s["iterations"] + 1
-        assert s["preconditioner_applications"] == s["iterations"]
+        assert s["preconditioner_applications"] == s["iterations"] + 1
+        assert 0.0 < s["error_bound"] < 1e-12
+    assert all("error_bound" not in s for s in solves if s not in columns)
 
 
 HUGE_MACRO = "macro_value = 1e308 1e308 1e308 0 0 0\n"

@@ -8,7 +8,7 @@ import cellhom as ch
 from cellhom import fem
 from cellhom.cell import Lattice, VoxelCell
 from cellhom.fem import stencil_of
-from cellhom.homogenize import MANDEL_BASIS, _column_tol
+from cellhom.homogenize import CERTIFICATE_LIMIT, ENERGY_TOL_CEIL, MANDEL_BASIS
 from cellhom.microstructures import (
     cubic_inclusion_cell,
     homogeneous_cell,
@@ -17,7 +17,7 @@ from cellhom.microstructures import (
     random_spd_tensor,
     random_two_phase_cell,
 )
-from cellhom.solvers import NotConverged, SolveParams
+from cellhom.solvers import NotConverged, SolveParams, solve_strain_stack
 from test_fem import LOCKSTEP_CELLS, _three_phase_sheared_cell
 
 
@@ -73,15 +73,111 @@ def test_reports_and_energy_check(homog_d):
     assert homog_d.energy_check.max() <= 1e-8 * np.linalg.norm(homog_d.CH)
 
 
+def _energy_columns(cell, params, **stop):
+    """The six packed column solutions of ``homogenize``'s solve and their
+    energy matrix ``G_ij = x_j . Kx_i / V``."""
+    st = stencil_of(cell)
+    xs = [st.pack(u.macro, u.periodic)
+          for u, _ in solve_strain_stack(cell, MANDEL_BASIS, params, **stop)]
+    return xs, np.array([[xj @ kx for xj in xs] for kx in map(st.k_ext, xs)]) / cell.volume
+
+
+def _reference_ch(cell):
+    """CH read off the energy matrix of columns solved to the residual 1e-14."""
+    g = _energy_columns(cell, SolveParams(tol=1e-14))[1]
+    return 0.5 * (g + g.T)
+
+
 @pytest.mark.parametrize("seed", [5, 6, 9])
 def test_high_contrast_cells_pass_the_symmetry_gate(seed):
-    # at contrast 1000 the column tolerance tightens with the phase-contrast
-    # bound, so the asymmetry gate sees assembly, not leftover iteration error
+    # at contrast 1000 each column stops on its Gauss-Radau bound: the
+    # certificate from its own residual keeps 10x headroom on its gate, CH
+    # is within 1e-12 of columns solved to the residual 1e-14, and the energy
+    # check, first order in the error by design (about 1e-8 |CH| here),
+    # stays within its certified limit
     cell = random_two_phase_cell((6, 6, 6), seed, (1.0, 1.0), (1000.0, 1000.0), 0.1)
     res = ch.homogenize(cell)
-    assert res.energy_check.max() <= 1e-10 * np.linalg.norm(res.CH)
+    norm = np.linalg.norm(res.CH)
+    assert max(r.error_bound for r in res.per_column_reports) <= 0.1 * CERTIFICATE_LIMIT * norm
+    assert (res.energy_check <= res.energy_check_limit).all()
+    ref = _reference_ch(cell)
+    assert np.linalg.norm(res.CH - ref) <= 1e-12 * np.linalg.norm(ref)
     lam, lam_max = stencil_of(cell).phase_bounds
     assert lam_max / lam == pytest.approx(1000.0, rel=1e-12)
+
+
+def _admissible_lower_bound(cell, xs):
+    """``CH_lo = S H^-1 S^T`` of the stresses ``C e(x_i)`` made admissible by
+    the correction stress of their residual, with ``S`` their means and
+    ``H_ij = integral D sigma_i . sigma_j / V`` (the complementary energy
+    principle)."""
+    st = stencil_of(cell)
+    sigmas = []
+    for x in xs:
+        sig = st.stress(st.strain_ext(x))
+        sigmas.append(sig + st.correction(np.zeros(6), st.ref_solve(st.divadj(sig))))
+    means = np.column_stack([ch.cell_average(cell, sig) for sig in sigmas])
+    h = np.array([[np.vdot(st.compliance_stress(si), st.w * sj) for sj in sigmas]
+                  for si in sigmas]) / cell.volume
+    return means @ np.linalg.solve(h, means.T)
+
+
+@pytest.mark.parametrize("make", [laminate_cell, cubic_inclusion_cell, random_two_phase_cell,
+                                  lambda: random_two_phase_cell((6, 6, 6), 5, (1.0, 1.0),
+                                                                (1000.0, 1000.0), 0.1)],
+                         ids=["fixture-b", "fixture-c", "fixture-d", "contrast-1000-6x6x6"])
+def test_admissible_stresses_bracket_ch(make):
+    # the paper's bracket CH_lo <= CH <= G (Loewner order) at the certified
+    # stop, to rounding, with CH taken from columns solved to the residual
+    # 1e-14, and a width of at most 1e-12 |CH|; without the correction the
+    # stresses are not admissible and the lower side fails by 4e-10 to 5e-8
+    # |CH| on fixtures c, d and the contrast cell
+    cell = make()
+    res = ch.homogenize(cell)
+    xs = _energy_columns(cell, SolveParams(), energy_tol=ENERGY_TOL_CEIL)[0]
+    low = _admissible_lower_bound(cell, xs)
+    ref = _reference_ch(cell)
+    norm = np.linalg.norm(ref)
+    for upper, lower in ((ref, low), (res.CH, ref)):
+        d = upper - lower
+        assert np.linalg.eigvalsh(0.5 * (d + d.T))[0] >= -1e-14 * norm
+    assert np.linalg.norm(res.CH - low) <= 1e-12 * norm
+
+
+#: cells of the corruption sweep: one under the dense cap, one at it, one past it
+SWEEP_CELLS = {
+    "fixture-c": cubic_inclusion_cell,
+    "fixture-d": random_two_phase_cell,
+    "two-phase-8x8x8": lambda: random_two_phase_cell((8, 8, 8), 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CELLS))
+def test_certificate_lets_no_corruption_move_ch(name, monkeypatch):
+    # the perturbation of test_homogenize_rejects_asymmetric_assembly, at
+    # amplitudes 1e-3 to 1e-10 on column 0 or 3: the certificate rejects the
+    # large ones, and one that it lets through moves CH by at most 1e-11 |CH|
+    # (the mean-stress asymmetry gate it replaces let shifts of 4.7e-10 through)
+    import copy
+    import importlib
+
+    hz = importlib.import_module("cellhom.homogenize")
+    cell = SWEEP_CELLS[name]()
+    solved = hz.solve_strain_stack(cell, MANDEL_BASIS, SolveParams(), energy_tol=ENERGY_TOL_CEIL)
+    clean = ch.homogenize(cell).CH
+    for column in (0, 3):
+        for amplitude in 10.0 ** -np.arange(3, 11):
+            u = copy.copy(solved[column][0])
+            u.periodic = u.periodic + amplitude * np.sin(
+                np.arange(u.periodic.size).reshape(u.periodic.shape))
+            crooked = solved[:column] + [(u, solved[column][1])] + solved[column + 1:]
+            monkeypatch.setattr(hz, "solve_strain_stack", lambda *a, **kw: crooked)
+            try:
+                shift = np.linalg.norm(ch.homogenize(cell).CH - clean)
+            except ch.AsymmetricResult:
+                continue
+            assert amplitude < 1e-5
+            assert shift <= 1e-11 * np.linalg.norm(clean)
 
 
 def test_linearity_of_cell_solutions(cell_d):
@@ -151,49 +247,57 @@ def test_homogenize_rejects_asymmetric_assembly(cell_d, monkeypatch):
 #: per-column iteration counts of the lockstep cells whose counts are pinned
 LOCKSTEP_COUNTS = {
     "fixture-a": [0, 0, 0, 0, 0, 0],
-    "fixture-b": [1, 2, 0, 0, 1, 1],
-    "contrast-1000-4x4x4": [117, 118, 117, 118, 118, 118],
+    "fixture-b": [1, 0, 0, 0, 1, 1],
+    "contrast-1000-4x4x4": [101, 98, 100, 101, 104, 101],
 }
+
+
+def _certified_column(cell, a, params):
+    """The one-column solve of a homogenize column, stopped on its
+    Gauss-Radau bound as homogenize stops it."""
+    return ch.solve_strain_driven(cell, a, params,
+                                  energy_tol=min(params.tol, ENERGY_TOL_CEIL))
 
 
 @pytest.mark.parametrize("name", ["fixture-a", "fixture-b", "contrast-1000-4x4x4",
                                   "random-sheared-3x4x5"])
 def test_lockstep_columns_equal_one_column_solves(name):
-    # the six columns, solved as one stack, report what six solves of one
-    # column report, and CH is bit for bit the tensor those solves assemble
+    # the six columns, solved as one stack, report what six certified solves
+    # of one column report, and CH is bit for bit the energy matrix those
+    # solves assemble
     cell = LOCKSTEP_CELLS[name]()
     assert 3 * cell.n_voxels <= fem.DENSE_REF_MAX_DOF
     result = ch.homogenize(cell)
-    params = _column_tol(cell, SolveParams())
     st = stencil_of(cell)
-    cols = []
+    xs = []
     for a, rep in zip(MANDEL_BASIS, result.per_column_reports):
-        u, one = ch.solve_strain_driven(cell, a, params)
-        for attr in ("iterations", "residual_history", "energy_history", "stop_reason",
-                     "operator_applications", "preconditioner_applications"):
+        u, one = _certified_column(cell, a, SolveParams())
+        for attr in ("iterations", "residual_history", "energy_history", "bound_history",
+                     "stop_reason", "operator_applications", "preconditioner_applications"):
             assert getattr(rep, attr) == getattr(one, attr), attr
-        cols.append(st.k_ext(st.pack(u.macro, u.periodic))[:6] / cell.volume)
-    raw = np.column_stack(cols)
-    assert result.CH.tobytes() == (0.5 * (raw + raw.T)).tobytes()
+        xs.append(st.pack(u.macro, u.periodic))
+    g = np.array([[xj @ kx for xj in xs] for kx in map(st.k_ext, xs)]) / cell.volume
+    assert result.CH.tobytes() == (0.5 * (g + g.T)).tobytes()
     if name in LOCKSTEP_COUNTS:
         assert [rep.iterations for rep in result.per_column_reports] == LOCKSTEP_COUNTS[name]
 
 
-@pytest.mark.parametrize("make, column", [(random_two_phase_cell, 0), (laminate_cell, 1)],
-                         ids=["fixture-d", "fixture-b"])
-def test_lockstep_raises_the_lowest_failing_column(make, column):
-    # with one iteration every column of fixture d fails, and on fixture b
-    # only column 1 (which needs two): either way the stacked solve raises
-    # what a solve of that column alone raises, as the one-at-a-time loop did
+@pytest.mark.parametrize("make, max_iter, column", [
+    (random_two_phase_cell, 1, 0), (LOCKSTEP_CELLS["random-sheared-3x4x5"], 8, 1)],
+    ids=["fixture-d", "random-sheared-3x4x5"])
+def test_lockstep_raises_the_lowest_failing_column(make, max_iter, column):
+    # with one iteration every column of fixture d fails, and with eight on
+    # the sheared cell only the columns after column 0 (which needs eight):
+    # either way the stacked solve raises what a certified solve of that
+    # column alone raises, as the one-at-a-time loop did
     cell = make()
-    params = SolveParams(max_iter=1)
+    params = SolveParams(max_iter=max_iter)
     with pytest.raises(NotConverged) as stacked:
         ch.homogenize(cell, params)
-    one_column = _column_tol(cell, params)
     for a in MANDEL_BASIS[:column]:
-        ch.solve_strain_driven(cell, a, one_column)
+        _certified_column(cell, a, params)
     with pytest.raises(NotConverged) as alone:
-        ch.solve_strain_driven(cell, MANDEL_BASIS[column], one_column)
+        _certified_column(cell, MANDEL_BASIS[column], params)
     assert str(stacked.value) == str(alone.value)
     assert dataclasses.asdict(stacked.value.report) == dataclasses.asdict(alone.value.report)
 
@@ -211,25 +315,28 @@ def test_lockstep_zero_loads_raise_no_warning(name):
 
 def test_stack_past_the_dense_cap_solves_one_column_at_a_time(monkeypatch):
     # past the dense cap a stack is no lockstep: each strain is one
-    # solve_strain_driven, and the result is what those solves return
+    # solve_strain_driven, with the stack's stop (the residual test or the
+    # certified one), and the result is what those solves return
     from cellhom import solvers
 
     cell = random_two_phase_cell(dims=(8, 8, 8), seed=5)
     assert not stencil_of(cell).uses_ref_dense
-    alone = [ch.solve_strain_driven(cell, a) for a in MANDEL_BASIS[:2]]
-    seen = []
     original = solvers.solve_strain_driven
+    for energy_tol in (None, ENERGY_TOL_CEIL):
+        alone = [original(cell, a, energy_tol=energy_tol) for a in MANDEL_BASIS[:2]]
+        seen = []
 
-    def counted(cell, macro, params=None):
-        seen.append(tuple(macro))
-        return original(cell, macro, params)
+        def counted(cell, macro, params=None, **kw):
+            seen.append((tuple(macro), kw))
+            return original(cell, macro, params, **kw)
 
-    monkeypatch.setattr(solvers, "solve_strain_driven", counted)
-    stacked = solvers.solve_strain_stack(cell, MANDEL_BASIS[:2])
-    assert seen == [tuple(a) for a in MANDEL_BASIS[:2]]
-    for (u, rep), (u_one, rep_one) in zip(stacked, alone):
-        np.testing.assert_array_equal(u.periodic, u_one.periodic)
-        assert dataclasses.asdict(rep) == dataclasses.asdict(rep_one)
+        monkeypatch.setattr(solvers, "solve_strain_driven", counted)
+        stacked = solvers.solve_strain_stack(cell, MANDEL_BASIS[:2], energy_tol=energy_tol)
+        monkeypatch.undo()
+        assert seen == [(tuple(a), {"energy_tol": energy_tol}) for a in MANDEL_BASIS[:2]]
+        for (u, rep), (u_one, rep_one) in zip(stacked, alone):
+            np.testing.assert_array_equal(u.periodic, u_one.periodic)
+            assert dataclasses.asdict(rep) == dataclasses.asdict(rep_one)
 
 
 def _sheared_sweep_cell():

@@ -11,7 +11,8 @@ from cellhom.energies import MacroLoad, displacement_potential
 from cellhom.fem import LinPerField, quad_norm, stencil_of
 from cellhom.homogenize import MANDEL_BASIS, _column_tol
 from cellhom.mandel import SQRT2
-from cellhom.microstructures import homogeneous_cell, laminate_cell, random_two_phase_cell
+from cellhom.microstructures import (cubic_inclusion_cell, homogeneous_cell, laminate_cell,
+                                     random_two_phase_cell)
 from cellhom.solvers import (NotConverged, SolveParams, Stencil, StepTooLarge, _pcg,
                              solve_strain_stack, solve_stress_stack)
 from test_fem import GAP_CELLS
@@ -119,6 +120,76 @@ def test_pcg_energy_recurrence_matches_iterates():
         xk, _ = run(k)
         exact = 0.5 * xk @ a @ xk - b @ xk + offset
         assert abs(e - exact) <= 1e-12 * scale
+
+
+def _energy_errors(op, m_inv, b, exact, iterates):
+    """``|x* - x_k|_K^2`` of the CG iterates ``x_k`` listed, each from a
+    solve cut at ``k`` iterations (the stop rule does not move an iterate)."""
+    errors = []
+    for k in iterates:
+        e = exact - (_pcg(op, m_inv, b[None], 0.0, k)[0][0] if k else 0.0)
+        errors.append(float(np.vdot(e, op(e[None])[0])))
+    return np.array(errors)
+
+
+def test_pcg_radau_bound_holds_at_every_iterate():
+    # a dense SPD system of known spectrum 1e-3 to 1, unpreconditioned: with
+    # mu its smallest eigenvalue the bound read off the CG scalars holds at
+    # every iterate, within 4x of the energy error, and is tight at the last
+    # one, where the residual bound r.z / mu (the recurrence without its
+    # rho_{k+1} / rho_k term) is 58x the error; with mu = 10 lam it fails
+    rng = np.random.default_rng(5)
+    q = np.linalg.qr(rng.standard_normal((30, 30)))[0]
+    lams = np.geomspace(1e-3, 1.0, 30)
+    a = (q * lams) @ q.T
+    b = rng.standard_normal(30)
+    exact = q @ ((q.T @ b) / lams)
+
+    def solve(mu):
+        # the offset b.x* makes the minimum energy b.x* / 2 > 0, as in a column
+        _, (rep,) = _pcg(lambda v: v @ a, lambda v: v.copy(), b[None], 1e-13, 1000,
+                         energy_offsets=[b @ exact], mu=mu)
+        assert rep.converged and len(rep.bound_history) == rep.iterations + 1
+        errors = _energy_errors(lambda v: v @ a, lambda v: v.copy(), b, exact,
+                                range(rep.iterations + 1))
+        return rep, np.array(rep.bound_history), errors
+
+    rep, bounds, errors = solve(lams[0])
+    assert rep.iterations > 30
+    assert (errors <= bounds).all() and (bounds <= 4.0 * errors).all()
+    assert bounds[-1] <= 1.01 * errors[-1]
+    _, bounds, errors = solve(10.0 * lams[0])
+    assert (bounds < errors).any()
+
+
+RADAU_CELLS = {
+    "fixture-b": laminate_cell,
+    "fixture-c": cubic_inclusion_cell,
+    "fixture-d": random_two_phase_cell,
+    "random-sheared-3x4x5": GAP_CELLS["random-sheared-3x4x5"],
+    "contrast-1000-6x6x6": lambda: random_two_phase_cell(
+        (6, 6, 6), 5, (1.0, 1.0), (1000.0, 1000.0), 0.2),
+    "contrast-1e-3-6x6x6": lambda: random_two_phase_cell(
+        (6, 6, 6), 5, (1.0, 1.0), (1e-3, 1e-3), 0.2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RADAU_CELLS))
+def test_pcg_radau_bound_holds_on_cells(name):
+    # column 0 of each cell, stopped on its bound as homogenize stops it:
+    # the bound is never below the energy error of the iterate, at every
+    # iterate, or on the contrast-1000 cell (134 iterations to the stop) at
+    # every 10th and the last three
+    cell = RADAU_CELLS[name]()
+    st = stencil_of(cell)
+    _, rep = ch.solve_strain_driven(cell, MANDEL_BASIS[0], energy_tol=1e-13)
+    assert len(rep.bound_history) == rep.iterations + 1
+    n = rep.iterations
+    iterates = sorted({*range(0, n + 1, 10 if n > 20 else 1), *range(max(n - 2, 0), n + 1)})
+    b = -st.mean_strain_load(MANDEL_BASIS[0])[1]
+    exact = _pcg(st.k_phi, st.ref_solve, b[None], 1e-14, 10000)[0][0]
+    errors = _energy_errors(st.k_phi, st.ref_solve, b, exact, iterates)
+    assert (errors <= np.array(rep.bound_history)[iterates]).all()
 
 
 def test_pcg_fixed_step_energies_match_iterates():
@@ -522,11 +593,13 @@ def test_application_counts_are_builtin_ints_on_every_route(cell_d, probe_soluti
     fixed = ch.solve_stress_uzawa(cell_d, s, SolveParams(tol=1e-8, uzawa_step=0.8))[2]
     with pytest.raises(StepTooLarge) as err:
         ch.solve_stress_uzawa(cell_d, s, SolveParams(uzawa_step=50.0))
-    # a column of a lockstep homogenize counts as a strain-driven solve
+    # a column of a lockstep homogenize counts as a strain-driven solve whose
+    # Gauss-Radau stop test takes the z of its last iterate too
     lockstep = ch.homogenize(cell_d).per_column_reports[1]
+    assert type(lockstep.error_bound) is float
     routes = {
         "strain-driven": (probe_solution_d["rep_u"], 1, 0),
-        "strain-driven-lockstep": (lockstep, 1, 0),
+        "strain-driven-lockstep": (lockstep, 1, 1),
         "stress-driven": (probe_solution_d["rep_w"], 2, 0),
         "uzawa-auto": (auto, 0, 1),
         "uzawa-fixed-step": (fixed, 0, 1),
