@@ -16,7 +16,8 @@ solving again.
 
 Exit codes: 0 converged and all checks passed, 1 I/O, configuration or
 command-line error (an artifact that cannot be written included), 2 solver
-did not converge, 3 a verification check failed.
+did not converge, 3 a verification check failed (an uncertified or
+asymmetric homogenized tensor included).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .checks import (
 from .config import RunConfig, ValidationError, load_config
 from .energies import MacroLoad, complementary_energy
 from .fem import is_equilibrated, stencil_of, sym_gradient
-from .homogenize import dual_consistency, homogenize
+from .homogenize import AsymmetricResult, dual_consistency, homogenize
 from .mandel import frobenius
 from .solvers import (
     NotConverged,
@@ -258,6 +259,11 @@ def run(config: RunConfig, threads: int = 1, quiet: bool = False) -> int:
         report["error"] = str(exc)
         solve_rows.append(("failed", exc.report))
         code = 2
+    except AsymmetricResult as exc:
+        # an uncertified or asymmetric tensor fails the step that assembled it
+        report["error"] = str(exc)
+        failures.append(exc.check)
+        code = 3
 
     report["solves"] = [_report_of(lbl, rep) for lbl, rep in solve_rows]
     report["checks"] = checks
@@ -276,7 +282,8 @@ def run(config: RunConfig, threads: int = 1, quiet: bool = False) -> int:
             else "report.json, convergence.csv"
         print(f"cellhom: task {config.task} done, wrote {wrote} in {outdir}")
         if failures:
-            print(f"cellhom: checks failed: {', '.join(failures)}", file=sys.stderr)
+            why = f": {report['error']}" if "error" in report else ""
+            print(f"cellhom: checks failed: {', '.join(failures)}{why}", file=sys.stderr)
     return code
 
 

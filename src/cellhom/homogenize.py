@@ -9,17 +9,20 @@ import numpy as np
 from . import mandel
 from .cell import VoxelCell, cell_average
 from .fem import stencil_of
-from .solvers import SolveParams, solve_strain_stack, solve_stress_stack, solve_stress_uzawa
+from .solvers import (SolveParams, _lockstep_runs, _stress_columns, solve_strain_stack,
+                      solve_stress_uzawa)
 
 #: orthonormal Mandel basis: three unit normal strains, three normalized shears
 MANDEL_BASIS = np.eye(6)
 
-#: a displacement or strain column stops once the Gauss-Radau bound on its
-#: energy error is at most ``min(tol, ENERGY_TOL_CEIL)`` of twice its energy
+#: a displacement or strain column, and each stress-driven solve of
+#: ``dual_consistency``, stops once the Gauss-Radau bound on its energy error
+#: is at most ``min(tol, ENERGY_TOL_CEIL)`` of twice its energy's magnitude
 ENERGY_TOL_CEIL = 1e-13
 
-#: a displacement or strain CH is rejected unless every column's certified
-#: energy error bound is at most this times ``|CH|``
+#: a displacement or strain CH, and ``dual_consistency``'s compliance, is
+#: rejected unless every column's certified energy error bound is at most
+#: this times the tensor's norm
 CERTIFICATE_LIMIT = 1e-11
 
 #: the energy check of a displacement or strain CH may exceed its certified
@@ -32,7 +35,7 @@ ENERGY_CHECK_LIMIT = 1e-8
 #: relative asymmetry above which a stress-uzawa compliance is rejected
 ASYMMETRY_LIMIT = 1e-9
 
-#: stress-side columns are solved at least this tightly so the asymmetry
+#: stress-uzawa columns are solved at least this tightly so the asymmetry
 #: gate measures assembly bugs rather than leftover iteration error
 COLUMN_TOL_CEIL = 1e-10
 
@@ -43,7 +46,13 @@ COLUMN_TOL_CONTRAST = 5e-9
 
 class AsymmetricResult(RuntimeError):
     """Assembled homogenized tensor is not symmetric to tolerance, or, for
-    the displacement and strain formulations, not certified."""
+    the displacement and strain formulations and for ``dual_consistency``,
+    not certified; ``check`` names the step that rejected it,
+    ``"homogenize"`` or ``"dual_consistency"``."""
+
+    def __init__(self, message: str, check: str = "homogenize"):
+        super().__init__(message)
+        self.check = check
 
 
 @dataclass
@@ -197,16 +206,54 @@ def _homogenize_uzawa(cell: VoxelCell, params: SolveParams) -> HomogResult:
 
 def dual_consistency(cell: VoxelCell, result: HomogResult,
                      params: SolveParams | None = None) -> float:
-    """Worst relative mismatch between mean strains of stress-driven solves
-    and the compliance applied to the same basis stresses.
+    """Worst relative mismatch, over the six Mandel basis stresses, between
+    the compliance columns read from stress-driven solves and those of
+    ``result.DH``: ``max_i |DH_s e_i - DH e_i| / |DH e_i|``.
 
-    The six basis stresses are one ``solve_stress_stack``, solved in
-    lockstep runs of at most ``fem.LOCKSTEP_MAX_DOF`` nodal unknowns. Each
-    column is bit for bit its ``solve_stress_driven``, so the result is
-    that of six such solves."""
-    params = _column_tol(cell, params or SolveParams())
+    The stress formulation is a minimum principle too, of the complementary
+    energy, so ``DH_s`` is read from it: with ``x_i`` the packed returned
+    solution of basis stress ``e_i``, ``E_ij`` entry ``i`` of its mean
+    strain and ``G_ij = x_j . Kx_i / V``, ``DH_s = E + E^T - sym(G)``, which
+    is the exact compliance minus ``d_i . K d_j / V`` for the solution
+    errors ``d``: a lower bound, second order in the error, where the mean
+    strains are first order. Each solve stops once the Gauss-Radau bound of
+    its CG error is at most ``min(tol, ENERGY_TOL_CEIL)`` of twice its
+    energy's magnitude (``solve_stress_stack``'s ``energy_tol``); the six
+    are one stack, solved in lockstep runs of at most
+    ``fem.LOCKSTEP_MAX_DOF`` nodal unknowns, each column bit for bit its
+    ``solve_stress_driven``, and the stack's energy readout gives each
+    ``Kx_i``.
+
+    ``DH_s`` is certified as ``homogenize`` certifies ``CH``, without
+    trusting the CG scalars: with ``r_i = b_i - Kx_i``, ``eps_i = r_i .
+    precond_ext(r_i) / (lam V)`` bounds the energy error per volume of
+    column ``i`` (one ``precond_ext`` per lockstep run), and
+    ``AsymmetricResult`` is raised unless every ``eps_i`` is at most
+    ``CERTIFICATE_LIMIT |DH_s|``. ``NotConverged`` propagates from the
+    solves."""
+    params = params or SolveParams()
+    st = stencil_of(cell)
+    solved = _stress_columns(cell, MANDEL_BASIS, params, min(params.tol, ENERGY_TOL_CEIL))
+    xs = [x for _, _, x, _ in solved]
+    kxs = [kx for _, _, _, kx in solved]
+    means = np.column_stack([x[:6] for x in xs])
+    g = np.array([[xj @ kxi for xj in xs] for kxi in kxs]) / cell.volume
+    dh = means + means.T - 0.5 * (g + g.T)
+
+    residuals = -np.array(kxs)
+    residuals[:, :6] += st.volume * MANDEL_BASIS
+    eps = np.concatenate([[r @ z for r, z in zip(run, st.precond_ext(run))]
+                          for run in _lockstep_runs(cell, residuals)])
+    eps /= st.phase_bounds[0] * cell.volume
+    # the norm at a power-of-two scale, as homogenize takes it
+    norm = mandel.frobenius(dh)
+    worst = int(np.argmax(eps))
+    if not eps[worst] <= CERTIFICATE_LIMIT * norm:  # a NaN fails too
+        raise AsymmetricResult(
+            f"dual consistency column {worst + 1} not certified: energy error bound "
+            f"{eps[worst] / norm:.3e} relative", check="dual_consistency")
     mismatches = []
-    for load, (w, _) in zip(MANDEL_BASIS, solve_stress_stack(cell, MANDEL_BASIS, params)):
+    for load in MANDEL_BASIS:
         a_tensor = result.DH @ load
-        mismatches.append(float(np.linalg.norm(w.macro - a_tensor) / np.linalg.norm(a_tensor)))
+        mismatches.append(float(np.linalg.norm(dh @ load - a_tensor) / np.linalg.norm(a_tensor)))
     return max(mismatches)

@@ -28,11 +28,11 @@ several mean strains where the preconditioner is the dense inverse, and
 ``solve_stress_stack`` several mean stresses in runs of at most
 ``fem.LOCKSTEP_MAX_DOF`` unknowns, each solved with the bits of its own
 solve; ``solve_strain_driven`` and ``solve_stress_driven`` are stacks of
-one, and the Uzawa route passes a stack of one. The strain-driven solves
-stop on the relative residual ``tol``, or, given ``energy_tol`` (as
-``homogenize`` gives it), on the Gauss-Radau bound of each column's CG
-error in the energy norm, read off the CG scalars with the lower phase
-bound of ``Stencil.phase_bounds``.
+one, and the Uzawa route passes a stack of one. The strain- and
+stress-driven solves stop on the relative residual ``tol``, or, given
+``energy_tol`` (as ``homogenize`` and ``dual_consistency`` give it), on the
+Gauss-Radau bound of each column's CG error in the energy norm, read off
+the CG scalars with the lower phase bound of ``Stencil.phase_bounds``.
 
 The preconditioner is the constant-coefficient operator built from the
 volume-averaged stiffness; being block-circulant on the periodic grid it is
@@ -232,10 +232,12 @@ def _pcg(op, m_inv, b, tol, max_iter, energy_offsets=None, hook=None, rho=None, 
 
     ``|x* - x_k|_K^2 <= g_k rho_k``, read off the CG scalars with no
     further application. A column stops once that bound is at most ``tol``
-    times twice its energy, which must then be the energy of a minimum
-    principle and so positive; it records the bound of every iterate in
-    ``bound_history``. The test needs ``z`` at every iterate, the last one
-    included, as a hook does.
+    times twice the magnitude of its energy ``E_k``, the squared energy
+    norm of the iterate's cell displacement: the energy of a strain-driven
+    column, offset by that of its mean strain, is positive, and that of a
+    stress-driven one is ``-1/2 x_k.Kx_k``. It records the bound of every
+    iterate in ``bound_history``. The test needs ``z`` at every iterate,
+    the last one included, as a hook does.
     """
     k = len(b)
     if k == 1:
@@ -304,7 +306,7 @@ def _pcg(op, m_inv, b, tol, max_iter, energy_offsets=None, hook=None, rho=None, 
                     g, mu * g + _ratio_going(rz_new, rz, going), going)
             bound = gamma * rz_new if live == k else np.where(going, gamma * rz_new, bound)
             # "not >" stops on a NaN bound too, unconverged
-            going = going & (bound > 2.0 * tol * energy)
+            going = going & (bound > 2.0 * tol * abs(energy))
             bounds[-1] = bound
         live = count(going)
         if not live or len(steps) >= max_iter:
@@ -352,7 +354,7 @@ def _pcg(op, m_inv, b, tol, max_iter, energy_offsets=None, hook=None, rho=None, 
         if hook is not None:
             converged = bool(stop)
         elif mu is not None:
-            converged = bnds[-1] <= 2.0 * tol * ens[-1]
+            converged = bnds[-1] <= 2.0 * tol * abs(ens[-1])
         else:
             converged = hist[-1] <= tol
         # each step applies op and m_inv once, a breakdown op once more, and
@@ -419,6 +421,27 @@ def _quiet(solve):
     return quiet
 
 
+def _stop_test(st: Stencil, params: SolveParams, energy_tol) -> tuple:
+    """``(tol, mu)`` of ``_pcg``: the residual ``params.tol`` and no ``mu``,
+    or, given ``energy_tol``, the Gauss-Radau stop at it with ``mu`` the
+    lower phase bound, as ``lam`` times the reference operator is at most
+    the cell's, element by element."""
+    if energy_tol is None:
+        return params.tol, None
+    if _is_real(energy_tol) and 0.0 < energy_tol < math.inf:
+        return float(energy_tol), st.phase_bounds[0]
+    raise ValueError("energy_tol must be a positive finite real")
+
+
+def _lockstep_runs(cell: VoxelCell, rows: np.ndarray) -> list:
+    """``rows`` split into consecutive runs of stress-driven columns solved
+    in lockstep: as few runs, of sizes differing by at most one, as keep
+    each within ``fem.LOCKSTEP_MAX_DOF`` nodal unknowns, and runs of one row
+    where a single column exceeds that."""
+    per_run = max(1, LOCKSTEP_MAX_DOF // (3 * cell.n_voxels))
+    return np.array_split(rows, max(1, -(-len(rows) // per_run)))
+
+
 # ---------------------------------------------------------------------------
 # solver entry points
 
@@ -472,12 +495,7 @@ def solve_strain_stack(cell: VoxelCell, macro_strains, params: SolveParams | Non
         mean, load = st.mean_strain_load(a)
         np.negative(load, out=b_a)
         offsets.append(0.5 * float(a @ mean))
-    if energy_tol is None:
-        tol, mu = params.tol, None
-    elif _is_real(energy_tol) and 0.0 < energy_tol < math.inf:
-        tol, mu = float(energy_tol), st.phase_bounds[0]
-    else:
-        raise ValueError("energy_tol must be a positive finite real")
+    tol, mu = _stop_test(st, params, energy_tol)
     sols, reports = _pcg(st.k_phi, st.ref_solve, b, tol, params.max_iter,
                          energy_offsets=offsets, mu=mu)
     for report in reports:
@@ -488,19 +506,31 @@ def solve_strain_stack(cell: VoxelCell, macro_strains, params: SolveParams | Non
             for a, sol, report in zip(strains, st._center(sols), reports)]
 
 
-def solve_stress_driven(cell: VoxelCell, macro_stress, params: SolveParams | None = None):
+def solve_stress_driven(cell: VoxelCell, macro_stress, params: SolveParams | None = None, *,
+                        energy_tol: float | None = None):
     """Cell solution for a prescribed mean stress.
 
     Returns ``(w, report)`` with zero-mean ``w``; the returned field carries
     the prescribed mean stress exactly (a final 6x6 correction of the mean
     strain eliminates constraint drift) and equilibrium holds to ``tol``.
+
+    With ``energy_tol`` the solve stops instead on the Gauss-Radau bound of
+    its energy error, as ``solve_strain_driven`` does, with the same ``mu``:
+    ``precond_ext`` is the exact inverse of ``k_ext`` for the mean
+    stiffness, which couples no fluctuation to the mean strain, so ``lam``
+    bounds the spectrum again. At convergence ``|x* - x_k|_K^2 <=
+    energy_tol * x_k.K_ext x_k`` for the last packed iterate ``x_k``, whose
+    energy is ``-1/2 x_k.K_ext x_k``; ``report.bound_history`` ends with
+    that bound.
     """
-    return solve_stress_stack(cell, _macro_load(macro_stress, "macro stress")[None], params)[0]
+    return solve_stress_stack(cell, _macro_load(macro_stress, "macro stress")[None], params,
+                              energy_tol=energy_tol)[0]
 
 
-@_quiet
-def solve_stress_stack(cell: VoxelCell, macro_stresses, params: SolveParams | None = None):
-    """``solve_stress_driven`` of each mean stress of a stack (one per row).
+def solve_stress_stack(cell: VoxelCell, macro_stresses, params: SolveParams | None = None, *,
+                       energy_tol: float | None = None):
+    """``solve_stress_driven`` of each mean stress of a stack (one per row),
+    with the same ``energy_tol``.
 
     The stresses are solved in lockstep runs of consecutive rows, each one
     ``_pcg`` whose one ``k_ext`` and one ``precond_ext`` call per iteration
@@ -513,24 +543,34 @@ def solve_stress_stack(cell: VoxelCell, macro_stresses, params: SolveParams | No
     converge, raises the ``NotConverged`` of the one of lowest index, which
     a solve of one column after another would have raised first.
     """
+    return [(w, report) for w, report, _, _ in
+            _stress_columns(cell, macro_stresses, params, energy_tol)]
+
+
+@_quiet
+def _stress_columns(cell: VoxelCell, macro_stresses, params: SolveParams | None,
+                    energy_tol: float | None) -> list:
+    """``solve_stress_stack``'s body: a list of ``(w, report, x, kx)``, with
+    ``x`` the packed ``(mean strain, fluctuation)`` of ``w`` and ``kx`` its
+    ``k_ext``, which the report's energy readout forms."""
     params = params or SolveParams()
     stresses = _macro_load(macro_stresses, "macro stresses", ndim=2)
     st = stencil_of(cell)
-    per_run = max(1, LOCKSTEP_MAX_DOF // (3 * cell.n_voxels))
+    tol, mu = _stop_test(st, params, energy_tol)
     out = []
-    for run in np.array_split(stresses, max(1, -(-len(stresses) // per_run))):
+    for run in _lockstep_runs(cell, stresses):
         b = np.zeros((len(run), 6 + 3 * cell.n_voxels))
         b[:, :6] = st.volume * run
-        sols, reports = _pcg(st.k_ext, st.precond_ext, b, params.tol, params.max_iter)
+        sols, reports = _pcg(st.k_ext, st.precond_ext, b, tol, params.max_iter, mu=mu)
         for s_target, sol, report in zip(run, sols, reports):
             w = _readout(cell, st, sol, s_target - st.k_ext(sol)[:6] / st.volume)
             x = st.pack(w.macro, w.periodic)
-            report.final_energy = (0.5 * float(x @ st.k_ext(x))
-                                   - st.volume * float(s_target @ w.macro))
+            kx = st.k_ext(x)
+            report.final_energy = 0.5 * float(x @ kx) - st.volume * float(s_target @ w.macro)
             report.operator_applications += 2  # the mean-stress correction and energy
             if not report.converged:
                 raise _not_converged("stress-driven", report)
-            out.append((w, report))
+            out.append((w, report, x, kx))
     return out
 
 

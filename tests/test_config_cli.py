@@ -231,8 +231,9 @@ def test_run_non_finite_config_is_input_error(tmp_path, capsys, extra, key):
 def _count_stress_solves(monkeypatch):
     """Lists that record the arguments of each stress-driven and each Uzawa
     solve, whatever module calls it. Every stress-driven solve goes through
-    ``solve_stress_stack`` (``solve_stress_driven`` is a stack of one), so
-    each column of a stack call is one stress-driven solve."""
+    ``solvers._stress_columns``, the body of ``solve_stress_stack``
+    (``solve_stress_driven`` is a stack of one), which ``dual_consistency``
+    calls directly, so each column of a call is one stress-driven solve."""
     import importlib
 
     import cellhom.checks as checks
@@ -242,17 +243,17 @@ def _count_stress_solves(monkeypatch):
     # the package's homogenize attribute is the function, not the module
     homogenize = importlib.import_module("cellhom.homogenize")
     counts = {}
-    for name in ("solve_stress_stack", "solve_stress_uzawa"):
+    for name in ("_stress_columns", "solve_stress_uzawa"):
         calls = counts[name] = []
 
         def counting(*args, _solve=getattr(solvers, name), _calls=calls, _name=name, **kwargs):
             _calls.extend([(args[0], s, *args[2:]) for s in args[1]]
-                          if _name == "solve_stress_stack" else [args])
+                          if _name == "_stress_columns" else [args])
             return _solve(*args, **kwargs)
 
         for module in (solvers, cli, checks, homogenize):
             monkeypatch.setattr(module, name, counting, raising=False)
-    return counts["solve_stress_stack"], counts["solve_stress_uzawa"]
+    return counts["_stress_columns"], counts["solve_stress_uzawa"]
 
 
 def test_run_homogenize_solves_each_probe_once(tmp_path, monkeypatch):
@@ -459,6 +460,54 @@ def test_run_exit3_on_check_failure(tmp_path, monkeypatch):
     assert main([str(cfg), "--quiet"]) == 3
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert "energy_check_max" in report["checks_failed"]
+    assert (tmp_path / "out" / "CH.txt").exists()
+
+
+@pytest.mark.parametrize("task", ["homogenize", "verify"])
+def test_run_uncertified_result_exits_3_with_a_report(tmp_path, capsys, monkeypatch, task):
+    # with a certificate limit of 0 no column of fixture d is certified: the
+    # run exits 3 as a failed check, with a strict-JSON report naming the
+    # step and the column, and one stderr line, never a traceback
+    import importlib
+
+    hz = importlib.import_module("cellhom.homogenize")
+    monkeypatch.setattr(hz, "CERTIFICATE_LIMIT", 0.0)
+    cfg = _write_inputs(tmp_path, random_two_phase_cell(), f"task = {task}\n")
+    assert main([str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "checks failed: homogenize: column " in err and "not certified" in err
+    report = json.loads((tmp_path / "out" / "report.json").read_text(),
+                        parse_constant=_reject_constant)
+    assert report["checks_failed"] == ["homogenize"]
+    assert report["error"] in err
+    assert (tmp_path / "out" / "convergence.csv").exists()
+    assert not (tmp_path / "out" / "CH.txt").exists()
+
+
+def test_run_verify_uncertified_dual_consistency_exits_3(tmp_path, capsys, monkeypatch):
+    # a certified CH whose dual-consistency compliance is not certified
+    # fails that check: exit 3, CH.txt written, the column named
+    import importlib
+
+    cli = importlib.import_module("cellhom.cli")
+    hz = importlib.import_module("cellhom.homogenize")
+    original = hz.dual_consistency
+
+    def strict(*args, **kwargs):
+        monkeypatch.setattr(hz, "CERTIFICATE_LIMIT", 0.0)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "dual_consistency", strict)
+    cfg = _write_inputs(tmp_path, random_two_phase_cell(), "task = verify\n")
+    assert main([str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "checks failed: dual_consistency: dual consistency column " in err
+    report = json.loads((tmp_path / "out" / "report.json").read_text(),
+                        parse_constant=_reject_constant)
+    assert report["checks_failed"] == ["dual_consistency"]
+    assert [s["label"] for s in report["solves"]][6:] == ["probe_strain", "probe_stress"]
     assert (tmp_path / "out" / "CH.txt").exists()
 
 

@@ -17,7 +17,7 @@ from cellhom.microstructures import (
     random_spd_tensor,
     random_two_phase_cell,
 )
-from cellhom.solvers import NotConverged, SolveParams, solve_strain_stack
+from cellhom.solvers import NotConverged, SolveParams, solve_strain_stack, solve_stress_stack
 from test_fem import LOCKSTEP_CELLS, _three_phase_sheared_cell
 
 
@@ -480,6 +480,20 @@ def test_supercell_has_the_cell_s_ch_by_the_stress_route(reps):
     base = ch.homogenize(cell, formulation="stress-uzawa").CH
     tiled = ch.homogenize(_tiled(cell, reps), formulation="stress-uzawa").CH
     assert np.linalg.norm(tiled - base) <= 1e-9 * np.linalg.norm(base)
+
+
+@pytest.mark.parametrize("reps", [(2, 2, 2), (3, 1, 1)])
+def test_supercell_keeps_the_stress_counts_of_the_energy_stop(reps):
+    # the Gauss-Radau bound and the energy it is compared with both scale
+    # with the volume, so tiling moves no stress-driven count of the
+    # certified stop by more than one (the residual stop weighs the mean
+    # stress against the nodal entries, and moves them)
+    cell = random_two_phase_cell()
+    base, tiled = (
+        [rep.iterations for _, rep in
+         solve_stress_stack(c, MANDEL_BASIS, energy_tol=ENERGY_TOL_CEIL)]
+        for c in (cell, _tiled(cell, reps)))
+    assert max(abs(a - b) for a, b in zip(base, tiled, strict=True)) <= 1
 
 
 def test_high_contrast_supercell_has_the_cell_s_ch():

@@ -9,7 +9,7 @@ from cellhom import fem, solvers
 from cellhom.checks import PROBE_STRAIN
 from cellhom.energies import MacroLoad, displacement_potential
 from cellhom.fem import LinPerField, quad_norm, stencil_of
-from cellhom.homogenize import MANDEL_BASIS, _column_tol
+from cellhom.homogenize import ENERGY_TOL_CEIL, MANDEL_BASIS
 from cellhom.mandel import SQRT2
 from cellhom.microstructures import (cubic_inclusion_cell, homogeneous_cell, laminate_cell,
                                      random_two_phase_cell)
@@ -192,6 +192,92 @@ def test_pcg_radau_bound_holds_on_cells(name):
     assert (errors <= np.array(rep.bound_history)[iterates]).all()
 
 
+#: the cells on which the stress-driven Gauss-Radau stop is checked
+STRESS_RADAU_CELLS = ("fixture-c", "fixture-d", "random-sheared-3x4x5", "contrast-1000-6x6x6",
+                      "contrast-1e-3-6x6x6")
+
+
+def _stress_rhs(cell, s):
+    """The packed right-hand side ``(V s, 0)`` of a stress-driven solve."""
+    b = np.zeros(6 + 3 * cell.n_voxels)
+    b[:6] = stencil_of(cell).volume * s
+    return b
+
+
+@pytest.mark.parametrize("name", STRESS_RADAU_CELLS)
+def test_stress_radau_bound_holds_on_cells(name):
+    # a stress-driven solve stopped on its bound, with the lower phase bound
+    # as mu (precond_ext inverts k_ext of the mean stiffness exactly): the
+    # bound is never below the energy error of the iterate, at every
+    # iterate, or past 20 iterations at every 10th and the last three; its
+    # energy -1/2 x.Kx is negative, so the stop compares its magnitude
+    cell = RADAU_CELLS[name]()
+    st = stencil_of(cell)
+    s = np.array([0.3, -0.1, 0.2, 0.25, -0.15, 0.1])
+    _, rep = ch.solve_stress_driven(cell, s, energy_tol=ENERGY_TOL_CEIL)
+    assert rep.converged and len(rep.bound_history) == rep.iterations + 1
+    assert rep.energy_history[-1] < 0.0
+    assert rep.bound_history[-1] <= 2.0 * ENERGY_TOL_CEIL * abs(rep.energy_history[-1])
+    n = rep.iterations
+    iterates = sorted({*range(0, n + 1, 10 if n > 20 else 1), *range(max(n - 2, 0), n + 1)})
+    b = _stress_rhs(cell, s)
+    exact = _pcg(st.k_ext, st.precond_ext, b[None], 1e-14, 10000)[0][0]
+    errors = _energy_errors(st.k_ext, st.precond_ext, b, exact, iterates)
+    assert (errors <= np.array(rep.bound_history)[iterates]).all()
+
+
+def _complementary_compliance(cell, solved):
+    """``dual_consistency``'s readout ``E + E^T - sym(G)`` of the solutions
+    ``(w, report)`` of the six Mandel basis stresses."""
+    st = stencil_of(cell)
+    xs = [st.pack(w.macro, w.periodic) for w, _ in solved]
+    kxs = [st.k_ext(x) for x in xs]
+    means = np.column_stack([x[:6] for x in xs])
+    g = np.array([[xj @ kxi for xj in xs] for kxi in kxs]) / cell.volume
+    return means + means.T - 0.5 * (g + g.T)
+
+
+@pytest.mark.parametrize("name", STRESS_RADAU_CELLS)
+def test_complementary_energy_compliance_is_a_lower_bound(name):
+    # at the certified stop the compliance read from the complementary
+    # energy is within 1e-12 of solves to the residual 1e-14, read the same
+    # way, and below it to rounding: it is the exact one minus d_i.K d_j / V
+    cell = RADAU_CELLS[name]()
+    dh = _complementary_compliance(
+        cell, solve_stress_stack(cell, MANDEL_BASIS, energy_tol=ENERGY_TOL_CEIL))
+    ref = _complementary_compliance(
+        cell, solve_stress_stack(cell, MANDEL_BASIS, SolveParams(tol=1e-14)))
+    norm = np.linalg.norm(ref)
+    assert np.abs(dh - ref).max() <= 1e-12 * norm
+    assert np.linalg.eigvalsh(ref - dh).min() >= -1e-14 * norm
+
+
+def test_dual_consistency_sees_a_relative_error_of_1e_6(cell_d, homog_d):
+    # the compliance of the stress solves is second order in their error, so
+    # a DH off by 1e-6 reads as a 1e-6 mismatch
+    off = dataclasses.replace(homog_d, DH=homog_d.DH * (1.0 + 1e-6))
+    assert ch.dual_consistency(cell_d, off) >= 9e-7
+    assert ch.dual_consistency(cell_d, homog_d) <= 1e-12
+
+
+@pytest.mark.parametrize("make", [homogeneous_cell, random_two_phase_cell],
+                         ids=["fixture-a", "fixture-d"])
+def test_stress_stack_zero_loads_stop_at_once_on_the_energy_bound(make):
+    # a zero row's bound is 0, which its zero energy meets: it stops at
+    # x = 0, converged, while the others iterate, with no division by zero
+    cell = make()
+    loads = MANDEL_BASIS.copy()
+    loads[[1, 4]] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mixed = solve_stress_stack(cell, loads, energy_tol=ENERGY_TOL_CEIL)
+        zeros = solve_stress_stack(cell, np.zeros((6, 6)), energy_tol=ENERGY_TOL_CEIL)
+    assert [rep.iterations == 0 for _, rep in mixed] == [False, True, False, False, True, False]
+    assert all(rep.converged and rep.stop_reason == "converged" for _, rep in mixed + zeros)
+    assert all(rep.iterations == 0 and not w.periodic.any() and not w.macro.any()
+               for w, rep in zeros)
+
+
 def test_pcg_fixed_step_energies_match_iterates():
     # a fixed step goes along z = M^-1 r (preconditioned Richardson), so the
     # first iterate is rho M^-1 b; the energies, read off alpha (r.z - alpha
@@ -340,14 +426,17 @@ STRESS_STACK_CELLS = {
 @pytest.mark.parametrize("name", sorted(STRESS_STACK_CELLS))
 def test_stress_stack_columns_equal_stress_driven_solves(name, per_run, runs, monkeypatch):
     # each column of the stack returns bit for bit what solve_stress_driven
-    # returns for its stress, whether the seven stresses are one lockstep
-    # run or, with a lower fem.LOCKSTEP_MAX_DOF, runs of at most three or of
-    # one column; and dual_consistency, one stack of the Mandel basis, takes
-    # the value of six solve_stress_driven calls
+    # returns for its stress, with the residual stop and with energy_tol,
+    # whether the seven stresses are one lockstep run or, with a lower
+    # fem.LOCKSTEP_MAX_DOF, runs of at most three or of one column; and
+    # dual_consistency, one stack of the Mandel basis, takes the value of
+    # the energy readout of six solve_stress_driven calls stopped as it
+    # stops them
     cell = STRESS_STACK_CELLS[name]()
     assert 7 * 3 * cell.n_voxels <= fem.LOCKSTEP_MAX_DOF
     loads = np.vstack([MANDEL_BASIS, [0.3, -0.1, 0.2, 0.25, -0.15, 0.1]])
-    alone = [ch.solve_stress_driven(cell, s) for s in loads]
+    stops = (None, ENERGY_TOL_CEIL)
+    alone = {t: [ch.solve_stress_driven(cell, s, energy_tol=t) for s in loads] for t in stops}
     if per_run is not None:
         monkeypatch.setattr(solvers, "LOCKSTEP_MAX_DOF", per_run * 3 * cell.n_voxels)
     seen = []
@@ -357,19 +446,22 @@ def test_stress_stack_columns_equal_stress_driven_solves(name, per_run, runs, mo
         return _pcg(op, m_inv, b, *args, **kwargs)
 
     monkeypatch.setattr(solvers, "_pcg", pcg)
-    stacked = solve_stress_stack(cell, loads)
-    assert seen == runs
-    for (w, rep), (w_one, rep_one) in zip(stacked, alone, strict=True):
-        assert w.macro.tobytes() == w_one.macro.tobytes()
-        assert w.periodic.tobytes() == w_one.periodic.tobytes()
-        assert dataclasses.asdict(rep) == dataclasses.asdict(rep_one)
+    for energy_tol in stops:
+        seen.clear()
+        stacked = solve_stress_stack(cell, loads, energy_tol=energy_tol)
+        assert seen == runs
+        for (w, rep), (w_one, rep_one) in zip(stacked, alone[energy_tol], strict=True):
+            assert w.macro.tobytes() == w_one.macro.tobytes()
+            assert w.periodic.tobytes() == w_one.periodic.tobytes()
+            assert dataclasses.asdict(rep) == dataclasses.asdict(rep_one)
     result = ch.homogenize(cell)
-    params = _column_tol(cell, SolveParams())
+    dh = _complementary_compliance(cell, [
+        ch.solve_stress_driven(cell, s, energy_tol=min(SolveParams().tol, ENERGY_TOL_CEIL))
+        for s in MANDEL_BASIS])
     mismatches = []
     for s in MANDEL_BASIS:
-        w, _ = ch.solve_stress_driven(cell, s, params)
         a_tensor = result.DH @ s
-        mismatches.append(float(np.linalg.norm(w.macro - a_tensor) / np.linalg.norm(a_tensor)))
+        mismatches.append(float(np.linalg.norm(dh @ s - a_tensor) / np.linalg.norm(a_tensor)))
     assert ch.dual_consistency(cell, result) == max(mismatches)
 
 
