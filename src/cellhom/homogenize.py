@@ -218,11 +218,10 @@ def dual_consistency(cell: VoxelCell, result: HomogResult,
     errors ``d``: a lower bound, second order in the error, where the mean
     strains are first order. Each solve stops once the Gauss-Radau bound of
     its CG error is at most ``min(tol, ENERGY_TOL_CEIL)`` of twice its
-    energy's magnitude (``solve_stress_stack``'s ``energy_tol``); the six
-    are one stack, solved in lockstep runs of at most
+    energy's magnitude (``solvers._stress_columns``' ``energy_tol``); the
+    six are one stack, solved in lockstep runs of at most
     ``fem.LOCKSTEP_MAX_DOF`` nodal unknowns, each column bit for bit its
-    ``solve_stress_driven``, and the stack's energy readout gives each
-    ``Kx_i``.
+    one-column solve, and the stack's energy readout gives each ``Kx_i``.
 
     ``DH_s`` is certified as ``homogenize`` certifies ``CH``, without
     trusting the CG scalars: with ``r_i = b_i - Kx_i``, ``eps_i = r_i .
@@ -233,18 +232,25 @@ def dual_consistency(cell: VoxelCell, result: HomogResult,
     solves."""
     params = params or SolveParams()
     st = stencil_of(cell)
-    solved = _stress_columns(cell, MANDEL_BASIS, params, min(params.tol, ENERGY_TOL_CEIL))
-    xs = [x for _, _, x, _ in solved]
-    kxs = [kx for _, _, _, kx in solved]
+    xs, kxs = [], []  # all the solves keep: each returned field is a view of its x
+    for _, _, x, kx in _stress_columns(cell, MANDEL_BASIS, params,
+                                       min(params.tol, ENERGY_TOL_CEIL)):
+        xs.append(x)
+        kxs.append(kx)
     means = np.column_stack([x[:6] for x in xs])
     g = np.array([[xj @ kxi for xj in xs] for kxi in kxs]) / cell.volume
     dh = means + means.T - 0.5 * (g + g.T)
 
-    residuals = -np.array(kxs)
-    residuals[:, :6] += st.volume * MANDEL_BASIS
-    eps = np.concatenate([[r @ z for r, z in zip(run, st.precond_ext(run))]
-                          for run in _lockstep_runs(cell, residuals)])
-    eps /= st.phase_bounds[0] * cell.volume
+    # each K x_i becomes its residual b_i - K x_i in place, and is stacked
+    # only for its lockstep run's precond_ext
+    for r, load in zip(kxs, MANDEL_BASIS):
+        np.negative(r, out=r)
+        r[:6] += st.volume * load
+    eps = []
+    for run in _lockstep_runs(cell, np.arange(len(kxs))):
+        residuals = np.array([kxs[i] for i in run])
+        eps += [r @ z for r, z in zip(residuals, st.precond_ext(residuals))]
+    eps = np.array(eps) / (st.phase_bounds[0] * cell.volume)
     # the norm at a power-of-two scale, as homogenize takes it
     norm = mandel.frobenius(dh)
     worst = int(np.argmax(eps))

@@ -30,9 +30,10 @@ several mean strains where the preconditioner is the dense inverse, and
 solve; ``solve_strain_driven`` and ``solve_stress_driven`` are stacks of
 one, and the Uzawa route passes a stack of one. The strain- and
 stress-driven solves stop on the relative residual ``tol``, or, given
-``energy_tol`` (as ``homogenize`` and ``dual_consistency`` give it), on the
-Gauss-Radau bound of each column's CG error in the energy norm, read off
-the CG scalars with the lower phase bound of ``Stencil.phase_bounds``.
+``energy_tol`` (as ``homogenize`` gives it to the strain stack, and
+``dual_consistency`` to ``_stress_columns``, the stress stack's body), on
+the Gauss-Radau bound of each column's CG error in the energy norm, read
+off the CG scalars with the lower phase bound of ``Stencil.phase_bounds``.
 
 The preconditioner is the constant-coefficient operator built from the
 volume-averaged stiffness; being block-circulant on the periodic grid it is
@@ -506,31 +507,18 @@ def solve_strain_stack(cell: VoxelCell, macro_strains, params: SolveParams | Non
             for a, sol, report in zip(strains, st._center(sols), reports)]
 
 
-def solve_stress_driven(cell: VoxelCell, macro_stress, params: SolveParams | None = None, *,
-                        energy_tol: float | None = None):
+def solve_stress_driven(cell: VoxelCell, macro_stress, params: SolveParams | None = None):
     """Cell solution for a prescribed mean stress.
 
     Returns ``(w, report)`` with zero-mean ``w``; the returned field carries
     the prescribed mean stress exactly (a final 6x6 correction of the mean
     strain eliminates constraint drift) and equilibrium holds to ``tol``.
-
-    With ``energy_tol`` the solve stops instead on the Gauss-Radau bound of
-    its energy error, as ``solve_strain_driven`` does, with the same ``mu``:
-    ``precond_ext`` is the exact inverse of ``k_ext`` for the mean
-    stiffness, which couples no fluctuation to the mean strain, so ``lam``
-    bounds the spectrum again. At convergence ``|x* - x_k|_K^2 <=
-    energy_tol * x_k.K_ext x_k`` for the last packed iterate ``x_k``, whose
-    energy is ``-1/2 x_k.K_ext x_k``; ``report.bound_history`` ends with
-    that bound.
     """
-    return solve_stress_stack(cell, _macro_load(macro_stress, "macro stress")[None], params,
-                              energy_tol=energy_tol)[0]
+    return solve_stress_stack(cell, _macro_load(macro_stress, "macro stress")[None], params)[0]
 
 
-def solve_stress_stack(cell: VoxelCell, macro_stresses, params: SolveParams | None = None, *,
-                       energy_tol: float | None = None):
-    """``solve_stress_driven`` of each mean stress of a stack (one per row),
-    with the same ``energy_tol``.
+def solve_stress_stack(cell: VoxelCell, macro_stresses, params: SolveParams | None = None):
+    """``solve_stress_driven`` of each mean stress of a stack (one per row).
 
     The stresses are solved in lockstep runs of consecutive rows, each one
     ``_pcg`` whose one ``k_ext`` and one ``precond_ext`` call per iteration
@@ -543,16 +531,25 @@ def solve_stress_stack(cell: VoxelCell, macro_stresses, params: SolveParams | No
     converge, raises the ``NotConverged`` of the one of lowest index, which
     a solve of one column after another would have raised first.
     """
-    return [(w, report) for w, report, _, _ in
-            _stress_columns(cell, macro_stresses, params, energy_tol)]
+    return [(w, report) for w, report, _, _ in _stress_columns(cell, macro_stresses, params)]
 
 
 @_quiet
-def _stress_columns(cell: VoxelCell, macro_stresses, params: SolveParams | None,
-                    energy_tol: float | None) -> list:
+def _stress_columns(cell: VoxelCell, macro_stresses, params: SolveParams | None = None,
+                    energy_tol: float | None = None) -> list:
     """``solve_stress_stack``'s body: a list of ``(w, report, x, kx)``, with
-    ``x`` the packed ``(mean strain, fluctuation)`` of ``w`` and ``kx`` its
-    ``k_ext``, which the report's energy readout forms."""
+    ``x`` the packed ``(mean strain, fluctuation)`` of ``w``, whose fields
+    are views of it, and ``kx`` its ``k_ext``, which the report's energy
+    readout forms.
+
+    With ``energy_tol`` (``dual_consistency``'s stop) each column stops
+    instead on the Gauss-Radau bound of its energy error, as
+    ``solve_strain_driven``'s do, with the same ``mu``: ``precond_ext`` is
+    the exact inverse of ``k_ext`` for the mean stiffness, which couples no
+    fluctuation to the mean strain, so ``lam`` bounds the spectrum again.
+    At convergence ``|x* - x_k|_K^2 <= energy_tol * x_k.K_ext x_k`` for the
+    last packed iterate ``x_k``, whose energy is ``-1/2 x_k.K_ext x_k``;
+    ``report.bound_history`` ends with that bound."""
     params = params or SolveParams()
     stresses = _macro_load(macro_stresses, "macro stresses", ndim=2)
     st = stencil_of(cell)
@@ -565,6 +562,7 @@ def _stress_columns(cell: VoxelCell, macro_stresses, params: SolveParams | None,
         for s_target, sol, report in zip(run, sols, reports):
             w = _readout(cell, st, sol, s_target - st.k_ext(sol)[:6] / st.volume)
             x = st.pack(w.macro, w.periodic)
+            w = LinPerField(*st.unpack(x))  # one copy of the fields per column
             kx = st.k_ext(x)
             report.final_energy = 0.5 * float(x @ kx) - st.volume * float(s_target @ w.macro)
             report.operator_applications += 2  # the mean-stress correction and energy

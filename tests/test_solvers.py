@@ -197,6 +197,12 @@ STRESS_RADAU_CELLS = ("fixture-c", "fixture-d", "random-sheared-3x4x5", "contras
                       "contrast-1e-3-6x6x6")
 
 
+def _energy_stopped(cell, loads, tol=ENERGY_TOL_CEIL):
+    """``(w, report)`` of each stress of ``loads``, each solve stopped on its
+    Gauss-Radau bound at ``tol``, as ``dual_consistency`` stops them."""
+    return [(w, rep) for w, rep, _, _ in solvers._stress_columns(cell, loads, None, tol)]
+
+
 def _stress_rhs(cell, s):
     """The packed right-hand side ``(V s, 0)`` of a stress-driven solve."""
     b = np.zeros(6 + 3 * cell.n_voxels)
@@ -214,7 +220,7 @@ def test_stress_radau_bound_holds_on_cells(name):
     cell = RADAU_CELLS[name]()
     st = stencil_of(cell)
     s = np.array([0.3, -0.1, 0.2, 0.25, -0.15, 0.1])
-    _, rep = ch.solve_stress_driven(cell, s, energy_tol=ENERGY_TOL_CEIL)
+    [(_, rep)] = _energy_stopped(cell, s[None])
     assert rep.converged and len(rep.bound_history) == rep.iterations + 1
     assert rep.energy_history[-1] < 0.0
     assert rep.bound_history[-1] <= 2.0 * ENERGY_TOL_CEIL * abs(rep.energy_history[-1])
@@ -244,7 +250,7 @@ def test_complementary_energy_compliance_is_a_lower_bound(name):
     # way, and below it to rounding: it is the exact one minus d_i.K d_j / V
     cell = RADAU_CELLS[name]()
     dh = _complementary_compliance(
-        cell, solve_stress_stack(cell, MANDEL_BASIS, energy_tol=ENERGY_TOL_CEIL))
+        cell, _energy_stopped(cell, MANDEL_BASIS))
     ref = _complementary_compliance(
         cell, solve_stress_stack(cell, MANDEL_BASIS, SolveParams(tol=1e-14)))
     norm = np.linalg.norm(ref)
@@ -270,8 +276,8 @@ def test_stress_stack_zero_loads_stop_at_once_on_the_energy_bound(make):
     loads[[1, 4]] = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mixed = solve_stress_stack(cell, loads, energy_tol=ENERGY_TOL_CEIL)
-        zeros = solve_stress_stack(cell, np.zeros((6, 6)), energy_tol=ENERGY_TOL_CEIL)
+        mixed = _energy_stopped(cell, loads)
+        zeros = _energy_stopped(cell, np.zeros((6, 6)))
     assert [rep.iterations == 0 for _, rep in mixed] == [False, True, False, False, True, False]
     assert all(rep.converged and rep.stop_reason == "converged" for _, rep in mixed + zeros)
     assert all(rep.iterations == 0 and not w.periodic.any() and not w.macro.any()
@@ -426,17 +432,19 @@ STRESS_STACK_CELLS = {
 @pytest.mark.parametrize("name", sorted(STRESS_STACK_CELLS))
 def test_stress_stack_columns_equal_stress_driven_solves(name, per_run, runs, monkeypatch):
     # each column of the stack returns bit for bit what solve_stress_driven
-    # returns for its stress, with the residual stop and with energy_tol,
-    # whether the seven stresses are one lockstep run or, with a lower
+    # returns for its stress, and each column of the stack body stopped on
+    # its Gauss-Radau bound what a stack of that one stress returns, whether
+    # the seven stresses are one lockstep run or, with a lower
     # fem.LOCKSTEP_MAX_DOF, runs of at most three or of one column; and
     # dual_consistency, one stack of the Mandel basis, takes the value of
-    # the energy readout of six solve_stress_driven calls stopped as it
-    # stops them
+    # the energy readout of six one-column solves stopped as it stops them
     cell = STRESS_STACK_CELLS[name]()
     assert 7 * 3 * cell.n_voxels <= fem.LOCKSTEP_MAX_DOF
     loads = np.vstack([MANDEL_BASIS, [0.3, -0.1, 0.2, 0.25, -0.15, 0.1]])
-    stops = (None, ENERGY_TOL_CEIL)
-    alone = {t: [ch.solve_stress_driven(cell, s, energy_tol=t) for s in loads] for t in stops}
+    stops = {None: lambda rows: solve_stress_stack(cell, rows),
+             ENERGY_TOL_CEIL: lambda rows: _energy_stopped(cell, rows)}
+    alone = {None: [ch.solve_stress_driven(cell, s) for s in loads],
+             ENERGY_TOL_CEIL: [_energy_stopped(cell, s[None])[0] for s in loads]}
     if per_run is not None:
         monkeypatch.setattr(solvers, "LOCKSTEP_MAX_DOF", per_run * 3 * cell.n_voxels)
     seen = []
@@ -446,17 +454,17 @@ def test_stress_stack_columns_equal_stress_driven_solves(name, per_run, runs, mo
         return _pcg(op, m_inv, b, *args, **kwargs)
 
     monkeypatch.setattr(solvers, "_pcg", pcg)
-    for energy_tol in stops:
+    for stop, solve in stops.items():
         seen.clear()
-        stacked = solve_stress_stack(cell, loads, energy_tol=energy_tol)
+        stacked = solve(loads)
         assert seen == runs
-        for (w, rep), (w_one, rep_one) in zip(stacked, alone[energy_tol], strict=True):
+        for (w, rep), (w_one, rep_one) in zip(stacked, alone[stop], strict=True):
             assert w.macro.tobytes() == w_one.macro.tobytes()
             assert w.periodic.tobytes() == w_one.periodic.tobytes()
             assert dataclasses.asdict(rep) == dataclasses.asdict(rep_one)
     result = ch.homogenize(cell)
     dh = _complementary_compliance(cell, [
-        ch.solve_stress_driven(cell, s, energy_tol=min(SolveParams().tol, ENERGY_TOL_CEIL))
+        _energy_stopped(cell, s[None], min(SolveParams().tol, ENERGY_TOL_CEIL))[0]
         for s in MANDEL_BASIS])
     mismatches = []
     for s in MANDEL_BASIS:
