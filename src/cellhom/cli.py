@@ -260,8 +260,11 @@ def run(config: RunConfig, threads: int = 1, quiet: bool = False) -> int:
         solve_rows.append(("failed", exc.report))
         code = 2
     except AsymmetricResult as exc:
-        # an uncertified or asymmetric tensor fails the step that assembled it
+        # an uncertified or asymmetric tensor fails the step that assembled
+        # it; a homogenize failure still reports its columns
         report["error"] = str(exc)
+        if exc.check == "homogenize":
+            solve_rows += [(f"column_{i + 1}", rep) for i, rep in enumerate(exc.reports)]
         failures.append(exc.check)
         code = 3
 

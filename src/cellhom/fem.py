@@ -74,7 +74,9 @@ GAUSS_POINTS = tuple(itertools.product(_GAUSS_1D, repeat=3))
 #: one BLAS thread); it is also the gate of ``solve_strain_stack``'s lockstep
 DENSE_REF_MAX_DOF = 450
 
-#: a lockstep run of ``solve_stress_stack`` holds at most this many nodal
+#: a lockstep run of stress-driven columns (``solvers._stress_columns``), and
+#: a stack of certificate residuals preconditioned by one call
+#: (``homogenize._certified_gram``), holds at most this many nodal
 #: unknowns over all its columns (six up to 10^3 voxels, three at 12^3, two
 #: at 14^3, one from 16^3 on): a stack's work arrays grow with it, about 200
 #: bytes per unknown, and once they no longer stay in cache one solve after

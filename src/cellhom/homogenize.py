@@ -48,11 +48,14 @@ class AsymmetricResult(RuntimeError):
     """Assembled homogenized tensor is not symmetric to tolerance, or, for
     the displacement and strain formulations and for ``dual_consistency``,
     not certified; ``check`` names the step that rejected it,
-    ``"homogenize"`` or ``"dual_consistency"``."""
+    ``"homogenize"`` or ``"dual_consistency"``, and ``reports`` holds the
+    reports of its six columns, each with its ``error_bound`` where the
+    certificate rejected it."""
 
-    def __init__(self, message: str, check: str = "homogenize"):
+    def __init__(self, message: str, check: str = "homogenize", reports: list = ()):
         super().__init__(message)
         self.check = check
+        self.reports = list(reports)
 
 
 @dataclass
@@ -64,8 +67,8 @@ class HomogResult:
     symmetrized mean-stress entry: ``x`` is the packed ``(mean strain,
     fluctuation)`` solution and ``Kx`` its ``Stencil.k_ext``, or for
     stress-uzawa the strain ``D sigma`` and the weighted stress ``w sigma``
-    (a column keeps only sigma, and the check forms each ``D sigma`` once
-    more). It quantifies the agreement of the averaged-stress and energy
+    (a column keeps only sigma; each ``D sigma`` is formed once, for its
+    mean too). It quantifies the agreement of the averaged-stress and energy
     definitions of the homogenized tensor, and ``energy_check_limit`` is
     the ``(6, 6)`` bound it must keep: for the displacement and strain
     formulations the certified bound of the mean-stress error (see
@@ -80,10 +83,43 @@ class HomogResult:
     energy_check_limit: np.ndarray
 
 
-def _column_tol(cell: VoxelCell, params: SolveParams) -> SolveParams:
-    lam, lam_max = stencil_of(cell).phase_bounds
-    return replace(params, tol=min(params.tol, COLUMN_TOL_CEIL,
-                                   COLUMN_TOL_CONTRAST * lam / lam_max))
+def _certified_gram(cell: VoxelCell, xs, kxs, reports, stresses, readout, check: str):
+    """``(readout(G), G, eps)`` of six packed column solutions ``xs`` of a
+    minimum principle and their ``k_ext`` ``kxs``: the energy (Gram) matrix
+    ``G_ij = x_j . Kx_i / V``, and each column's ``error_bound`` ``eps_i =
+    r_i . M^-1 r_i / (lam V)``, which bounds its energy error per volume
+    without trusting the CG scalars (``lam K0 <= K``, so ``lam^-1 M^-1``
+    bounds ``K^-1``). For mean strains (``stresses`` None) ``r_i`` is the
+    nodal part of ``-Kx_i`` and ``M^-1`` is ``ref_solve``; for the mean
+    stresses ``stresses`` it is ``(V s_i, 0) - Kx_i`` and ``precond_ext``.
+    The residuals of each ``solvers._lockstep_runs`` run are formed and
+    preconditioned as one stack, each field with the bits of its own call.
+    Raises ``AsymmetricResult``, naming ``check`` and carrying ``reports``,
+    unless every ``eps_i`` is at most ``CERTIFICATE_LIMIT |readout(G)|``."""
+    st = stencil_of(cell)
+    g = np.array([[xj @ kxi for xj in xs] for kxi in kxs]) / cell.volume
+    tensor = readout(g)
+    part, precond = (slice(6, None), st.ref_solve) if stresses is None else \
+        (slice(None), st.precond_ext)
+    eps = []
+    for run in _lockstep_runs(cell, np.arange(len(kxs))):
+        r = np.array([kxs[i][part] for i in run])
+        np.negative(r, out=r)
+        if stresses is not None:
+            r[:, :6] += st.volume * stresses[run]
+        eps += [ri @ zi for ri, zi in zip(r, precond(r))]
+    eps = np.array(eps) / (st.phase_bounds[0] * cell.volume)
+    for rep, e in zip(reports, eps.tolist()):
+        rep.error_bound = e
+    # the norm at a power-of-two scale: a cell of huge or tiny moduli would
+    # overflow or underflow a plain sum of squares
+    norm = mandel.frobenius(tensor)
+    worst = int(np.argmax(eps))
+    if not eps[worst] <= CERTIFICATE_LIMIT * norm:  # a NaN fails too
+        what = "dual consistency column" if check == "dual_consistency" else "column"
+        raise AsymmetricResult(f"{what} {worst + 1} not certified: energy error bound "
+                               f"{eps[worst] / norm:.3e} relative", check, reports)
+    return tensor, g, eps
 
 
 def homogenize(cell: VoxelCell, params: SolveParams | None = None,
@@ -99,8 +135,9 @@ def homogenize(cell: VoxelCell, params: SolveParams | None = None,
     of its CG error is at most ``min(tol, ENERGY_TOL_CEIL)`` of twice its
     energy (``solve_strain_stack``'s ``energy_tol``). With the Uzawa
     formulation the compliance is assembled first from the mean strains of
-    six basis mean stresses, each solved to the residual ``_column_tol``,
-    and then inverted.
+    six basis mean stresses, each solved to the residual ``min(tol,
+    COLUMN_TOL_CEIL, COLUMN_TOL_CONTRAST lam / Lam)`` (``Lam / lam`` the
+    condition bound of ``Stencil.phase_bounds``), and then inverted.
 
     The six displacement (or strain) columns are one ``solve_strain_stack``:
     on grids where the preconditioner is the dense inverse (at most
@@ -112,28 +149,26 @@ def homogenize(cell: VoxelCell, params: SolveParams | None = None,
     ``threads`` is accepted and ignored; it stays only because
     ``bench/workloads.py`` passes it, until the benchmark drops it.
 
-    A displacement or strain result is certified without trusting the CG
-    scalars: with ``r_i`` the nodal residual of column ``i``, minus the
-    nodal part of its ``k_ext(x_i)``, ``eps_i = r_i . M^-1 r_i / (lam V)``
-    (one ``ref_solve`` per column; ``lam K0 <= K``, so ``lam^-1 M^-1`` bounds
-    ``K^-1``) bounds its energy error per volume, and so ``G_ii`` minus the
-    exact entry; it is each column's ``error_bound``. The mean-stress entry
-    ``raw_ji`` differs from ``G_ij`` by ``phi_j . r_i / V``, at most ``B_ji =
-    sqrt(eps_i) sqrt(E_j) + sqrt(eps_i eps_j)`` with ``E_j = (<C> - G)_jj +
-    eps_j``, which bounds the fluctuation energy per volume of the exact
-    column ``j``; so ``energy_check`` is at most ``(B + B^T) / 2``, its
-    limit.
+    A displacement or strain result is certified by ``_certified_gram``, as
+    ``dual_consistency``'s compliance is: ``eps_i``, from the nodal residual
+    ``r_i`` of column ``i``, bounds its energy error per volume, and so
+    ``G_ii`` minus the exact entry. The mean-stress entry ``raw_ji`` differs
+    from ``G_ij`` by ``phi_j . r_i / V``, at most ``B_ji = sqrt(eps_i)
+    sqrt(E_j) + sqrt(eps_i eps_j)`` with ``E_j = (<C> - G)_jj + eps_j``,
+    which bounds the fluctuation energy per volume of the exact column
+    ``j``; so ``energy_check`` is at most ``(B + B^T) / 2``, its limit.
 
-    Raises ``AsymmetricResult`` when a displacement or strain column's
-    ``eps_i`` exceeds ``CERTIFICATE_LIMIT |CH|``, or when a stress-uzawa
-    compliance is asymmetric beyond ``ASYMMETRY_LIMIT`` (a solver or
-    assembly bug), and propagates ``NotConverged`` from the column solves.
+    Raises ``AsymmetricResult``, with the six column reports, when a
+    displacement or strain column's ``eps_i`` exceeds ``CERTIFICATE_LIMIT
+    |CH|``, or when a stress-uzawa compliance is asymmetric beyond
+    ``ASYMMETRY_LIMIT`` (a solver or assembly bug), and propagates
+    ``NotConverged`` from the column solves.
     """
     if formulation not in ("displacement", "strain", "stress-uzawa"):
         raise ValueError(f"unknown formulation {formulation!r}")
     params = params or SolveParams()
     if formulation == "stress-uzawa":
-        return _homogenize_uzawa(cell, _column_tol(cell, params))
+        return _homogenize_uzawa(cell, params)
 
     st = stencil_of(cell)
     xs, reports = [], []  # the fields go once packed, before the certificate's solves
@@ -142,25 +177,9 @@ def homogenize(cell: VoxelCell, params: SolveParams | None = None,
         xs.append(st.pack(u.macro, u.periodic))
         reports.append(rep)
     kxs = [st.k_ext(x) for x in xs]
+    ch, g, eps = _certified_gram(cell, xs, kxs, reports, None, lambda g: 0.5 * (g + g.T),
+                                 "homogenize")
     raw = np.column_stack([kx[:6] for kx in kxs]) / cell.volume
-    g = np.array([[xj @ kxi for xj in xs] for kxi in kxs]) / cell.volume
-    ch = 0.5 * (g + g.T)
-
-    # the certificate: each residual from the readout's own k_ext, one
-    # ref_solve per column (a stack of six would add its transforms' work
-    # arrays to the peak memory past the dense cap)
-    eps = np.array([r @ st.ref_solve(r.reshape(cell.dims + (3,))).ravel()
-                    for r in (-kx[6:] for kx in kxs)]) / (st.phase_bounds[0] * cell.volume)
-    # norms taken at a power-of-two scale: a cell of huge or tiny moduli
-    # would overflow or underflow a plain sum of squares
-    norm = mandel.frobenius(ch)
-    worst = int(np.argmax(eps))
-    if not eps[worst] <= CERTIFICATE_LIMIT * norm:  # a NaN fails too
-        raise AsymmetricResult(
-            f"column {worst + 1} not certified: energy error bound "
-            f"{eps[worst] / norm:.3e} relative")
-    for rep, e in zip(reports, eps.tolist()):
-        rep.error_bound = e
     # the clamps take only rounding below 0: a product r.M^-1 r, or the
     # fluctuation energy of a column whose fluctuation vanishes
     root_eps = np.sqrt(np.maximum(eps, 0.0))
@@ -168,20 +187,29 @@ def homogenize(cell: VoxelCell, params: SolveParams | None = None,
     bound = np.outer(root_e + root_eps, root_eps)  # B[j, i]
     return HomogResult(CH=ch, DH=mandel.invert(ch), per_column_reports=reports,
                        energy_check=np.abs(g - 0.5 * (raw + raw.T)),
-                       energy_check_limit=0.5 * (bound + bound.T) + ENERGY_CHECK_ROUNDING * norm)
+                       energy_check_limit=0.5 * (bound + bound.T)
+                       + ENERGY_CHECK_ROUNDING * mandel.frobenius(ch))
 
 
 def _homogenize_uzawa(cell: VoxelCell, params: SolveParams) -> HomogResult:
     """``homogenize``'s stress-uzawa formulation: the compliance from the
     mean strains of six basis mean stresses, gated by its asymmetry."""
     st = stencil_of(cell)
-    cols, sigmas, reports = [], [], []
+    lam, lam_max = st.phase_bounds
+    params = replace(params, tol=min(params.tol, COLUMN_TOL_CEIL,
+                                     COLUMN_TOL_CONTRAST * lam / lam_max))
+    sigmas, reports = [], []
     for load in MANDEL_BASIS:
         sig, _, rep = solve_stress_uzawa(cell, load, params)
-        cols.append(cell_average(cell, st.compliance_stress(sig)))
         sigmas.append(sig)
         reports.append(rep)
-    raw = np.column_stack(cols)
+    # one strain D sigma_j at a time: its mean, and its products with every
+    # weighted stress w sigma_i
+    raw, products = np.empty((6, 6)), np.empty((6, 6))
+    for j, sig_j in enumerate(sigmas):
+        e_j = st.compliance_stress(sig_j)
+        raw[:, j] = cell_average(cell, e_j)
+        products[:, j] = [e_j.ravel() @ (st.w * sig_i).ravel() for sig_i in sigmas]
 
     # norms taken at a power-of-two scale: the compliance columns of a cell
     # of tiny moduli would overflow a plain sum of squares
@@ -189,15 +217,10 @@ def _homogenize_uzawa(cell: VoxelCell, params: SolveParams) -> HomogResult:
     asym = mandel.frobenius(raw - raw.T)
     if asym > ASYMMETRY_LIMIT * norm:
         raise AsymmetricResult(
-            f"assembled tensor asymmetric: {asym / norm:.3e} relative")
+            f"assembled tensor asymmetric: {asym / norm:.3e} relative", reports=reports)
     sym = 0.5 * (raw + raw.T)
     ch = mandel.invert(sym)
     dh = mandel.invert(ch)
-    # one strain D sigma_j at a time, against every weighted stress w sigma_i
-    products = np.empty((6, 6))
-    for j, sig_j in enumerate(sigmas):
-        e_j = st.compliance_stress(sig_j).ravel()
-        products[:, j] = [e_j @ (st.w * sig_i).ravel() for sig_i in sigmas]
     limit = ENERGY_CHECK_LIMIT * mandel.frobenius(dh)
     return HomogResult(CH=ch, DH=dh, per_column_reports=reports,
                        energy_check=np.abs(products / cell.volume - sym),
@@ -223,41 +246,18 @@ def dual_consistency(cell: VoxelCell, result: HomogResult,
     ``fem.LOCKSTEP_MAX_DOF`` nodal unknowns, each column bit for bit its
     one-column solve, and the stack's energy readout gives each ``Kx_i``.
 
-    ``DH_s`` is certified as ``homogenize`` certifies ``CH``, without
-    trusting the CG scalars: with ``r_i = b_i - Kx_i``, ``eps_i = r_i .
-    precond_ext(r_i) / (lam V)`` bounds the energy error per volume of
-    column ``i`` (one ``precond_ext`` per lockstep run), and
-    ``AsymmetricResult`` is raised unless every ``eps_i`` is at most
-    ``CERTIFICATE_LIMIT |DH_s|``. ``NotConverged`` propagates from the
-    solves."""
+    ``DH_s`` is certified as ``homogenize`` certifies ``CH``, by
+    ``_certified_gram``: ``AsymmetricResult`` is raised unless the bound
+    ``eps_i`` on the energy error per volume of every column, from its
+    residual ``r_i = b_i - Kx_i``, is at most ``CERTIFICATE_LIMIT |DH_s|``.
+    ``NotConverged`` propagates from the solves."""
     params = params or SolveParams()
-    st = stencil_of(cell)
-    xs, kxs = [], []  # all the solves keep: each returned field is a view of its x
-    for _, _, x, kx in _stress_columns(cell, MANDEL_BASIS, params,
-                                       min(params.tol, ENERGY_TOL_CEIL)):
-        xs.append(x)
-        kxs.append(kx)
+    # all the solves keep: each returned field is a view of its x
+    _, reports, xs, kxs = zip(*_stress_columns(cell, MANDEL_BASIS, params,
+                                               min(params.tol, ENERGY_TOL_CEIL)))
     means = np.column_stack([x[:6] for x in xs])
-    g = np.array([[xj @ kxi for xj in xs] for kxi in kxs]) / cell.volume
-    dh = means + means.T - 0.5 * (g + g.T)
-
-    # each K x_i becomes its residual b_i - K x_i in place, and is stacked
-    # only for its lockstep run's precond_ext
-    for r, load in zip(kxs, MANDEL_BASIS):
-        np.negative(r, out=r)
-        r[:6] += st.volume * load
-    eps = []
-    for run in _lockstep_runs(cell, np.arange(len(kxs))):
-        residuals = np.array([kxs[i] for i in run])
-        eps += [r @ z for r, z in zip(residuals, st.precond_ext(residuals))]
-    eps = np.array(eps) / (st.phase_bounds[0] * cell.volume)
-    # the norm at a power-of-two scale, as homogenize takes it
-    norm = mandel.frobenius(dh)
-    worst = int(np.argmax(eps))
-    if not eps[worst] <= CERTIFICATE_LIMIT * norm:  # a NaN fails too
-        raise AsymmetricResult(
-            f"dual consistency column {worst + 1} not certified: energy error bound "
-            f"{eps[worst] / norm:.3e} relative", check="dual_consistency")
+    dh, _, _ = _certified_gram(cell, xs, kxs, reports, MANDEL_BASIS,
+                               lambda g: means + means.T - 0.5 * (g + g.T), "dual_consistency")
     mismatches = []
     for load in MANDEL_BASIS:
         a_tensor = result.DH @ load

@@ -25,15 +25,15 @@ step the fixed length along the preconditioned residual. The loop iterates
 a stack of right-hand sides in lockstep, as independent CGs that share
 each operator and preconditioner call: ``solve_strain_stack`` stacks
 several mean strains where the preconditioner is the dense inverse, and
-``solve_stress_stack`` several mean stresses in runs of at most
+the private ``_stress_columns`` several mean stresses in runs of at most
 ``fem.LOCKSTEP_MAX_DOF`` unknowns, each solved with the bits of its own
 solve; ``solve_strain_driven`` and ``solve_stress_driven`` are stacks of
-one, and the Uzawa route passes a stack of one. The strain- and
+one, and the Uzawa route passes ``_pcg`` a stack of one. The strain- and
 stress-driven solves stop on the relative residual ``tol``, or, given
 ``energy_tol`` (as ``homogenize`` gives it to the strain stack, and
-``dual_consistency`` to ``_stress_columns``, the stress stack's body), on
-the Gauss-Radau bound of each column's CG error in the energy norm, read
-off the CG scalars with the lower phase bound of ``Stencil.phase_bounds``.
+``dual_consistency`` to ``_stress_columns``), on the Gauss-Radau bound of
+each column's CG error in the energy norm, read off the CG scalars with the
+lower phase bound of ``Stencil.phase_bounds``.
 
 The preconditioner is the constant-coefficient operator built from the
 volume-averaged stiffness; being block-circulant on the periodic grid it is
@@ -135,9 +135,10 @@ class SolveReport:
     set-up and final correction included; all counts are ``int``.
     ``bound_history`` holds the Gauss-Radau bound on ``|x* - x_k|_K^2`` of
     each iterate of a solve stopped on that bound (``energy_tol``), and is
-    empty for the others. ``error_bound`` is ``homogenize``'s certificate of
-    a displacement or strain column, a bound on its energy error per volume
-    computed from the column's own residual, and None elsewhere."""
+    empty for the others. ``error_bound`` is the certificate of a column of
+    ``homogenize``'s displacement or strain formulation, or of
+    ``dual_consistency``'s stress solves, a bound on its energy error per
+    volume computed from the column's own residual, and None elsewhere."""
 
     iterations: int
     residual_history: list
@@ -371,14 +372,6 @@ def _pcg(op, m_inv, b, tol, max_iter, energy_offsets=None, hook=None, rho=None, 
     return x, reports
 
 
-def _pcg_one(op, m_inv, b, tol, max_iter, hook=None, rho=None):
-    """``_pcg`` on the one right-hand side ``b``, for an operator and
-    preconditioner that apply to one vector: returns ``(x, report)``."""
-    x, reports = _pcg(lambda v: op(v[0])[None], lambda v: m_inv(v[0])[None], b[None],
-                      tol, max_iter, hook=hook, rho=rho)
-    return x[0], reports[0]
-
-
 def _not_converged(solve: str, report: SolveReport) -> NotConverged:
     res, gaps = report.residual_history[-1], report.gap_history
     if not math.isfinite(res):
@@ -436,7 +429,8 @@ def _stop_test(st: Stencil, params: SolveParams, energy_tol) -> tuple:
 
 def _lockstep_runs(cell: VoxelCell, rows: np.ndarray) -> list:
     """``rows`` split into consecutive runs of stress-driven columns solved
-    in lockstep: as few runs, of sizes differing by at most one, as keep
+    in lockstep, or of certificate residuals preconditioned by one call
+    (``homogenize._certified_gram``): as few runs, of sizes differing by at most one, as keep
     each within ``fem.LOCKSTEP_MAX_DOF`` nodal unknowns, and runs of one row
     where a single column exceeds that."""
     per_run = max(1, LOCKSTEP_MAX_DOF // (3 * cell.n_voxels))
@@ -514,33 +508,24 @@ def solve_stress_driven(cell: VoxelCell, macro_stress, params: SolveParams | Non
     the prescribed mean stress exactly (a final 6x6 correction of the mean
     strain eliminates constraint drift) and equilibrium holds to ``tol``.
     """
-    return solve_stress_stack(cell, _macro_load(macro_stress, "macro stress")[None], params)[0]
-
-
-def solve_stress_stack(cell: VoxelCell, macro_stresses, params: SolveParams | None = None):
-    """``solve_stress_driven`` of each mean stress of a stack (one per row).
-
-    The stresses are solved in lockstep runs of consecutive rows, each one
-    ``_pcg`` whose one ``k_ext`` and one ``precond_ext`` call per iteration
-    serve all its columns: as few runs, of sizes differing by at most one,
-    as keep each within ``fem.LOCKSTEP_MAX_DOF`` nodal unknowns, and runs
-    of one column where a single column exceeds that.
-
-    Returns a list of ``(w, report)``, each bit for bit what
-    ``solve_stress_driven`` returns for its stress. When columns fail to
-    converge, raises the ``NotConverged`` of the one of lowest index, which
-    a solve of one column after another would have raised first.
-    """
-    return [(w, report) for w, report, _, _ in _stress_columns(cell, macro_stresses, params)]
+    w, report, _, _ = _stress_columns(cell, _macro_load(macro_stress, "macro stress")[None],
+                                      params)[0]
+    return w, report
 
 
 @_quiet
 def _stress_columns(cell: VoxelCell, macro_stresses, params: SolveParams | None = None,
                     energy_tol: float | None = None) -> list:
-    """``solve_stress_stack``'s body: a list of ``(w, report, x, kx)``, with
-    ``x`` the packed ``(mean strain, fluctuation)`` of ``w``, whose fields
-    are views of it, and ``kx`` its ``k_ext``, which the report's energy
-    readout forms.
+    """``solve_stress_driven`` of each mean stress of a stack (one per row),
+    in lockstep runs of consecutive rows (``_lockstep_runs``), each one
+    ``_pcg`` whose one ``k_ext`` and one ``precond_ext`` call per iteration
+    serve all its columns: a list of ``(w, report, x, kx)``, each ``(w,
+    report)`` bit for bit the solve of its stress alone, ``x`` the packed
+    ``(mean strain, fluctuation)`` of ``w``, whose fields are views of it,
+    and ``kx`` its ``k_ext``, which the report's energy readout forms. When
+    columns fail to converge, raises the ``NotConverged`` of the one of
+    lowest index, which a solve of one column after another would have
+    raised first.
 
     With ``energy_tol`` (``dual_consistency``'s stop) each column stops
     instead on the Gauss-Radau bound of its energy error, as
@@ -665,8 +650,8 @@ def solve_stress_uzawa(cell: VoxelCell, macro_stress, params: SolveParams | None
             return True
         return None if streak >= 10 else False
 
-    x, report = _pcg_one(st.k_ext, st.precond_ext, b, params.tol, params.max_iter,
-                         hook=gap_test, rho=rho)
+    (x,), (report,) = _pcg(st.k_ext, st.precond_ext, b[None], params.tol, params.max_iter,
+                           hook=gap_test, rho=rho)
     report.gap_history, report.final_energy = gaps, compl
     if not report.converged:
         if streak >= 10:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -231,9 +232,9 @@ def test_run_non_finite_config_is_input_error(tmp_path, capsys, extra, key):
 def _count_stress_solves(monkeypatch):
     """Lists that record the arguments of each stress-driven and each Uzawa
     solve, whatever module calls it. Every stress-driven solve goes through
-    ``solvers._stress_columns``, the body of ``solve_stress_stack``
-    (``solve_stress_driven`` is a stack of one), which ``dual_consistency``
-    calls directly, so each column of a call is one stress-driven solve."""
+    ``solvers._stress_columns`` (``solve_stress_driven`` is a stack of one),
+    which ``dual_consistency`` calls directly, so each column of a call is
+    one stress-driven solve."""
     import importlib
 
     import cellhom.checks as checks
@@ -467,7 +468,8 @@ def test_run_exit3_on_check_failure(tmp_path, monkeypatch):
 def test_run_uncertified_result_exits_3_with_a_report(tmp_path, capsys, monkeypatch, task):
     # with a certificate limit of 0 no column of fixture d is certified: the
     # run exits 3 as a failed check, with a strict-JSON report naming the
-    # step and the column, and one stderr line, never a traceback
+    # step and the column and listing the six columns, each with its error
+    # bound, and one stderr line, never a traceback
     import importlib
 
     hz = importlib.import_module("cellhom.homogenize")
@@ -481,7 +483,11 @@ def test_run_uncertified_result_exits_3_with_a_report(tmp_path, capsys, monkeypa
                         parse_constant=_reject_constant)
     assert report["checks_failed"] == ["homogenize"]
     assert report["error"] in err
-    assert (tmp_path / "out" / "convergence.csv").exists()
+    columns = [f"column_{i}" for i in range(1, 7)]
+    assert [s["label"] for s in report["solves"]] == columns
+    assert all(math.isfinite(s["error_bound"]) for s in report["solves"])
+    rows = (tmp_path / "out" / "convergence.csv").read_text().splitlines()[1:]
+    assert sorted({row.split(",")[0] for row in rows}) == columns
     assert not (tmp_path / "out" / "CH.txt").exists()
 
 

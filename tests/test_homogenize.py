@@ -240,8 +240,24 @@ def test_homogenize_rejects_asymmetric_assembly(cell_d, monkeypatch):
         return solved
 
     monkeypatch.setattr(hz, "solve_strain_stack", crooked)
-    with pytest.raises(ch.AsymmetricResult):
+    with pytest.raises(ch.AsymmetricResult) as err:
         ch.homogenize(cell_d)
+    # the rejection carries the six column reports, each with its bound
+    assert len(err.value.reports) == 6
+    assert all(np.isfinite(rep.error_bound) for rep in err.value.reports)
+
+
+def test_homogenize_uzawa_asymmetry_gate_carries_the_column_reports(monkeypatch):
+    # with a negative asymmetry limit every stress-uzawa compliance is
+    # rejected, with the reports of its six column solves
+    import importlib
+
+    hz = importlib.import_module("cellhom.homogenize")
+    monkeypatch.setattr(hz, "ASYMMETRY_LIMIT", -1.0)
+    with pytest.raises(ch.AsymmetricResult, match="assembled tensor asymmetric") as err:
+        ch.homogenize(random_two_phase_cell(), formulation="stress-uzawa")
+    assert err.value.check == "homogenize"
+    assert len(err.value.reports) == 6 and all(rep.gap_history for rep in err.value.reports)
 
 
 #: per-column iteration counts of the lockstep cells whose counts are pinned

@@ -14,7 +14,7 @@ from cellhom.mandel import SQRT2
 from cellhom.microstructures import (cubic_inclusion_cell, homogeneous_cell, laminate_cell,
                                      random_two_phase_cell)
 from cellhom.solvers import (NotConverged, SolveParams, Stencil, StepTooLarge, _pcg,
-                             solve_strain_stack, solve_stress_stack)
+                             solve_strain_stack)
 from test_fem import GAP_CELLS
 
 
@@ -197,10 +197,17 @@ STRESS_RADAU_CELLS = ("fixture-c", "fixture-d", "random-sheared-3x4x5", "contras
                       "contrast-1e-3-6x6x6")
 
 
+def _stress_stack(cell, loads, params=None, energy_tol=None):
+    """``(w, report)`` of each stress of ``loads``, solved as one stack by
+    ``solvers._stress_columns``: each solve stopped on its residual or,
+    given ``energy_tol``, on its Gauss-Radau bound."""
+    return [(w, rep) for w, rep, _, _ in solvers._stress_columns(cell, loads, params, energy_tol)]
+
+
 def _energy_stopped(cell, loads, tol=ENERGY_TOL_CEIL):
     """``(w, report)`` of each stress of ``loads``, each solve stopped on its
     Gauss-Radau bound at ``tol``, as ``dual_consistency`` stops them."""
-    return [(w, rep) for w, rep, _, _ in solvers._stress_columns(cell, loads, None, tol)]
+    return _stress_stack(cell, loads, None, tol)
 
 
 def _stress_rhs(cell, s):
@@ -252,7 +259,7 @@ def test_complementary_energy_compliance_is_a_lower_bound(name):
     dh = _complementary_compliance(
         cell, _energy_stopped(cell, MANDEL_BASIS))
     ref = _complementary_compliance(
-        cell, solve_stress_stack(cell, MANDEL_BASIS, SolveParams(tol=1e-14)))
+        cell, _stress_stack(cell, MANDEL_BASIS, SolveParams(tol=1e-14)))
     norm = np.linalg.norm(ref)
     assert np.abs(dh - ref).max() <= 1e-12 * norm
     assert np.linalg.eigvalsh(ref - dh).min() >= -1e-14 * norm
@@ -427,24 +434,35 @@ STRESS_STACK_CELLS = {
 }
 
 
-@pytest.mark.parametrize("per_run, runs", [(None, [7]), (3, [3, 2, 2]), (1, [1] * 7)],
-                         ids=["one-run", "runs-of-3", "runs-of-1"])
+@pytest.mark.parametrize("per_run, runs",
+                         [(None, [7]), (3, [3, 2, 2]), (1, [1] * 7), (2, [2, 2, 2, 1])],
+                         ids=["one-run", "runs-of-3", "runs-of-1", "runs-of-2"])
 @pytest.mark.parametrize("name", sorted(STRESS_STACK_CELLS))
 def test_stress_stack_columns_equal_stress_driven_solves(name, per_run, runs, monkeypatch):
     # each column of the stack returns bit for bit what solve_stress_driven
     # returns for its stress, and each column of the stack body stopped on
     # its Gauss-Radau bound what a stack of that one stress returns, whether
     # the seven stresses are one lockstep run or, with a lower
-    # fem.LOCKSTEP_MAX_DOF, runs of at most three or of one column; and
-    # dual_consistency, one stack of the Mandel basis, takes the value of
-    # the energy readout of six one-column solves stopped as it stops them
+    # fem.LOCKSTEP_MAX_DOF, runs of at most three, two or one column; the
+    # certificate, whose residuals are preconditioned one stack per run,
+    # gives homogenize's error bounds and dual_consistency's value the bits
+    # of one run; and dual_consistency, one stack of the Mandel basis,
+    # takes the value of the energy readout of six one-column solves
+    # stopped as it stops them
     cell = STRESS_STACK_CELLS[name]()
     assert 7 * 3 * cell.n_voxels <= fem.LOCKSTEP_MAX_DOF
     loads = np.vstack([MANDEL_BASIS, [0.3, -0.1, 0.2, 0.25, -0.15, 0.1]])
-    stops = {None: lambda rows: solve_stress_stack(cell, rows),
+    stops = {None: lambda rows: _stress_stack(cell, rows),
              ENERGY_TOL_CEIL: lambda rows: _energy_stopped(cell, rows)}
     alone = {None: [ch.solve_stress_driven(cell, s) for s in loads],
              ENERGY_TOL_CEIL: [_energy_stopped(cell, s[None])[0] for s in loads]}
+
+    def certificate():
+        result = ch.homogenize(cell)
+        bounds = np.array([rep.error_bound for rep in result.per_column_reports])
+        return result, bounds.tobytes(), ch.dual_consistency(cell, result)
+
+    _, one_run_bounds, one_run_consistency = certificate()
     if per_run is not None:
         monkeypatch.setattr(solvers, "LOCKSTEP_MAX_DOF", per_run * 3 * cell.n_voxels)
     seen = []
@@ -462,7 +480,8 @@ def test_stress_stack_columns_equal_stress_driven_solves(name, per_run, runs, mo
             assert w.macro.tobytes() == w_one.macro.tobytes()
             assert w.periodic.tobytes() == w_one.periodic.tobytes()
             assert dataclasses.asdict(rep) == dataclasses.asdict(rep_one)
-    result = ch.homogenize(cell)
+    result, bounds, consistency = certificate()
+    assert bounds == one_run_bounds and consistency == one_run_consistency
     dh = _complementary_compliance(cell, [
         _energy_stopped(cell, s[None], min(SolveParams().tol, ENERGY_TOL_CEIL))[0]
         for s in MANDEL_BASIS])
@@ -470,7 +489,7 @@ def test_stress_stack_columns_equal_stress_driven_solves(name, per_run, runs, mo
     for s in MANDEL_BASIS:
         a_tensor = result.DH @ s
         mismatches.append(float(np.linalg.norm(dh @ s - a_tensor) / np.linalg.norm(a_tensor)))
-    assert ch.dual_consistency(cell, result) == max(mismatches)
+    assert consistency == max(mismatches)
 
 
 @pytest.mark.parametrize("make, order, column", [
@@ -489,7 +508,7 @@ def test_stress_stack_raises_the_lowest_failing_column(make, order, column, per_
     if per_run is not None:
         monkeypatch.setattr(solvers, "LOCKSTEP_MAX_DOF", per_run * 3 * cell.n_voxels)
     with pytest.raises(NotConverged) as stacked:
-        solve_stress_stack(cell, loads, params)
+        _stress_stack(cell, loads, params)
     for s in loads[:column]:
         assert ch.solve_stress_driven(cell, s, params)[1].converged
     with pytest.raises(NotConverged) as alone:
@@ -508,8 +527,8 @@ def test_stress_stack_zero_loads_raise_no_warning(make):
     loads[[1, 4]] = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mixed = solve_stress_stack(cell, loads)
-        zeros = solve_stress_stack(cell, np.zeros((6, 6)))
+        mixed = _stress_stack(cell, loads)
+        zeros = _stress_stack(cell, np.zeros((6, 6)))
     assert [rep.iterations == 0 for _, rep in mixed] == [False, True, False, False, True, False]
     assert all(rep.converged for _, rep in mixed + zeros)
     assert all(rep.iterations == 0 and not w.periodic.any() for w, rep in zeros)
@@ -742,7 +761,7 @@ ROUTES = {
     "strain-driven": lambda cell, v, p=None: ch.solve_strain_driven(cell, v, p),
     "strain-stack": lambda cell, v, p=None: solve_strain_stack(cell, [v, v], p)[0],
     "stress-driven": lambda cell, v, p=None: ch.solve_stress_driven(cell, v, p),
-    "stress-stack": lambda cell, v, p=None: solve_stress_stack(cell, [v, v], p)[0],
+    "stress-stack": lambda cell, v, p=None: _stress_stack(cell, [v, v], p)[0],
     "uzawa": lambda cell, v, p=None: ch.solve_stress_uzawa(cell, v, p),
     "uzawa-fixed": lambda cell, v, p=None: ch.solve_stress_uzawa(
         cell, v, SolveParams(uzawa_step=0.8)),
@@ -768,7 +787,7 @@ def test_a_load_that_is_not_numbers_is_named_too(cell_d):
         with pytest.raises(ValueError, match="macro strains must be rows of 6 finite reals"):
             solve_strain_stack(cell_d, bad)
         with pytest.raises(ValueError, match="macro stresses must be rows of 6 finite reals"):
-            solve_stress_stack(cell_d, bad)
+            _stress_stack(cell_d, bad)
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
